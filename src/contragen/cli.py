@@ -58,6 +58,7 @@ from .generator import (
     derive_theorems,
     enumerate_ftscs,
     permutation_by_rank,
+    recover_permutation,
 )
 from .report import (
     Report,
@@ -202,12 +203,20 @@ def _cmd_generate(args) -> int:
 def _cmd_enumerate(args) -> int:
     signature, _ = _signature_from_args(args)
     n = signature.size
-    seen = set()
+    # Distinctness in O(n) memory: the orders recovered from the sets'
+    # contents must rise strictly in lexicographic order, as generated.
+    previous: Optional[tuple[int, ...]] = None
+    distinct = 0
     certified = 0
     total = 0
     for ftsc in enumerate_ftscs(signature, cap=args.n_cap):
         total += 1
-        seen.add(ftsc.clause_set.as_sets())
+        order = recover_permutation(ftsc.clause_set)
+        if order is not None:
+            key = tuple(signature.index_of(s) for s in order)
+            if previous is None or key > previous:
+                distinct += 1
+                previous = key
         status = ""
         if not args.no_certify:
             theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
@@ -217,11 +226,11 @@ def _cmd_enumerate(args) -> int:
         print(f"perm {total - 1}: ({', '.join(ftsc.permutation)}){status}")
     sets_expected, entailments = closure_counts(n)
     print(
-        f"permutations={total} expected={sets_expected} distinct={len(seen)} "
+        f"permutations={total} expected={sets_expected} distinct={distinct} "
         f"entailments={entailments}"
         + ("" if args.no_certify else f" certified={certified}/{total}")
     )
-    ok = total == sets_expected == len(seen) and (
+    ok = total == sets_expected == distinct and (
         args.no_certify or certified == total
     )
     return EXIT_OK if ok else EXIT_VERIFICATION

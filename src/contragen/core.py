@@ -1,10 +1,12 @@
 """Immutable clause algebra: literals, signatures, clauses, clause sets, evaluation.
 
 Symbols are plain strings on the public surface. Internally a signature
-interns each symbol to a small integer index, and ``ClauseSet.int_clauses``
-exposes the signed-integer encoding (1-based, DIMACS style) that the
-verifier's hot loops run on. All types are immutable values: once built
-they can be shared freely between workers.
+interns each symbol to a small integer index. A ``ClauseSet`` computes its
+signed-integer encoding (1-based, DIMACS style) once, at construction; that
+lookup is also its symbol-binding check. ``without`` and ``with_clause``
+slice or extend the stored encoding instead of re-validating, and
+``int_clauses`` returns it as is, for the verifier's hot loops. All types
+are immutable values: once built they can be shared freely between workers.
 
 Ground first-order atoms are handled as opaque propositional symbols of
 the shape ``Name(c1,c2)``; the arity of such a symbol is inferred from its
@@ -132,9 +134,6 @@ class Signature:
         except KeyError:
             raise UnboundSymbolError(symbol) from None
 
-    def arity_of(self, symbol: str) -> int:
-        return self.arities[self.index_of(symbol)]
-
     def permuted(self, order: Sequence[int]) -> "Signature":
         """Reorder the symbols; ``order`` must be a permutation of 0..size-1."""
         if sorted(order) != list(range(self.size)):
@@ -194,9 +193,6 @@ class Clause:
     def as_set(self) -> frozenset[Literal]:
         return frozenset(self.literals)
 
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(l.symbol for l in self.literals)
-
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
 
@@ -223,6 +219,19 @@ def canonicalize(clause: Clause, signature: Signature) -> Clause:
 ClauseLike = Union[Clause, Iterable[Literal]]
 
 
+def _encoder(signature: Signature):
+    """Clause -> signed 1-based integers; raises UnboundSymbolError."""
+    idx = signature.index_of
+
+    def encode(clause: Clause) -> tuple[int, ...]:
+        return tuple(
+            -(idx(l.symbol) + 1) if l.negated else idx(l.symbol) + 1
+            for l in clause.literals
+        )
+
+    return encode
+
+
 @dataclass(frozen=True)
 class ClauseSet:
     """Ordered conjunction of clauses over a signature.
@@ -235,10 +244,25 @@ class ClauseSet:
     signature: Signature
 
     def __post_init__(self):
-        for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.symbol not in self.signature:
-                    raise UnboundSymbolError(lit.symbol)
+        # Encoding looks every symbol up, so it is also the binding check.
+        encode = _encoder(self.signature)
+        object.__setattr__(
+            self, "_ints", tuple(encode(c) for c in self.clauses)
+        )
+
+    @classmethod
+    def _trusted(
+        cls,
+        clauses: tuple[Clause, ...],
+        signature: Signature,
+        ints: tuple[tuple[int, ...], ...],
+    ) -> "ClauseSet":
+        """Assemble from parts already encoded against ``signature``."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "clauses", clauses)
+        object.__setattr__(obj, "signature", signature)
+        object.__setattr__(obj, "_ints", ints)
+        return obj
 
     @classmethod
     def build(cls, clauses: Iterable[ClauseLike], signature: Signature) -> "ClauseSet":
@@ -253,14 +277,19 @@ class ClauseSet:
         """Copy with the clause at 0-based ``index`` removed."""
         if not 0 <= index < len(self.clauses):
             raise IndexError(f"clause index out of range: {index}")
-        return ClauseSet(
-            self.clauses[:index] + self.clauses[index + 1 :], self.signature
+        return ClauseSet._trusted(
+            self.clauses[:index] + self.clauses[index + 1 :],
+            self.signature,
+            self._ints[:index] + self._ints[index + 1 :],
         )
 
     def with_clause(self, clause: ClauseLike) -> "ClauseSet":
         c = clause if isinstance(clause, Clause) else Clause(tuple(clause))
-        return ClauseSet(
-            self.clauses + (canonicalize(c, self.signature),), self.signature
+        canon = canonicalize(c, self.signature)
+        return ClauseSet._trusted(
+            self.clauses + (canon,),
+            self.signature,
+            self._ints + (_encoder(self.signature)(canon),),
         )
 
     def as_sets(self) -> frozenset[frozenset[Literal]]:
@@ -271,11 +300,7 @@ class ClauseSet:
 
     def int_clauses(self) -> tuple[tuple[int, ...], ...]:
         """Signed 1-based integer encoding, for solver loops."""
-        idx = self.signature.index_of
-        return tuple(
-            tuple(-(idx(l.symbol) + 1) if l.negated else idx(l.symbol) + 1 for l in c)
-            for c in self.clauses
-        )
+        return self._ints  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.clauses)

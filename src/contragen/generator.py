@@ -252,6 +252,30 @@ def enumerate_ftscs(
     return generate()
 
 
+def recover_permutation(clause_set: ClauseSet) -> Optional[tuple[str, ...]]:
+    """The literal order a triangular chain was built over, read back from
+    its clause contents alone: the one positive literal of the clause with
+    t literals is xt. None if the contents do not pin down such an order.
+
+    The result depends only on ``clause_set.as_sets()``, so two sets that
+    recover different orders are different sets.
+    """
+    n = clause_set.signature.size
+    order: list[Optional[str]] = [None] * n
+    for clause in clause_set.clauses:
+        literals = clause.as_set()
+        positives = [l.symbol for l in literals if not l.negated]
+        if len(positives) != 1:
+            continue
+        t = len(literals)
+        if not 1 <= t <= n or order[t - 1] not in (None, positives[0]):
+            return None
+        order[t - 1] = positives[0]
+    if None in order:
+        return None
+    return tuple(order)  # type: ignore[arg-type]
+
+
 def permutation_by_rank(signature: Signature, rank: int) -> Signature:
     """The rank-th signature permutation in lexicographic order (0-based)."""
     n = signature.size

@@ -7,12 +7,22 @@ recomputed from the clause lists. Satisfiability is decided two ways:
     symbols, bit-packed so each of the 2^n assignments is one bit of a
     big integer and each clause contributes its violated subcube with a
     handful of shifts;
-  * a deterministic DPLL search (unit propagation, branch on the lowest
-    unassigned signature index, true first) beyond that.
+  * a deterministic, iterative DPLL search beyond that (``DpllSolver``):
+    counter-based unit propagation over the integer encoding, in time
+    linear in the occurrences it touches, and chronological backtracking
+    that branches on the lowest unassigned signature index, true first.
 
 Both methods return the same witness when one exists: the model that is
 lexicographically first under "lower signature index decided first, true
 preferred". No clause learning, no heuristics, no randomness.
+
+Certification reuses work without trusting anything new. The source set's
+unsatisfiability is decided once per construction, not once per theorem.
+On the DPLL path one solver is built per remainder, and each conclusion
+literal is tested by solving under its negation as an assumption, after
+which the solver returns to its root state. Trace replay runs on the
+premises' integer encoding with one incrementally maintained set of known
+literals.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .generator import (
     STEP_EMPTY,
     STEP_PROPAGATE,
     STEP_UNIT,
+    Ftsc,
     ProofTrace,
     Theorem,
 )
@@ -135,80 +146,173 @@ def _truth_table(clause_set: ClauseSet) -> SatResult:
     return SatResult(True, witness, METHOD_TRUTH_TABLE)
 
 
-def _dpll(clause_set: ClauseSet) -> SatResult:
-    clauses = clause_set.int_clauses()
-    n = clause_set.signature.size
+class DpllSolver:
+    """Iterative DPLL over signed 1-based integer clauses, reusable under
+    assumptions.
 
-    def propagate(assign: dict[int, bool]) -> bool:
-        """Unit propagation to fixpoint; False on a falsified clause."""
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned_lit = 0
-                unassigned_count = 0
-                satisfied = False
-                for lit in clause:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        unassigned_count += 1
-                        if unassigned_count == 1:
-                            unassigned_lit = lit
-                    elif val == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if unassigned_count == 0:
-                    return False
-                if unassigned_count == 1:
-                    assign[abs(unassigned_lit)] = unassigned_lit > 0
-                    changed = True
+    Unit propagation is counter based (Dowling & Gallier 1984): each clause
+    keeps a count of its true literals and of its literals not yet false,
+    and occurrence lists say which counts one assignment touches, so
+    propagating costs time linear in the occurrences of the literals it
+    sets. Search backtracks chronologically and branches on the lowest
+    unassigned variable, true first, so the model found is the
+    lexicographically first one. Unit clauses are propagated once, at
+    construction; that trail is the root state every ``solve`` returns to.
+    """
+
+    def __init__(self, clauses, num_vars: int):
+        self.num_vars = num_vars
+        # Literal-indexed lists: index ``lit`` for lit > 0 and, by Python's
+        # negative indexing, the upper half for lit < 0.
+        size = 2 * num_vars + 1
+        self._value = [0] * size  # 1 true, -1 false, 0 unassigned
+        self._occurs: list[list[int]] = [[] for _ in range(size)]
+        self._clauses: list[tuple[int, ...]] = []
+        self._trail: list[int] = []
+        self._ok = True
+        units = []
+        occurs = self._occurs
+        for clause in clauses:
+            lits = tuple(dict.fromkeys(clause))
+            if not lits:
+                self._ok = False
+            elif min(lits) < -num_vars or max(lits) > num_vars or 0 in lits:
+                raise ValueError(f"literal out of range in clause {clause}")
+            elif len(set(map(abs, lits))) < len(lits):
+                continue  # a tautology constrains nothing
+            elif len(lits) == 1:
+                units.append(lits[0])
+            c = len(self._clauses)
+            for lit in lits:
+                occurs[lit].append(c)
+            self._clauses.append(lits)
+        self._free = [len(c) for c in self._clauses]
+        self._true = [0] * len(self._clauses)
+        self._ok = self._ok and self._assume(units)
+
+    def _assume(self, lits) -> bool:
+        """Make every literal true, propagating; False on a conflict."""
+        value = self._value
+        for lit in lits:
+            if value[lit] < 0 or (value[lit] == 0 and not self._imply(lit)):
+                return False
         return True
 
-    def satisfied_under(assign: dict[int, bool]) -> bool:
-        return all(
-            any(assign.get(abs(lit)) == (lit > 0) for lit in clause)
-            for clause in clauses
+    def _imply(self, lit: int) -> bool:
+        """Make ``lit`` true and propagate to fixpoint; False on a conflict.
+
+        Every assignment lands on the trail with its counts updated, so
+        ``_undo`` reverts a conflict exactly as it reverts a success.
+        """
+        value, occurs, free, true = self._value, self._occurs, self._free, self._true
+        clauses, trail = self._clauses, self._trail
+        pending: list[int] = []
+        while True:
+            value[lit] = 1
+            value[-lit] = -1
+            trail.append(lit)
+            for c in occurs[lit]:
+                true[c] += 1
+            conflict = False
+            for c in occurs[-lit]:
+                left = free[c] - 1
+                free[c] = left
+                if not true[c]:
+                    if left == 0:
+                        conflict = True
+                    elif left == 1:
+                        pending.append(c)
+            if conflict:
+                return False
+            lit = 0
+            while pending:
+                c = pending.pop()
+                if not true[c]:
+                    lit = next(l for l in clauses[c] if not value[l])
+                    break
+            if not lit:
+                return True
+
+    def _undo(self, mark: int) -> None:
+        value, occurs, free, true, trail = (
+            self._value, self._occurs, self._free, self._true, self._trail
         )
+        while len(trail) > mark:
+            lit = trail.pop()
+            value[lit] = value[-lit] = 0
+            for c in occurs[lit]:
+                true[c] -= 1
+            for c in occurs[-lit]:
+                free[c] += 1
 
-    def solve(assign: dict[int, bool]) -> Optional[dict[int, bool]]:
-        if not propagate(assign):
+    def solve(self, assumptions=()) -> Optional[list[bool]]:
+        """A model (index v-1 holds variable v) of the clauses plus the unit
+        ``assumptions``, or None if there is none. Leaves the root state
+        unchanged."""
+        for lit in assumptions:
+            if not 1 <= abs(lit) <= self.num_vars:
+                raise ValueError(f"literal out of range: {lit}")
+        if not self._ok:
             return None
-        if satisfied_under(assign):
-            return assign
-        var = next(v for v in range(1, n + 1) if v not in assign)
-        for value in (True, False):
-            child = dict(assign)
-            child[var] = value
-            model = solve(child)
-            if model is not None:
-                return model
-        return None
+        root = len(self._trail)
+        try:
+            return self._search(assumptions)
+        finally:
+            self._undo(root)
 
-    model = solve({})
+    def _search(self, assumptions) -> Optional[list[bool]]:
+        if not self._assume(assumptions):
+            return None
+        value = self._value
+        # One entry per open decision: (trail mark, variable, flipped yet).
+        decisions: list[tuple[int, int, bool]] = []
+        var = 1
+        while True:
+            while var <= self.num_vars and value[var]:
+                var += 1
+            if var > self.num_vars:
+                return [value[v] > 0 for v in range(1, self.num_vars + 1)]
+            decisions.append((len(self._trail), var, False))
+            if self._imply(var):
+                continue
+            # Conflict: flip the most recent decision not yet flipped.
+            while True:
+                mark, var, flipped = decisions.pop()
+                self._undo(mark)
+                if not flipped:
+                    decisions.append((mark, var, True))
+                    if self._imply(-var):
+                        break
+                elif not decisions:
+                    return None
+            var += 1
+
+
+def _dpll(clause_set: ClauseSet) -> SatResult:
+    model = DpllSolver(clause_set.int_clauses(), clause_set.signature.size).solve()
     if model is None:
         return SatResult(False, None, METHOD_DPLL)
-    witness = {
-        clause_set.signature.symbols[v - 1]: model.get(v, True)
-        for v in range(1, n + 1)
-    }
+    witness = dict(zip(clause_set.signature.symbols, model))
     return SatResult(True, witness, METHOD_DPLL)
 
 
-def is_satisfiable(clause_set: ClauseSet, method: str = "auto") -> SatResult:
-    """Decide satisfiability; ``method`` is "auto", "truth-table" or "dpll"."""
+def _resolve_method(clause_set: ClauseSet, method: str) -> str:
     if method == "auto":
-        method = (
+        return (
             METHOD_TRUTH_TABLE
             if clause_set.signature.size <= TRUTH_TABLE_MAX_VARS
             else METHOD_DPLL
         )
-    if method == METHOD_TRUTH_TABLE:
-        return _truth_table(clause_set)
-    if method == METHOD_DPLL:
-        return _dpll(clause_set)
+    if method in (METHOD_TRUTH_TABLE, METHOD_DPLL):
+        return method
     raise ValueError(f"unknown method: {method!r}")
+
+
+def is_satisfiable(clause_set: ClauseSet, method: str = "auto") -> SatResult:
+    """Decide satisfiability; ``method`` is "auto", "truth-table" or "dpll"."""
+    if _resolve_method(clause_set, method) == METHOD_TRUTH_TABLE:
+        return _truth_table(clause_set)
+    return _dpll(clause_set)
 
 
 def check_mus(clause_set: ClauseSet, method: str = "auto") -> MusReport:
@@ -227,6 +331,20 @@ def check_mus(clause_set: ClauseSet, method: str = "auto") -> MusReport:
     )
 
 
+# (source construction, method, source unsatisfiable) of the last call.
+# Holding the construction keeps its identity from being reused.
+_source_verdict: tuple = (None, None, False)
+
+
+def _source_unsatisfiable(source: Ftsc, method: str) -> bool:
+    global _source_verdict
+    cached, cached_method, verdict = _source_verdict
+    if cached is not source or cached_method != method:
+        verdict = not is_satisfiable(source.clause_set, method).satisfiable
+        _source_verdict = (source, method, verdict)
+    return verdict
+
+
 def check_theorem(theorem: Theorem, method: str = "auto") -> Theorem:
     """Certify one entailment; returns a copy with ``certified`` set.
 
@@ -234,8 +352,11 @@ def check_theorem(theorem: Theorem, method: str = "auto") -> Theorem:
     unsatisfiable; the remainder is satisfiable; the stored conclusion is
     exactly the literal-wise negation of the removed clause; and each
     conclusion literal is entailed by the remainder (adding its negation
-    as a unit makes the remainder unsatisfiable). Failure is reported in
-    the certification state, never raised.
+    as a unit makes the remainder unsatisfiable). The first is decided once
+    per construction and remembered for the next theorem of the same one.
+    On the DPLL path one solver serves the remainder and each conclusion
+    literal is refuted by solving under its negation as an assumption.
+    Failure is reported in the certification state, never raised.
     """
     source = theorem.source.clause_set
     i = theorem.removed_index
@@ -244,20 +365,26 @@ def check_theorem(theorem: Theorem, method: str = "auto") -> Theorem:
     removed = theorem.source.clause(i)
     remainder = source.without(i - 1)
 
-    ok = not is_satisfiable(source, method).satisfiable
-    ok = ok and is_satisfiable(remainder, method).satisfiable
+    method = _resolve_method(source, method)
+    ok = _source_unsatisfiable(theorem.source, method)
+    if method == METHOD_DPLL:
+        solver = DpllSolver(remainder.int_clauses(), source.signature.size)
+        ok = ok and solver.solve() is not None
+    else:
+        ok = ok and _truth_table(remainder).satisfiable
     ok = ok and set(theorem.conclusion) == {l.negate() for l in removed.literals}
     if ok:
         for lit in theorem.conclusion:
-            refuter = remainder.with_clause(Clause((lit.negate(),)))
-            if is_satisfiable(refuter, method).satisfiable:
+            if method == METHOD_DPLL:
+                index = source.signature.index_of(lit.symbol) + 1
+                entailed = solver.solve([index if lit.negated else -index]) is None
+            else:
+                refuter = remainder.with_clause(Clause((lit.negate(),)))
+                entailed = not _truth_table(refuter).satisfiable
+            if not entailed:
                 ok = False
                 break
     return replace(theorem, certified=CERT_VERIFIED if ok else CERT_FAILED)
-
-
-def _falsified(clause: Clause, established: set[Literal]) -> bool:
-    return all(l.negate() in established for l in clause.literals)
 
 
 def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
@@ -271,78 +398,111 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
     premise falsified outright; a discharge requires a reached
     contradiction and concludes the assumption's negation. A valid trace
     must be nonempty and must leave no assumption open.
+
+    Replay runs on the premises' integer encoding. Literals over symbols
+    outside the signature get fresh numbers, so they can never match a
+    premise literal.
     """
+    signature = premises.signature
+    clauses = premises.int_clauses()
+    symbols = list(signature.symbols)
+    extra: dict[str, int] = {}
+
+    def encode(lit: Optional[Literal]) -> Optional[int]:
+        if lit is None:
+            return None
+        if lit.symbol in signature:
+            index = signature.index_of(lit.symbol) + 1
+        else:
+            index = extra.get(lit.symbol)
+            if index is None:
+                symbols.append(lit.symbol)
+                index = extra[lit.symbol] = len(symbols)
+        return -index if lit.negated else index
+
+    units: set[int] = set()
+    # Always units | scoped | {assumption}; ``scoped`` lists what the open
+    # scope added to it, so a discharge can take exactly that back out.
+    known: set[int] = set()
+    scoped: list[int] = []
+    assumption: Optional[int] = None
+    contradicted = False
+
+    def established() -> frozenset[Literal]:
+        return frozenset(Literal(symbols[abs(l) - 1], l < 0) for l in units)
 
     def fail(step_index: Optional[int], reason: str) -> ReplayResult:
-        return ReplayResult(False, step_index, reason, frozenset(units))
+        return ReplayResult(False, step_index, reason, established())
 
-    units: set[Literal] = set()
-    assumption: Optional[Literal] = None
-    scoped: set[Literal] = set()
-    contradicted = False
+    def supported(cited: tuple[int, ...], lit: int, facts: set[int]) -> bool:
+        return all(-l in facts for l in cited if l != lit)
 
     if not trace.steps:
         return fail(None, "empty trace")
 
     for idx, step in enumerate(trace.steps):
-        cited: Optional[Clause] = None
+        cited: Optional[tuple[int, ...]] = None
         if step.premise_index is not None:
-            if not 0 <= step.premise_index < len(premises.clauses):
+            if not 0 <= step.premise_index < len(clauses):
                 return fail(idx, f"premise index out of range: {step.premise_index}")
-            cited = premises.clauses[step.premise_index]
+            cited = clauses[step.premise_index]
+        lit = encode(step.literal)
 
         if step.kind == STEP_UNIT:
             if assumption is not None:
                 return fail(idx, "unit derivation inside an assumption scope")
-            if step.literal is None or cited is None:
+            if lit is None or cited is None:
                 return fail(idx, "unit derivation needs a literal and a premise")
-            if step.literal not in cited.literals:
+            if lit not in cited:
                 return fail(idx, "derived literal does not occur in the cited clause")
-            others = [l for l in cited.literals if l != step.literal]
-            if not all(l.negate() in units for l in others):
+            if not supported(cited, lit, units):
                 return fail(idx, "cited clause is not unit under established literals")
-            units.add(step.literal)
+            units.add(lit)
+            known.add(lit)
         elif step.kind == STEP_ASSUME:
             if assumption is not None:
                 return fail(idx, "nested assumption")
-            if step.literal is None:
+            if lit is None:
                 return fail(idx, "assumption needs a literal")
-            assumption = step.literal
-            scoped = set()
+            assumption = lit
+            if lit not in known:
+                known.add(lit)
+                scoped.append(lit)
             contradicted = False
         elif step.kind == STEP_PROPAGATE:
             if assumption is None:
                 return fail(idx, "propagation outside an assumption scope")
-            if step.literal is None or cited is None:
+            if lit is None or cited is None:
                 return fail(idx, "propagation needs a literal and a premise")
-            if step.literal not in cited.literals:
+            if lit not in cited:
                 return fail(idx, "derived literal does not occur in the cited clause")
-            known = units | scoped | {assumption}
-            others = [l for l in cited.literals if l != step.literal]
-            if not all(l.negate() in known for l in others):
+            if not supported(cited, lit, known):
                 return fail(idx, "cited clause is not unit under established literals")
-            scoped.add(step.literal)
+            if lit not in known:
+                known.add(lit)
+                scoped.append(lit)
         elif step.kind == STEP_EMPTY:
             if assumption is None:
                 return fail(idx, "empty-clause step outside an assumption scope")
             if cited is None:
                 return fail(idx, "empty-clause step needs a premise")
-            known = units | scoped | {assumption}
-            if not _falsified(cited, known):
+            if not supported(cited, 0, known):
                 return fail(idx, "cited clause is not fully falsified")
             contradicted = True
         elif step.kind == STEP_DISCHARGE:
             if assumption is None or not contradicted:
                 return fail(idx, "discharge without a refuted assumption")
-            if step.literal != assumption.negate():
+            if lit != -assumption:
                 return fail(idx, "discharged literal must negate the assumption")
-            units.add(step.literal)
+            known.difference_update(scoped)
+            scoped.clear()
+            units.add(lit)
+            known.add(lit)
             assumption = None
-            scoped = set()
             contradicted = False
         else:
             return fail(idx, f"unknown step kind: {step.kind!r}")
 
     if assumption is not None:
         return fail(len(trace.steps) - 1, "assumption left undischarged")
-    return ReplayResult(True, None, None, frozenset(units))
+    return ReplayResult(True, None, None, established())

@@ -68,6 +68,21 @@ class TestEnumerate:
         assert "permutations=6 expected=6 distinct=6 entailments=24" in out
         assert "certified=6/6" in out
 
+    def test_repeated_set_fails(self, capsys, monkeypatch):
+        import contragen.cli as cli
+
+        genuine = cli.enumerate_ftscs
+
+        def repeating(signature, **kwargs):
+            stream = list(genuine(signature, **kwargs))
+            stream[3] = stream[2]  # same count, one set twice
+            return iter(stream)
+
+        monkeypatch.setattr(cli, "enumerate_ftscs", repeating)
+        code, out, _ = run(capsys, "enumerate", "a", "b", "c")
+        assert code == EXIT_VERIFICATION
+        assert "permutations=6 expected=6 distinct=5 " in out
+
     def test_cap_enforced(self, capsys):
         code, _, err = run(capsys, "enumerate", *[f"x{i}" for i in range(1, 13)])
         assert code == EXIT_VALIDATION

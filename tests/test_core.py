@@ -208,6 +208,29 @@ class TestClauseSet:
         )
         assert clause_set.int_clauses() == ((1,), (-1, 2))
 
+    @given(
+        st.lists(st.lists(literals, max_size=4), min_size=1, max_size=6),
+        st.lists(literals, max_size=4),
+        st.data(),
+    )
+    def test_derived_encodings_match_fresh_sets(self, clauses, extra, data):
+        signature = sig(*[f"x{i}" for i in range(1, 7)])
+        clause_set = ClauseSet.build(clauses, signature)
+        index = data.draw(st.integers(min_value=0, max_value=len(clauses) - 1))
+        removed = clause_set.without(index)
+        fresh = ClauseSet(removed.clauses, signature)
+        assert removed == fresh
+        assert removed.int_clauses() == fresh.int_clauses()
+        grown = clause_set.with_clause(extra)
+        fresh = ClauseSet.build(list(clauses) + [extra], signature)
+        assert grown == fresh
+        assert grown.int_clauses() == fresh.int_clauses()
+
+    def test_with_clause_rejects_unbound_symbol(self):
+        clause_set = ClauseSet.build([Clause((pos("a"),))], sig("a"))
+        with pytest.raises(UnboundSymbolError):
+            clause_set.with_clause(Clause((neg("zz"),)))
+
     def test_without(self):
         signature = sig("a")
         clause_set = ClauseSet.build(

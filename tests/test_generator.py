@@ -8,6 +8,7 @@ import pytest
 from contragen import (
     CERT_UNCHECKED,
     Clause,
+    ClauseSet,
     EnumerationCapExceededError,
     OpCounter,
     build_ftsc,
@@ -28,6 +29,7 @@ from contragen.generator import (
     STEP_EMPTY,
     STEP_PROPAGATE,
     STEP_UNIT,
+    recover_permutation,
 )
 
 from oracles import brute_force_entails, plain_clauses
@@ -111,6 +113,18 @@ class TestEnumeration:
         assert len(ftscs) == expected
         distinct = {f.clause_set.as_sets() for f in ftscs}
         assert len(distinct) == expected
+
+    def test_permutation_recovered_from_contents(self):
+        signature = signature_of(["a", "b", "c", "d"])
+        for ftsc in enumerate_ftscs(signature):
+            shuffled = ClauseSet(ftsc.clause_set.clauses[::-1], ftsc.signature)
+            assert recover_permutation(shuffled) == ftsc.permutation
+
+    def test_non_chain_recovers_nothing(self):
+        signature = signature_of(["a", "b"])
+        two_units = ClauseSet((Clause((pos("a"),)), Clause((pos("b"),))), signature)
+        assert recover_permutation(two_units) is None
+        assert recover_permutation(ClauseSet((), signature)) is None
 
     def test_lexicographic_order(self):
         signature = signature_of(["a", "b", "c"])

@@ -1,6 +1,7 @@
 """Satisfiability oracles, minimality reports, certification, trace replay."""
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -27,10 +28,22 @@ from contragen import (
     replay_trace,
     validate_input,
 )
-from contragen.generator import STEP_UNIT
+from contragen.generator import (
+    STEP_ASSUME,
+    STEP_DISCHARGE,
+    STEP_EMPTY,
+    STEP_PROPAGATE,
+    STEP_UNIT,
+)
+from contragen.verifier import DpllSolver
 
 from conftest import random_clause_set
-from oracles import brute_force_is_mus, brute_force_satisfiable, plain_clauses
+from oracles import (
+    brute_force_entails,
+    brute_force_is_mus,
+    brute_force_satisfiable,
+    plain_clauses,
+)
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
 
@@ -139,6 +152,88 @@ class TestOracleAgreement:
             assert tt.witness == dp.witness
 
 
+@st.composite
+def int_cnf(draw):
+    """Raw signed-integer CNF: empty clauses, repeated literals and
+    tautologies allowed, plus assumptions that may contradict each other."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    literal = st.integers(min_value=1, max_value=n).flatmap(
+        lambda v: st.sampled_from((v, -v))
+    )
+    clauses = draw(st.lists(st.lists(literal, max_size=5), max_size=10))
+    assumptions = draw(st.lists(literal, max_size=3))
+    return n, clauses, assumptions
+
+
+def plain_int(clauses):
+    """Integer clauses in the oracles' (symbol, negated) form."""
+    return [[(f"v{abs(l)}", l < 0) for l in clause] for clause in clauses]
+
+
+def oracle_model(clauses, n):
+    """The lexicographically first model, true preferred, as a list."""
+    symbols = [f"v{v}" for v in range(1, n + 1)]
+    sat, env = brute_force_satisfiable(plain_int(clauses), symbols)
+    return [env[s] for s in symbols] if sat else None
+
+
+class TestDpllSolver:
+    @given(int_cnf())
+    @settings(max_examples=300)
+    def test_solve_agrees_with_brute_force(self, case):
+        n, clauses, assumptions = case
+        solver = DpllSolver(clauses, n)
+        units = [[lit] for lit in assumptions]
+        assert solver.solve(assumptions) == oracle_model(clauses + units, n)
+        symbols = [f"v{v}" for v in range(1, n + 1)]
+        for var in range(1, n + 1):
+            for lit in (var, -var):
+                entailed = brute_force_entails(
+                    plain_int(clauses), symbols, (f"v{var}", lit < 0)
+                )
+                assert (solver.solve([-lit]) is None) == entailed
+
+    def test_repeated_solves_restore_root_state(self):
+        rng = random.Random(7)
+
+        def literals(n, least):
+            chosen = rng.sample(range(1, n + 1), rng.randint(least, min(n, 3)))
+            return [rng.choice((v, -v)) for v in chosen]
+
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            clauses = [literals(n, 1) for _ in range(rng.randint(1, 2 * n))]
+            solver = DpllSolver(clauses, n)
+            for _ in range(25):
+                assumptions = literals(n, 0)
+                units = [[lit] for lit in assumptions]
+                assert solver.solve(assumptions) == oracle_model(clauses + units, n)
+            assert solver.solve() == oracle_model(clauses, n)
+
+    def test_contradictory_assumptions(self):
+        solver = DpllSolver([[1, 2]], 2)
+        assert solver.solve([1, -1]) is None
+        assert solver.solve() == [True, True]
+
+    def test_literal_out_of_range(self):
+        with pytest.raises(ValueError):
+            DpllSolver([[3]], 2)
+        with pytest.raises(ValueError):
+            DpllSolver([[1]], 2).solve([0])
+
+    def test_decisions_deeper_than_recursion_limit(self):
+        # One all-negative clause: every variable but the last is decided
+        # true, nested, before the last is forced false.
+        n = sys.getrecursionlimit() + 100
+        signature = Signature(tuple(f"x{i}" for i in range(1, n + 1)))
+        clause_set = ClauseSet.build(
+            [Clause(tuple(neg(s) for s in signature.symbols))], signature
+        )
+        result = is_satisfiable(clause_set, "dpll")
+        assert result.satisfiable
+        assert [result.witness[s] for s in signature.symbols] == [True] * (n - 1) + [False]
+
+
 class TestCheckMus:
     def test_two_literal_chain_is_mus(self):
         clause_set = chain(["x1", "x2"]).clause_set
@@ -211,6 +306,46 @@ class TestCheckTheorem:
         shortened = replace(theorem, conclusion=theorem.conclusion[:-1])
         assert check_theorem(shortened).certified == CERT_FAILED
 
+    @pytest.mark.parametrize("index", [1, 7, 20, 21])
+    def test_tampers_fail_on_dpll_path(self, index):
+        ftsc = chain([f"x{i}" for i in range(1, 21)])
+        theorem = derive_theorems(ftsc)[index - 1]
+        assert check_theorem(theorem).certified == CERT_VERIFIED
+        conclusion = theorem.conclusion
+        flipped = (conclusion[0].negate(),) + conclusion[1:]
+        for tampered in (
+            replace(theorem, conclusion=flipped),
+            replace(theorem, conclusion=conclusion[:-1]),
+            replace(theorem, removed_index=0),
+            replace(theorem, removed_index=22),
+        ):
+            assert check_theorem(tampered).certified == CERT_FAILED
+
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_source_decided_once_per_construction(self, n, monkeypatch):
+        import contragen.verifier as verifier
+
+        solved = []
+        genuine = verifier.is_satisfiable
+
+        def counting(clause_set, method="auto"):
+            solved.append(clause_set)
+            return genuine(clause_set, method)
+
+        monkeypatch.setattr(verifier, "is_satisfiable", counting)
+        ftsc = chain([f"x{i}" for i in range(1, n + 1)])
+        theorems = derive_theorems(ftsc)
+        for theorem in theorems:
+            assert check_theorem(theorem).certified == CERT_VERIFIED
+        assert sum(c is ftsc.clause_set for c in solved) == 1
+        # A different construction is decided afresh, not served from memory.
+        clauses = ftsc.clause_set.clauses
+        weak = ClauseSet(clauses[:-1] + (clauses[-2],), ftsc.signature)
+        impostor = replace(ftsc, clause_set=weak)
+        tampered = replace(theorems[0], source=impostor)
+        assert check_theorem(tampered).certified == CERT_FAILED
+        assert sum(c is weak for c in solved) == 1
+
     def test_degenerate_removal_of_final_clause(self):
         theorem = derive_theorems(chain(["x1"]))[1]
         assert [str(l) for l in theorem.conclusion] == ["x1"]
@@ -233,7 +368,8 @@ class TestReplayTrace:
         result = replay_trace(ProofTrace(tuple(steps)), ftsc.premises_without(4))
         assert not result
         assert result.failed_step == 1
-        assert result.reason  # cited clause no longer resolves
+        assert result.reason == "derived literal does not occur in the cited clause"
+        assert result.established == {pos("Infection")}
 
     def test_empty_trace_rejected(self):
         ftsc = chain(["a", "b"])
@@ -249,6 +385,8 @@ class TestReplayTrace:
         result = replay_trace(ProofTrace(tuple(steps)), ftsc.premises_without(2))
         assert not result
         assert result.failed_step == len(steps) - 1
+        assert result.reason == "discharged literal must negate the assumption"
+        assert result.established == {pos("Infection")}
 
     def test_undischarged_assumption_rejected(self):
         ftsc = chain(MEDICAL)
@@ -256,6 +394,7 @@ class TestReplayTrace:
         truncated = ProofTrace(trace.steps[:-1])
         result = replay_trace(truncated, ftsc.premises_without(2))
         assert not result
+        assert result.failed_step == len(truncated) - 1
         assert result.reason == "assumption left undischarged"
 
     def test_unit_step_without_support_rejected(self):
@@ -264,7 +403,53 @@ class TestReplayTrace:
         bogus = ProofTrace(
             (TraceStep(STEP_UNIT, pos("Fever"), 2),)  # clause 3 is not unit yet
         )
-        assert not replay_trace(bogus, premises)
+        result = replay_trace(bogus, premises)
+        assert not result
+        assert result.failed_step == 0
+        assert result.reason == "cited clause is not unit under established literals"
+        assert result.established == frozenset()
+
+    def test_discharge_closes_the_scope(self):
+        ftsc = chain(["a", "b", "c", "d"])
+        trace = ProofTrace(
+            (
+                TraceStep(STEP_UNIT, pos("a"), 0),
+                TraceStep(STEP_ASSUME, pos("b"), None),
+                TraceStep(STEP_PROPAGATE, pos("c"), 1),
+                TraceStep(STEP_PROPAGATE, pos("d"), 2),
+                TraceStep(STEP_EMPTY, None, 3),
+                TraceStep(STEP_DISCHARGE, neg("b"), None),
+                TraceStep(STEP_ASSUME, pos("a"), None),
+                # b and c belonged to the closed scope
+                TraceStep(STEP_PROPAGATE, pos("d"), 2),
+            )
+        )
+        result = replay_trace(trace, ftsc.premises_without(2))
+        assert not result
+        assert result.failed_step == 7
+        assert result.reason == "cited clause is not unit under established literals"
+        assert result.established == {pos("a"), neg("b")}
+
+    def test_foreign_assumption_is_not_refuted(self):
+        ftsc = chain(MEDICAL)
+        trace = ProofTrace(
+            (
+                TraceStep(STEP_UNIT, pos("Infection"), 0),
+                TraceStep(STEP_ASSUME, pos("Ghost"), None),
+                TraceStep(STEP_EMPTY, None, 0),
+            )
+        )
+        result = replay_trace(trace, ftsc.premises_without(5))
+        assert not result
+        assert result.failed_step == 2
+        assert result.reason == "cited clause is not fully falsified"
+
+    def test_valid_trace_establishes_conclusion(self):
+        ftsc = chain(MEDICAL)
+        result = replay_trace(build_proof_trace(ftsc, 4), ftsc.premises_without(4))
+        assert result.established == {
+            pos("Infection"), pos("HighWBC"), pos("Fever"), neg("RequiresAntibiotics")
+        }
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_generated_traces_replay(self, n):
