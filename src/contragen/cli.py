@@ -16,7 +16,6 @@ deterministic; the report timestamp is the only field that varies.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -30,29 +29,16 @@ from .core import (
     validate_input,
 )
 from .explain import (
-    ArityMismatchError,
     HttpModelClient,
-    ScenarioParseError,
-    SchemaViolationError,
     Scenario,
-    UncertifiedTheoremError,
     explain_via_model,
     load_scenario,
     rank,
     verbalize,
 )
-from .formats import (
-    DimacsParseError,
-    HeaderMismatchError,
-    MissingScenarioMetadataError,
-    NonGroundClauseError,
-    emit_dimacs,
-    emit_tptp,
-    parse_dimacs,
-)
+from .formats import emit_dimacs, emit_tptp, parse_dimacs
 from .generator import (
     CERT_VERIFIED,
-    EnumerationCapExceededError,
     build_ftsc,
     closure_counts,
     derive_theorems,
@@ -71,21 +57,6 @@ from .verifier import check_mus, check_theorem, replay_trace
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
-
-_INPUT_ERRORS = (
-    ValidationError,
-    UnboundSymbolError,
-    ScenarioParseError,
-    SchemaViolationError,
-    ArityMismatchError,
-    UncertifiedTheoremError,
-    DimacsParseError,
-    HeaderMismatchError,
-    NonGroundClauseError,
-    MissingScenarioMetadataError,
-    EnumerationCapExceededError,
-    IndexError,
-)
 
 
 class _UsageError(Exception):
@@ -248,19 +219,26 @@ def _cmd_verify(args) -> int:
     if not path.is_file():
         raise ValidationError(f"no such file: {args.input}")
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
+    if path.suffix != ".json":
+        ok = _verify_clause_set(parse_dimacs(text))
+    else:
         report = Report.from_json(text)
-        clause_set = clause_set_from_report(report)
-        ok = _verify_clause_set(clause_set)
-        for theorem in theorems_from_report(report):
-            checked = check_theorem(theorem)
-            good = checked.certified == CERT_VERIFIED
-            ok = ok and good
-            print(f"theorem {theorem.removed_index}: {checked.certified}")
-        print("verification " + ("passed" if ok else "FAILED"))
-        return EXIT_OK if ok else EXIT_VERIFICATION
-    clause_set = parse_dimacs(text)
-    ok = _verify_clause_set(clause_set)
+        ok = _verify_clause_set(clause_set_from_report(report))
+        # n+1 clauses and one theorem per removal index 1..n+1. The clause
+        # count is compared first, so the range is bounded by the input.
+        n, indices = report.n, sorted(t.removed_index for t in report.theorems)
+        if len(report.clauses) != n + 1 or indices != list(range(1, n + 2)):
+            print(
+                f"theorem coverage: expected {n + 1} clauses and one theorem per "
+                f"removed_index 1..{n + 1}, got {len(report.clauses)} clauses "
+                f"and removed_index {indices}"
+            )
+            ok = False
+        else:
+            for theorem in theorems_from_report(report):
+                checked = check_theorem(theorem)
+                ok = ok and checked.certified == CERT_VERIFIED
+                print(f"theorem {theorem.removed_index}: {checked.certified}")
     print("verification " + ("passed" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -278,16 +256,8 @@ def _render_table(ranking) -> str:
 
 
 def _cmd_explain(args) -> int:
-    scenario = load_scenario(args.scenario)
-    signatures = scenario.signatures()
-    if not 0 <= args.instance < len(signatures):
-        raise ValidationError(
-            f"instance {args.instance} out of range; scenario grounds to "
-            f"{len(signatures)} instance(s)"
-        )
-    ftsc, theorems, replays = _build_and_certify(
-        signatures[args.instance], args.permutation
-    )
+    signature, scenario = _signature_from_args(args)
+    ftsc, theorems, replays = _build_and_certify(signature, args.permutation)
     if not all(t.certified == CERT_VERIFIED for t in theorems):
         print("certification failed; refusing to explain", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -356,10 +326,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    # Input errors are ValueErrors (validation, parsing, JSON, schema), an
+    # unbound symbol or an index out of range. Any other LookupError, such
+    # as a KeyError, is a defect and keeps its traceback.
+    except (ValueError, UnboundSymbolError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -3,10 +3,10 @@
 Symbols are plain strings on the public surface. Internally a signature
 interns each symbol to a small integer index. A ``ClauseSet`` computes its
 signed-integer encoding (1-based, DIMACS style) once, at construction; that
-lookup is also its symbol-binding check. ``without`` and ``with_clause``
-slice or extend the stored encoding instead of re-validating, and
-``int_clauses`` returns it as is, for the verifier's hot loops. All types
-are immutable values: once built they can be shared freely between workers.
+lookup is also its symbol-binding check. ``without`` slices the stored
+encoding instead of re-validating, and ``int_clauses`` returns it as is,
+for the verifier's hot loops. All types are immutable values: once built
+they can be shared freely between workers.
 
 Ground first-order atoms are handled as opaque propositional symbols of
 the shape ``Name(c1,c2)``; the arity of such a symbol is inferred from its
@@ -51,6 +51,42 @@ class UnboundSymbolError(LookupError):
         self.symbol = symbol
 
 
+class SchemaViolationError(ValueError):
+    """A document (scenario or report) lacks a field or holds the wrong type."""
+
+
+_REQUIRED = object()
+
+
+def require(
+    mapping: Mapping, key: str, kind, where: str, items=None, default=_REQUIRED
+):
+    """Return ``mapping[key]``, checked to be a ``kind`` (a type or a tuple).
+
+    With ``items`` the value is a list and each item must be an ``items``.
+    With ``default`` the field is optional: absent or null gives ``default``.
+    A bool never passes for a number. Raises SchemaViolationError naming
+    ``where`` and the field.
+    """
+    if default is not _REQUIRED and mapping.get(key) is None:
+        return default
+    if key not in mapping:
+        raise SchemaViolationError(f"{where}: missing required field {key!r}")
+    value = mapping[key]
+    _check_kind(value, kind, f"{where}: field {key!r}")
+    if items is not None:
+        for i, item in enumerate(value):
+            _check_kind(item, items, f"{where}: field {key!r} item {i}")
+    return value
+
+
+def _check_kind(value, kind, what: str) -> None:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise SchemaViolationError(f"{what} must be {names}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Literal:
     """An atom or its negation. ``negate`` is an involution."""
@@ -78,6 +114,8 @@ _NEGATION_PREFIXES = ("~", "!", "¬")
 
 def parse_literal(text: str) -> Literal:
     """Parse ``Symbol`` / ``~Symbol`` (also accepts ``!`` and ``¬`` prefixes)."""
+    if not isinstance(text, str):
+        raise ValidationError(f"literal must be a string, got {type(text).__name__}")
     text = text.strip()
     negated = False
     while text[:1] in _NEGATION_PREFIXES:
@@ -219,19 +257,6 @@ def canonicalize(clause: Clause, signature: Signature) -> Clause:
 ClauseLike = Union[Clause, Iterable[Literal]]
 
 
-def _encoder(signature: Signature):
-    """Clause -> signed 1-based integers; raises UnboundSymbolError."""
-    idx = signature.index_of
-
-    def encode(clause: Clause) -> tuple[int, ...]:
-        return tuple(
-            -(idx(l.symbol) + 1) if l.negated else idx(l.symbol) + 1
-            for l in clause.literals
-        )
-
-    return encode
-
-
 @dataclass(frozen=True)
 class ClauseSet:
     """Ordered conjunction of clauses over a signature.
@@ -245,10 +270,15 @@ class ClauseSet:
 
     def __post_init__(self):
         # Encoding looks every symbol up, so it is also the binding check.
-        encode = _encoder(self.signature)
-        object.__setattr__(
-            self, "_ints", tuple(encode(c) for c in self.clauses)
+        idx = self.signature.index_of
+        ints = tuple(
+            tuple(
+                -(idx(l.symbol) + 1) if l.negated else idx(l.symbol) + 1
+                for l in c.literals
+            )
+            for c in self.clauses
         )
+        object.__setattr__(self, "_ints", ints)
 
     @classmethod
     def _trusted(
@@ -281,15 +311,6 @@ class ClauseSet:
             self.clauses[:index] + self.clauses[index + 1 :],
             self.signature,
             self._ints[:index] + self._ints[index + 1 :],
-        )
-
-    def with_clause(self, clause: ClauseLike) -> "ClauseSet":
-        c = clause if isinstance(clause, Clause) else Clause(tuple(clause))
-        canon = canonicalize(c, self.signature)
-        return ClauseSet._trusted(
-            self.clauses + (canon,),
-            self.signature,
-            self._ints + (_encoder(self.signature)(canon),),
         )
 
     def as_sets(self) -> frozenset[frozenset[Literal]]:

@@ -31,7 +31,9 @@ import yaml
 from .core import (
     EmptyInputError,
     Literal,
+    SchemaViolationError,
     Signature,
+    require,
     validate_input,
 )
 from .fol import GroundingDomain, PredicateAtom, const, ground_atoms, var
@@ -82,10 +84,6 @@ class ScenarioParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class SchemaViolationError(ValueError):
-    """The scenario document parsed but does not match the schema."""
 
 
 class UncertifiedTheoremError(ValueError):
@@ -176,13 +174,14 @@ class Scenario:
                 return p
         return None
 
-    def gloss_map(self, signature: Signature) -> dict[str, str]:
-        """Map each signature symbol to its gloss.
+    def atoms_for(self, signature: Signature) -> dict[str, ScenarioAtom]:
+        """Map each signature symbol to the scenario atom it grounds.
 
         Works by re-grounding the scenario and matching the instance whose
         symbols coincide with the signature (in any order), so permuted
         constructions and predicates that repeat under different constant
-        arguments both resolve correctly.
+        arguments both resolve correctly. Raises ArityMismatchError when
+        no instance matches.
         """
         if signature.size != self.n:
             raise ArityMismatchError(
@@ -193,24 +192,15 @@ class Scenario:
         for lits in self.instances():
             symbols = [l.symbol for l in lits]
             if set(symbols) == wanted:
-                return {
-                    sym: self.atoms[pos].gloss for pos, sym in enumerate(symbols)
-                }
+                return dict(zip(symbols, self.atoms))
         raise ArityMismatchError(
             f"signature symbols do not match any ground instance of "
             f"scenario {self.name!r}"
         )
 
-
-def _require(mapping: Mapping, key: str, kind: type, where: str):
-    if key not in mapping:
-        raise SchemaViolationError(f"{where}: missing required field {key!r}")
-    value = mapping[key]
-    if not isinstance(value, kind):
-        raise SchemaViolationError(
-            f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+    def gloss_map(self, signature: Signature) -> dict[str, str]:
+        """Map each signature symbol to its gloss; see ``atoms_for``."""
+        return {sym: atom.gloss for sym, atom in self.atoms_for(signature).items()}
 
 
 def _parse_index(value, n: int, where: str) -> int:
@@ -226,9 +216,9 @@ def _parse_index(value, n: int, where: str) -> int:
 def _scenario_from_document(doc, source_name: str) -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaViolationError(f"{source_name}: document must be a mapping")
-    name = _require(doc, "name", str, source_name)
-    domain_label = _require(doc, "domain", str, source_name)
-    raw_atoms = _require(doc, "atoms", list, source_name)
+    name = require(doc, "name", str, source_name)
+    domain_label = require(doc, "domain", str, source_name)
+    raw_atoms = require(doc, "atoms", list, source_name)
     if not raw_atoms:
         raise SchemaViolationError(f"{source_name}: atoms list must be nonempty")
 
@@ -237,11 +227,9 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
         where = f"{source_name}: atoms[{pos_i}]"
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"{where}: each atom must be a mapping")
-        symbol = _require(entry, "symbol", str, where)
-        gloss = _require(entry, "gloss", str, where)
-        args = tuple(entry.get("args") or ())
-        if not all(isinstance(a, str) for a in args):
-            raise SchemaViolationError(f"{where}: args must be strings")
+        symbol = require(entry, "symbol", str, where)
+        gloss = require(entry, "gloss", str, where)
+        args = tuple(require(entry, "args", list, where, str, default=()))
         arity = entry.get("arity", len(args))
         if arity != len(args):
             raise SchemaViolationError(
@@ -255,17 +243,13 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
             )
         atoms.append(ScenarioAtom(symbol, arity, args, variables, gloss))
 
-    grounding_raw = doc.get("grounding") or {}
-    if not isinstance(grounding_raw, dict):
-        raise SchemaViolationError(f"{source_name}: grounding must be a mapping")
+    grounding_raw = require(doc, "grounding", dict, source_name, default={})
     grounding = tuple(
         (str(k), tuple(str(c) for c in v)) for k, v in grounding_raw.items()
     )
 
     n = len(atoms)
-    rule_texts_raw = doc.get("rule_texts") or {}
-    if not isinstance(rule_texts_raw, dict):
-        raise SchemaViolationError(f"{source_name}: rule_texts must be a mapping")
+    rule_texts_raw = require(doc, "rule_texts", dict, source_name, default={})
     rule_texts = tuple(
         (_parse_index(k, n, f"{source_name}: rule_texts"), str(v))
         for k, v in rule_texts_raw.items()
@@ -276,16 +260,14 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
         where = f"{source_name}: remediations[{pos_i}]"
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"{where}: each remediation must be a mapping")
-        index = _parse_index(_require(entry, "index", int, where), n, where)
-        text = _require(entry, "text", str, where)
+        index = _parse_index(require(entry, "index", int, where), n, where)
+        text = require(entry, "text", str, where)
         if not text.strip():
             raise SchemaViolationError(f"{where}: text must be nonempty")
         formal = entry.get("formal")
         remediations.append(RemediationRule(index, text, formal))
 
-    priorities_raw = doc.get("priorities") or {}
-    if not isinstance(priorities_raw, dict):
-        raise SchemaViolationError(f"{source_name}: priorities must be a mapping")
+    priorities_raw = require(doc, "priorities", dict, source_name, default={})
     priorities = []
     for k, v in priorities_raw.items():
         index = _parse_index(k, n, f"{source_name}: priorities")
@@ -405,10 +387,6 @@ class Explanation:
     declared_priority: Optional[str] = None
     model_score: Optional[float] = None
     warnings: tuple[str, ...] = ()
-
-    @property
-    def theorem_ref(self) -> tuple[tuple[str, ...], int]:
-        return (self.permutation, self.removed_index)
 
     @property
     def n(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .core import Clause, ClauseSet, Literal, Signature
+from .core import Clause, ClauseSet, Literal, Signature, ValidationError, validate_input
 from .generator import Ftsc, Theorem
 
 
@@ -80,7 +80,8 @@ def parse_dimacs(text: str) -> ClauseSet:
     HeaderMismatchError for a missing or malformed header or when the
     declared clause count disagrees with the body, and DimacsParseError
     (with the line number) for unreadable tokens, out-of-range variables,
-    or an unterminated final clause.
+    a ``c var`` name that is not an admissible literal symbol, or an
+    unterminated final clause.
     """
     names: dict[int, str] = {}
     num_vars: Optional[int] = None
@@ -95,6 +96,12 @@ def parse_dimacs(text: str) -> ClauseSet:
         if line.startswith("c"):
             match = _VAR_COMMENT.match(line)
             if match:
+                # A name must be admissible as a literal symbol, or it
+                # would read back as another literal (``~a`` as not-a).
+                try:
+                    validate_input([Literal(match.group(2))])
+                except ValidationError as exc:
+                    raise DimacsParseError(str(exc), lineno) from None
                 names[int(match.group(1))] = match.group(2)
             continue
         if line.startswith("p"):
@@ -231,16 +238,7 @@ def emit_tptp(
         raise MissingScenarioMetadataError(
             f"scenario declares {scenario.n} atoms, construction has {ftsc.n}"
         )
-    scenario.gloss_map(ftsc.signature)  # raises unless scenario and set match
-    # Map each ground symbol to its scenario atom (by matching instance).
-    symbol_to_atom = {}
-    for lits in scenario.instances():
-        symbols = [l.symbol for l in lits]
-        if set(symbols) == set(ftsc.signature.symbols):
-            symbol_to_atom = {
-                sym: scenario.atoms[pos] for pos, sym in enumerate(symbols)
-            }
-            break
+    symbol_to_atom = scenario.atoms_for(ftsc.signature)
 
     def render_clause(lits, joiner: str) -> str:
         rendered = []

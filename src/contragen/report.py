@@ -16,7 +16,14 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import Clause, ClauseSet, Signature, parse_literal
+from .core import (
+    Clause,
+    ClauseSet,
+    SchemaViolationError,
+    Signature,
+    parse_literal,
+    require,
+)
 from .explain import Explanation, RankedEntry, RankedReport
 from .generator import CERT_UNCHECKED, Ftsc, Theorem
 
@@ -110,56 +117,77 @@ class Report:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        meta = data["metadata"]
+    def from_dict(cls, data) -> "Report":
+        """Read a report; a missing or mistyped field raises SchemaViolationError."""
+        if not isinstance(data, dict):
+            raise SchemaViolationError("report: document must be an object")
+        meta = require(data, "metadata", dict, "report")
         explanations = []
         explanation_by_key = {}
-        for e in data.get("explanations", []):
+        raw = require(data, "explanations", list, "report", dict, default=())
+        for i, e in enumerate(raw):
+            where = f"report explanations[{i}]"
             exp = Explanation(
-                scenario=e["scenario"],
-                permutation=tuple(e["permutation"]),
-                removed_index=e["removed_index"],
-                role_label=e["role_label"],
-                narrative=e["narrative"],
-                remediation=e["remediation"],
-                provenance=e["provenance"],
+                scenario=require(e, "scenario", str, where),
+                permutation=tuple(require(e, "permutation", list, where, str)),
+                removed_index=require(e, "removed_index", int, where),
+                role_label=require(e, "role_label", str, where),
+                narrative=require(e, "narrative", str, where),
+                remediation=require(e, "remediation", str, where),
+                provenance=require(e, "provenance", str, where),
                 declared_priority=e.get("declared_priority"),
                 model_score=e.get("model_score"),
-                warnings=tuple(e.get("warnings", [])),
+                warnings=tuple(require(e, "warnings", list, where, str, default=())),
             )
             explanations.append(exp)
             explanation_by_key[(exp.scenario, exp.removed_index)] = exp
         ranking = None
-        if data.get("ranking"):
+        raw = require(data, "ranking", dict, "report", default=None)
+        if raw:
             entries = []
-            for entry in data["ranking"]["entries"]:
-                key = (entry["scenario"], entry["removed_index"])
+            raw_entries = require(raw, "entries", list, "report ranking", dict)
+            for i, entry in enumerate(raw_entries):
+                where = f"report ranking entries[{i}]"
+                key = (
+                    require(entry, "scenario", str, where),
+                    require(entry, "removed_index", int, where),
+                )
                 exp = explanation_by_key.get(key)
                 if exp is None:
-                    raise ValueError(
-                        f"ranking references unknown explanation {key}"
-                    )
-                entries.append(
-                    RankedEntry(exp, entry["priority"], entry["score"])
-                )
-            ranking = RankedReport(tuple(entries), data["ranking"]["policy"])
-        return cls(
-            n=meta["n"],
-            permutation=tuple(meta["permutation"]),
-            signature=tuple(
-                (s["symbol"], s["arity"]) for s in data["signature"]
-            ),
-            clauses=tuple(tuple(c) for c in data["clauses"]),
-            theorems=tuple(
+                    raise ValueError(f"ranking references unknown explanation {key}")
+                priority = require(entry, "priority", str, where)
+                score = require(entry, "score", (int, float), where)
+                entries.append(RankedEntry(exp, priority, score))
+            policy = require(raw, "policy", str, "report ranking")
+            ranking = RankedReport(tuple(entries), policy)
+        signature = []
+        for i, s in enumerate(require(data, "signature", list, "report", dict)):
+            where = f"report signature[{i}]"
+            signature.append(
+                (require(s, "symbol", str, where), require(s, "arity", int, where))
+            )
+        theorems = []
+        for i, t in enumerate(require(data, "theorems", list, "report", dict)):
+            where = f"report theorems[{i}]"
+            theorems.append(
                 TheoremRecord(
-                    removed_index=t["removed_index"],
-                    conclusion=tuple(t["conclusion"]),
-                    certified=t["certified"],
-                    trace_steps=t["trace_steps"],
+                    removed_index=require(t, "removed_index", int, where),
+                    conclusion=tuple(require(t, "conclusion", list, where)),
+                    certified=require(t, "certified", str, where),
+                    trace_steps=require(t, "trace_steps", int, where),
                     trace_replayed=t.get("trace_replayed"),
                 )
-                for t in data["theorems"]
+            )
+        # Literal texts are checked where they are parsed (parse_literal).
+        clauses = require(data, "clauses", list, "report", list)
+        return cls(
+            n=require(meta, "n", int, "report metadata"),
+            permutation=tuple(
+                require(meta, "permutation", list, "report metadata", str)
             ),
+            signature=tuple(signature),
+            clauses=tuple(tuple(c) for c in clauses),
+            theorems=tuple(theorems),
             scenario=meta.get("scenario"),
             explanations=tuple(explanations),
             ranking=ranking,

@@ -3,22 +3,24 @@
 Nothing in this module trusts generator metadata; every verdict is
 recomputed from the clause lists. Satisfiability is decided two ways:
 
-  * an exhaustive truth table for signatures up to TRUTH_TABLE_MAX_VARS
-    symbols, bit-packed so each of the 2^n assignments is one bit of a
-    big integer and each clause contributes its violated subcube with a
-    handful of shifts;
-  * a deterministic, iterative DPLL search beyond that (``DpllSolver``):
-    counter-based unit propagation over the integer encoding, in time
-    linear in the occurrences it touches, and chronological backtracking
-    that branches on the lowest unassigned signature index, true first.
+  * an exhaustive truth table, bit-packed so each of the 2^n assignments
+    is one bit of a big integer and each clause contributes its violated
+    subcube with a handful of shifts; ``is_satisfiable`` and ``check_mus``
+    choose it for signatures up to TRUTH_TABLE_MAX_VARS symbols;
+  * a deterministic, iterative DPLL search (``DpllSolver``): counter-based
+    unit propagation over the integer encoding, in time linear in the
+    occurrences it touches, and chronological backtracking that branches
+    on the lowest unassigned signature index, true first. It serves
+    larger signatures and every entailment check.
 
 Both methods return the same witness when one exists: the model that is
 lexicographically first under "lower signature index decided first, true
-preferred". No clause learning, no heuristics, no randomness.
+preferred". No clause learning, no heuristics, no randomness. Each serves
+as the other's cross-check.
 
 Certification reuses work without trusting anything new. The source set's
 unsatisfiability is decided once per construction, not once per theorem.
-On the DPLL path one solver is built per remainder, and each conclusion
+At every size one solver is built per remainder, and each conclusion
 literal is tested by solving under its negation as an assumption, after
 which the solver returns to its root state. Trace replay runs on the
 premises' integer encoding with one incrementally maintained set of known
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
-from .core import Clause, ClauseSet, Literal
+from .core import ClauseSet, Literal
 from .generator import (
     CERT_FAILED,
     CERT_VERIFIED,
@@ -297,11 +299,14 @@ def _dpll(clause_set: ClauseSet) -> SatResult:
 
 
 def _resolve_method(clause_set: ClauseSet, method: str) -> str:
+    small = clause_set.signature.size <= TRUTH_TABLE_MAX_VARS
     if method == "auto":
-        return (
-            METHOD_TRUTH_TABLE
-            if clause_set.signature.size <= TRUTH_TABLE_MAX_VARS
-            else METHOD_DPLL
+        return METHOD_TRUTH_TABLE if small else METHOD_DPLL
+    if method == METHOD_TRUTH_TABLE and not small:
+        # The table takes 2^n bits per clause; refuse before allocating.
+        raise ValueError(
+            f"truth table limited to {TRUTH_TABLE_MAX_VARS} symbols, "
+            f"signature has {clause_set.signature.size}"
         )
     if method in (METHOD_TRUTH_TABLE, METHOD_DPLL):
         return method
@@ -309,7 +314,11 @@ def _resolve_method(clause_set: ClauseSet, method: str) -> str:
 
 
 def is_satisfiable(clause_set: ClauseSet, method: str = "auto") -> SatResult:
-    """Decide satisfiability; ``method`` is "auto", "truth-table" or "dpll"."""
+    """Decide satisfiability; ``method`` is "auto", "truth-table" or "dpll".
+
+    An explicit "truth-table" over more than TRUTH_TABLE_MAX_VARS symbols
+    raises ValueError.
+    """
     if _resolve_method(clause_set, method) == METHOD_TRUTH_TABLE:
         return _truth_table(clause_set)
     return _dpll(clause_set)
@@ -331,21 +340,21 @@ def check_mus(clause_set: ClauseSet, method: str = "auto") -> MusReport:
     )
 
 
-# (source construction, method, source unsatisfiable) of the last call.
-# Holding the construction keeps its identity from being reused.
-_source_verdict: tuple = (None, None, False)
+# (source construction, source unsatisfiable) of the last call. Holding
+# the construction keeps its identity from being reused.
+_source_verdict: tuple = (None, False)
 
 
-def _source_unsatisfiable(source: Ftsc, method: str) -> bool:
+def _source_unsatisfiable(source: Ftsc) -> bool:
     global _source_verdict
-    cached, cached_method, verdict = _source_verdict
-    if cached is not source or cached_method != method:
-        verdict = not is_satisfiable(source.clause_set, method).satisfiable
-        _source_verdict = (source, method, verdict)
+    cached, verdict = _source_verdict
+    if cached is not source:
+        verdict = not is_satisfiable(source.clause_set).satisfiable
+        _source_verdict = (source, verdict)
     return verdict
 
 
-def check_theorem(theorem: Theorem, method: str = "auto") -> Theorem:
+def check_theorem(theorem: Theorem) -> Theorem:
     """Certify one entailment; returns a copy with ``certified`` set.
 
     Four conditions, all recomputed from the clause lists: the full set is
@@ -354,8 +363,8 @@ def check_theorem(theorem: Theorem, method: str = "auto") -> Theorem:
     conclusion literal is entailed by the remainder (adding its negation
     as a unit makes the remainder unsatisfiable). The first is decided once
     per construction and remembered for the next theorem of the same one.
-    On the DPLL path one solver serves the remainder and each conclusion
-    literal is refuted by solving under its negation as an assumption.
+    One solver serves the remainder, and each conclusion literal is refuted
+    by solving under its negation as an assumption.
     Failure is reported in the certification state, never raised.
     """
     source = theorem.source.clause_set
@@ -363,25 +372,16 @@ def check_theorem(theorem: Theorem, method: str = "auto") -> Theorem:
     if not 1 <= i <= theorem.source.n + 1:
         return replace(theorem, certified=CERT_FAILED)
     removed = theorem.source.clause(i)
-    remainder = source.without(i - 1)
-
-    method = _resolve_method(source, method)
-    ok = _source_unsatisfiable(theorem.source, method)
-    if method == METHOD_DPLL:
-        solver = DpllSolver(remainder.int_clauses(), source.signature.size)
-        ok = ok and solver.solve() is not None
-    else:
-        ok = ok and _truth_table(remainder).satisfiable
-    ok = ok and set(theorem.conclusion) == {l.negate() for l in removed.literals}
+    solver = DpllSolver(source.without(i - 1).int_clauses(), source.signature.size)
+    ok = (
+        _source_unsatisfiable(theorem.source)
+        and solver.solve() is not None
+        and set(theorem.conclusion) == {l.negate() for l in removed.literals}
+    )
     if ok:
         for lit in theorem.conclusion:
-            if method == METHOD_DPLL:
-                index = source.signature.index_of(lit.symbol) + 1
-                entailed = solver.solve([index if lit.negated else -index]) is None
-            else:
-                refuter = remainder.with_clause(Clause((lit.negate(),)))
-                entailed = not _truth_table(refuter).satisfiable
-            if not entailed:
+            index = source.signature.index_of(lit.symbol) + 1
+            if solver.solve([index if lit.negated else -index]) is not None:
                 ok = False
                 break
     return replace(theorem, certified=CERT_VERIFIED if ok else CERT_FAILED)

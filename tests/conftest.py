@@ -10,6 +10,25 @@ from contragen import Clause, ClauseSet, Literal, Signature
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
+# Grounds to two instances, one per patient; Audited is shared by both.
+TWO_PATIENTS_SCENARIO = """
+name: two-patients
+domain: Test
+atoms:
+  - symbol: Holds
+    args: [p]
+    variables: [p]
+    gloss: data about patient p is held
+  - symbol: Consents
+    args: [p]
+    variables: [p]
+    gloss: patient p consents
+  - symbol: Audited
+    gloss: the holder is audited
+grounding:
+  p: [alice, bob]
+"""
+
 
 @pytest.fixture
 def scenario_dir() -> Path:

@@ -3,7 +3,12 @@
 import json
 import re
 
+import pytest
+
+from contragen import cli
 from contragen.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, run_cli
+
+from conftest import TWO_PATIENTS_SCENARIO
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
 
@@ -131,6 +136,100 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "/nonexistent/report.json")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda data: data["theorems"].clear(),
+            lambda data: data.update(theorems=[data["theorems"][0]] * 4),
+            lambda data: data["clauses"].pop(),
+        ],
+        ids=["no-theorems", "theorem-1-four-times", "clause-missing"],
+    )
+    def test_theorem_coverage(self, capsys, tmp_path, tamper):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+        data = json.loads(target.read_text())
+        tamper(data)
+        target.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_VERIFICATION
+        assert "theorem coverage" in out
+        assert out.endswith("verification FAILED\n")
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (
+                lambda data: data["metadata"].pop("n"),
+                "report metadata: missing required field 'n'",
+            ),
+            (
+                lambda data: data["metadata"].update(n="x"),
+                "report metadata: field 'n' must be int, got str",
+            ),
+            (
+                lambda data: data["metadata"].update(n=True),
+                "report metadata: field 'n' must be int, got bool",
+            ),
+            (
+                lambda data: data.update(signature={}),
+                "report: field 'signature' must be list, got dict",
+            ),
+            (
+                lambda data: data["clauses"][0].append(7),
+                "literal must be a string, got int",
+            ),
+            (
+                lambda data: data["theorems"][1].update(conclusion="~b"),
+                "report theorems[1]: field 'conclusion' must be list, got str",
+            ),
+            (
+                lambda data: data.update(ranking={"policy": "p"}),
+                "report ranking: missing required field 'entries'",
+            ),
+            (
+                lambda data: data.update(explanations=[7]),
+                "report: field 'explanations' item 0 must be dict, got int",
+            ),
+            (
+                lambda data: data.update(metadata=[]),
+                "report: field 'metadata' must be dict, got list",
+            ),
+        ],
+        ids=["n-missing", "n-string", "n-bool", "signature-object",
+             "literal-number", "conclusion-string", "ranking-entries-missing",
+             "explanation-number", "metadata-list"],
+    )
+    def test_malformed_report_names_field(self, capsys, tmp_path, tamper, message):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        data = json.loads(target.read_text())
+        tamper(data)
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(target))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
+        def broken(args):
+            raise KeyError("n")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+        with pytest.raises(KeyError):
+            run_cli(["verify", "report.json"])
+
+    def test_dimacs_negated_variable_name(self, capsys, tmp_path):
+        target = tmp_path / "negated.cnf"
+        target.write_text("c var 1 a\nc var 2 ~b\np cnf 2 2\n1 0\n-2 0\n")
+        code, _, err = run(capsys, "verify", str(target))
+        assert code == EXIT_VALIDATION
+        assert "line 2" in err
+        assert "negation" in err
+
 
 class TestExplain:
     def test_table_output(self, capsys, scenario_dir):
@@ -159,6 +258,42 @@ class TestExplain:
         _, first, _ = run(capsys, "explain", str(scenario_dir / "medical.yaml"))
         _, second, _ = run(capsys, "explain", str(scenario_dir / "medical.yaml"))
         assert strip_timestamp(first) == strip_timestamp(second)
+
+    def test_instance_out_of_range_matches_generate(self, capsys, tmp_path):
+        path = tmp_path / "two_patients.yaml"
+        path.write_text(TWO_PATIENTS_SCENARIO)
+        explain = run(capsys, "explain", str(path), "--instance", "9")
+        generate = run(
+            capsys, "generate", "--scenario", str(path), "--instance", "9"
+        )
+        assert explain == generate
+        code, out, err = explain
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == (
+            "error: instance 9 out of range; scenario grounds to 2 instance(s)\n"
+        )
+
+    def test_second_instance_permuted(self, capsys, tmp_path):
+        path = tmp_path / "two_patients.yaml"
+        path.write_text(TWO_PATIENTS_SCENARIO)
+        code, out, _ = run(
+            capsys, "explain", str(path), "--instance", "1", "--permutation", "3"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["metadata"]["permutation"] == [
+            "Consents(bob)", "Audited", "Holds(bob)"
+        ]
+        assert "'Consents(bob)' (patient p consents)" in (
+            report["explanations"][0]["narrative"]
+        )
+        code, out, _ = run(
+            capsys, "export", "--scenario", str(path), "--instance", "1",
+            "--permutation", "3", "--format", "tptp", "--tptp-mode", "fof",
+        )
+        assert code == EXIT_OK
+        assert "fof(dependency_1, axiom, ! [P] : (consents(P)))." in out
 
     def test_unreachable_endpoint_falls_back(self, capsys, scenario_dir):
         code, out, _ = run(

@@ -21,6 +21,7 @@ from contragen import (
     pos,
     validate_input,
 )
+from contragen.core import SchemaViolationError, require
 
 symbols = st.sampled_from([f"x{i}" for i in range(1, 7)])
 literals = st.builds(Literal, symbols, st.booleans())
@@ -60,6 +61,37 @@ class TestLiteral:
     def test_str_roundtrip(self):
         assert str(neg("HighWBC")) == "~HighWBC"
         assert parse_literal(str(neg("HighWBC"))) == neg("HighWBC")
+
+
+class TestRequire:
+    def test_present_and_typed(self):
+        assert require({"s": 2.5}, "s", (int, float), "doc") == 2.5
+        assert require({"l": ["a"]}, "l", list, "doc", str) == ["a"]
+
+    @pytest.mark.parametrize(
+        "doc, kind, items, message",
+        [
+            ({}, int, None, "doc: missing required field 'f'"),
+            ({"f": None}, int, None, "doc: field 'f' must be int, got NoneType"),
+            ({"f": True}, (int, float), None,
+             "doc: field 'f' must be int or float, got bool"),
+            ({"f": ["a", 1]}, list, str, "doc: field 'f' item 1 must be str, got int"),
+        ],
+    )
+    def test_rejects(self, doc, kind, items, message):
+        with pytest.raises(SchemaViolationError) as info:
+            require(doc, "f", kind, "doc", items)
+        assert str(info.value) == message
+
+    def test_default_covers_absent_and_null(self):
+        assert require({}, "f", list, "doc", default=()) == ()
+        assert require({"f": None}, "f", list, "doc", default=()) == ()
+        with pytest.raises(SchemaViolationError):
+            require({"f": 3}, "f", list, "doc", default=())
+
+    def test_parse_literal_rejects_non_string(self):
+        with pytest.raises(ValidationError, match="literal must be a string"):
+            parse_literal(7)
 
 
 class TestValidateInput:
@@ -210,10 +242,9 @@ class TestClauseSet:
 
     @given(
         st.lists(st.lists(literals, max_size=4), min_size=1, max_size=6),
-        st.lists(literals, max_size=4),
         st.data(),
     )
-    def test_derived_encodings_match_fresh_sets(self, clauses, extra, data):
+    def test_derived_encodings_match_fresh_sets(self, clauses, data):
         signature = sig(*[f"x{i}" for i in range(1, 7)])
         clause_set = ClauseSet.build(clauses, signature)
         index = data.draw(st.integers(min_value=0, max_value=len(clauses) - 1))
@@ -221,15 +252,6 @@ class TestClauseSet:
         fresh = ClauseSet(removed.clauses, signature)
         assert removed == fresh
         assert removed.int_clauses() == fresh.int_clauses()
-        grown = clause_set.with_clause(extra)
-        fresh = ClauseSet.build(list(clauses) + [extra], signature)
-        assert grown == fresh
-        assert grown.int_clauses() == fresh.int_clauses()
-
-    def test_with_clause_rejects_unbound_symbol(self):
-        clause_set = ClauseSet.build([Clause((pos("a"),))], sig("a"))
-        with pytest.raises(UnboundSymbolError):
-            clause_set.with_clause(Clause((neg("zz"),)))
 
     def test_without(self):
         signature = sig("a")

@@ -11,13 +11,17 @@ from contragen import (
     EmptyInputError,
     ScenarioParseError,
     SchemaViolationError,
+    Signature,
     StaticModelClient,
     UncertifiedTheoremError,
+    build_ftsc,
     check_theorem,
     derive_theorems,
+    emit_tptp,
     explain_via_model,
     load_scenario,
     load_scenario_text,
+    permutation_by_rank,
     rank,
     role_for_index,
     verbalize,
@@ -33,6 +37,8 @@ from contragen.explain import (
     ROLE_TERMINAL,
     build_model_request,
 )
+
+from conftest import TWO_PATIENTS_SCENARIO
 
 MINIMAL_SCENARIO = """
 name: minimal
@@ -117,6 +123,33 @@ atoms:
     def test_remediation_index_range(self):
         text = MINIMAL_SCENARIO + "remediations:\n  - {index: 9, text: fix}\n"
         with pytest.raises(SchemaViolationError):
+            load_scenario_text(text)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("grounding: [x]\n", "field 'grounding' must be dict, got list"),
+            ("rule_texts: [x]\n", "field 'rule_texts' must be dict, got list"),
+            ("priorities: 3\n", "field 'priorities' must be dict, got int"),
+            ("grounding:\n", None),
+        ],
+    )
+    def test_optional_mapping_fields(self, extra, message):
+        text = MINIMAL_SCENARIO + extra
+        if message is None:
+            assert load_scenario_text(text).grounding == ()
+            return
+        with pytest.raises(SchemaViolationError, match=message):
+            load_scenario_text(text)
+
+    def test_atom_args_must_be_strings(self):
+        text = """
+name: bad
+domain: Test
+atoms:
+  - {symbol: A, args: [x, 3], variables: [x], gloss: g}
+"""
+        with pytest.raises(SchemaViolationError, match="'args' item 1 must be str"):
             load_scenario_text(text)
 
     def test_variable_not_in_args(self):
@@ -348,3 +381,33 @@ class TestExplainViaModel:
         assert request["removed_index"] == 4
         assert str(theorems[3].removed_index) in request["trace_summary"]
         assert len(request["clauses"]) == 5
+
+
+class TestInstanceMatching:
+    def test_permuted_second_instance_resolves_its_atoms(self):
+        scenario = load_scenario_text(TWO_PATIENTS_SCENARIO)
+        signature = permutation_by_rank(scenario.signatures()[1], 3)
+        assert signature.symbols == ("Consents(bob)", "Audited", "Holds(bob)")
+        assert scenario.gloss_map(signature) == {
+            "Holds(bob)": "data about patient p is held",
+            "Consents(bob)": "patient p consents",
+            "Audited": "the holder is audited",
+        }
+        ftsc = build_ftsc(signature)
+        theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
+        narrative = verbalize(theorems[0], scenario).narrative
+        assert "'Consents(bob)' (patient p consents)" in narrative
+        text = emit_tptp(ftsc, theorems, mode="fof", scenario=scenario)
+        assert "fof(dependency_1, axiom, ! [P] : (consents(P)))." in text
+        assert (
+            "fof(dependency_3, axiom, ! [P] : (~consents(P) | ~audited | holds(P)))."
+            in text
+        )
+
+    def test_signature_matching_no_instance(self):
+        scenario = load_scenario_text(TWO_PATIENTS_SCENARIO)
+        mixed = Signature(("Holds(alice)", "Consents(bob)", "Audited"))
+        with pytest.raises(ArityMismatchError, match="any ground instance"):
+            scenario.gloss_map(mixed)
+        with pytest.raises(ArityMismatchError, match="any ground instance"):
+            emit_tptp(build_ftsc(mixed), mode="fof", scenario=scenario)

@@ -96,6 +96,18 @@ class TestIsSatisfiable:
         with pytest.raises(ValueError):
             is_satisfiable(chain(["a"]).clause_set, "cdcl")
 
+    @pytest.mark.parametrize("check", [is_satisfiable, check_mus])
+    def test_truth_table_refuses_large_signature(self, check, monkeypatch):
+        import contragen.verifier as verifier
+
+        def allocating(clause_set):
+            pytest.fail("the truth table was built over 64 symbols")
+
+        monkeypatch.setattr(verifier, "_truth_table", allocating)
+        clause_set = ClauseSet((), Signature(tuple(f"v{i}" for i in range(64))))
+        with pytest.raises(ValueError, match="truth table limited to 16 symbols"):
+            check(clause_set, "truth-table")
+
     def test_status_field(self):
         result = is_satisfiable(ClauseSet((), Signature(("a",))))
         assert result.status == "satisfiable"
