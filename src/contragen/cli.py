@@ -223,7 +223,15 @@ def _cmd_verify(args) -> int:
         ok = _verify_clause_set(parse_dimacs(text))
     else:
         report = Report.from_json(text)
-        ok = _verify_clause_set(clause_set_from_report(report))
+        clause_set = clause_set_from_report(report)
+        ok = _verify_clause_set(clause_set)
+        symbols = [s for s, _ in report.signature]
+        if symbols != list(report.permutation) or len(symbols) != report.n:
+            print(
+                f"signature: expected n={report.n} symbols in permutation order "
+                f"{list(report.permutation)}, got {symbols}"
+            )
+            ok = False
         # n+1 clauses and one theorem per removal index 1..n+1. The clause
         # count is compared first, so the range is bounded by the input.
         n, indices = report.n, sorted(t.removed_index for t in report.theorems)
@@ -235,7 +243,7 @@ def _cmd_verify(args) -> int:
             )
             ok = False
         else:
-            for theorem in theorems_from_report(report):
+            for theorem in theorems_from_report(report, clause_set):
                 checked = check_theorem(theorem)
                 ok = ok and checked.certified == CERT_VERIFIED
                 print(f"theorem {theorem.removed_index}: {checked.certified}")

@@ -80,10 +80,15 @@ def parse_dimacs(text: str) -> ClauseSet:
     HeaderMismatchError for a missing or malformed header or when the
     declared clause count disagrees with the body, and DimacsParseError
     (with the line number) for unreadable tokens, out-of-range variables,
-    a ``c var`` name that is not an admissible literal symbol, or an
+    a ``c var`` comment whose index is outside 1..count or repeated, whose
+    name is repeated or is not an admissible literal symbol, or an
     unterminated final clause.
     """
     names: dict[int, str] = {}
+    # Line of each ``c var`` comment by index and by name. Comments come
+    # before the header, so indices are range-checked once it is read.
+    index_line: dict[int, int] = {}
+    name_line: dict[str, int] = {}
     num_vars: Optional[int] = None
     num_clauses: Optional[int] = None
     clauses: list[tuple[int, ...]] = []
@@ -96,13 +101,25 @@ def parse_dimacs(text: str) -> ClauseSet:
         if line.startswith("c"):
             match = _VAR_COMMENT.match(line)
             if match:
+                index, name = int(match.group(1)), match.group(2)
                 # A name must be admissible as a literal symbol, or it
                 # would read back as another literal (``~a`` as not-a).
                 try:
-                    validate_input([Literal(match.group(2))])
+                    validate_input([Literal(name)])
                 except ValidationError as exc:
                     raise DimacsParseError(str(exc), lineno) from None
-                names[int(match.group(1))] = match.group(2)
+                if index in index_line:
+                    raise DimacsParseError(
+                        f"variable {index} already named on line {index_line[index]}",
+                        lineno,
+                    )
+                if name in name_line:
+                    raise DimacsParseError(
+                        f"name {name!r} already given on line {name_line[name]}", lineno
+                    )
+                names[index] = name
+                index_line[index] = lineno
+                name_line[name] = lineno
             continue
         if line.startswith("p"):
             if num_vars is not None:
@@ -134,6 +151,11 @@ def parse_dimacs(text: str) -> ClauseSet:
 
     if num_vars is None:
         raise HeaderMismatchError("no 'p cnf' header found")
+    for index, lineno in index_line.items():
+        if not 1 <= index <= num_vars:
+            raise DimacsParseError(
+                f"c var index {index} outside 1..{num_vars}", lineno
+            )
     if current:
         raise DimacsParseError("final clause is not terminated by 0")
     if num_clauses != len(clauses):

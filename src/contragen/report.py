@@ -260,9 +260,9 @@ def clause_set_from_report(report: Report) -> ClauseSet:
     return ClauseSet(clauses, signature)
 
 
-def theorems_from_report(report: Report) -> list[Theorem]:
-    """Rebuild bare theorems (no traces) for re-verification."""
-    clause_set = clause_set_from_report(report)
+def theorems_from_report(report: Report, clause_set: ClauseSet) -> list[Theorem]:
+    """Rebuild bare theorems (no traces) for re-verification, over the
+    report's clause set as ``clause_set_from_report`` read it."""
     ftsc = Ftsc(clause_set, report.permutation, report.n)
     return [
         Theorem(

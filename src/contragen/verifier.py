@@ -11,20 +11,21 @@ recomputed from the clause lists. Satisfiability is decided two ways:
     unit propagation over the integer encoding, in time linear in the
     occurrences it touches, and chronological backtracking that branches
     on the lowest unassigned signature index, true first. It serves
-    larger signatures and every entailment check.
+    larger signatures.
 
 Both methods return the same witness when one exists: the model that is
 lexicographically first under "lower signature index decided first, true
 preferred". No clause learning, no heuristics, no randomness. Each serves
 as the other's cross-check.
 
-Certification reuses work without trusting anything new. The source set's
-unsatisfiability is decided once per construction, not once per theorem.
-At every size one solver is built per remainder, and each conclusion
-literal is tested by solving under its negation as an assumption, after
-which the solver returns to its root state. Trace replay runs on the
-premises' integer encoding with one incrementally maintained set of known
-literals.
+A theorem is certified from its source's deletion-based minimality check
+alone: the remainder R entails the negated removed clause l1 | ... | lk
+exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
+certification is "MUS at the removed index plus the conclusion equals the
+negated clause", and ``check_mus`` remembers its last report, so each
+construction is decided once for all of its theorems. Trace replay runs
+on the premises' integer encoding with one incrementally maintained set
+of known literals.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .generator import (
     STEP_EMPTY,
     STEP_PROPAGATE,
     STEP_UNIT,
-    Ftsc,
     ProofTrace,
     Theorem,
 )
@@ -117,6 +117,8 @@ def _truth_table(clause_set: ClauseSet) -> SatResult:
                 pos_mask |= 1 << (lit - 1)
             else:
                 neg_mask |= 1 << (-lit - 1)
+        if pos_mask & neg_mask:
+            continue  # a tautology is violated nowhere
         # Assignments violating the clause: all positive symbols false,
         # all negative symbols true; the rest free.
         block = 1 << neg_mask
@@ -149,8 +151,7 @@ def _truth_table(clause_set: ClauseSet) -> SatResult:
 
 
 class DpllSolver:
-    """Iterative DPLL over signed 1-based integer clauses, reusable under
-    assumptions.
+    """Iterative DPLL over signed 1-based integer clauses.
 
     Unit propagation is counter based (Dowling & Gallier 1984): each clause
     keeps a count of its true literals and of its literals not yet false,
@@ -159,7 +160,7 @@ class DpllSolver:
     sets. Search backtracks chronologically and branches on the lowest
     unassigned variable, true first, so the model found is the
     lexicographically first one. Unit clauses are propagated once, at
-    construction; that trail is the root state every ``solve`` returns to.
+    construction.
     """
 
     def __init__(self, clauses, num_vars: int):
@@ -190,15 +191,11 @@ class DpllSolver:
             self._clauses.append(lits)
         self._free = [len(c) for c in self._clauses]
         self._true = [0] * len(self._clauses)
-        self._ok = self._ok and self._assume(units)
-
-    def _assume(self, lits) -> bool:
-        """Make every literal true, propagating; False on a conflict."""
         value = self._value
-        for lit in lits:
+        for lit in units:
             if value[lit] < 0 or (value[lit] == 0 and not self._imply(lit)):
-                return False
-        return True
+                self._ok = False
+                break
 
     def _imply(self, lit: int) -> bool:
         """Make ``lit`` true and propagate to fixpoint; False on a conflict.
@@ -247,23 +244,9 @@ class DpllSolver:
             for c in occurs[-lit]:
                 free[c] += 1
 
-    def solve(self, assumptions=()) -> Optional[list[bool]]:
-        """A model (index v-1 holds variable v) of the clauses plus the unit
-        ``assumptions``, or None if there is none. Leaves the root state
-        unchanged."""
-        for lit in assumptions:
-            if not 1 <= abs(lit) <= self.num_vars:
-                raise ValueError(f"literal out of range: {lit}")
+    def solve(self) -> Optional[list[bool]]:
+        """A model (index v-1 holds variable v), or None if there is none."""
         if not self._ok:
-            return None
-        root = len(self._trail)
-        try:
-            return self._search(assumptions)
-        finally:
-            self._undo(root)
-
-    def _search(self, assumptions) -> Optional[list[bool]]:
-        if not self._assume(assumptions):
             return None
         value = self._value
         # One entry per open decision: (trail mark, variable, flipped yet).
@@ -324,66 +307,60 @@ def is_satisfiable(clause_set: ClauseSet, method: str = "auto") -> SatResult:
     return _dpll(clause_set)
 
 
+# (clause set, method, report) of the last check_mus call. Holding the
+# clause set keeps its identity from being reused.
+_last_mus: tuple = (None, None, None)
+
+
 def check_mus(clause_set: ClauseSet, method: str = "auto") -> MusReport:
     """Full deletion-based minimality check: one satisfiability call on the
-    set and one per single-clause deletion."""
+    set and one per single-clause deletion.
+
+    The last report is remembered, keyed on the clause-set object and
+    ``method``, so the theorems of one construction share one check.
+    """
+    global _last_mus
+    cached, cached_method, report = _last_mus
+    if cached is clause_set and cached_method == method:
+        return report
     overall = is_satisfiable(clause_set, method)
     deletions = tuple(
         is_satisfiable(clause_set.without(i), method)
         for i in range(len(clause_set.clauses))
     )
     is_unsat = not overall.satisfiable
-    return MusReport(
+    report = MusReport(
         is_unsatisfiable=is_unsat,
         deletion_results=deletions,
         is_mus=is_unsat and all(r.satisfiable for r in deletions),
     )
-
-
-# (source construction, source unsatisfiable) of the last call. Holding
-# the construction keeps its identity from being reused.
-_source_verdict: tuple = (None, False)
-
-
-def _source_unsatisfiable(source: Ftsc) -> bool:
-    global _source_verdict
-    cached, verdict = _source_verdict
-    if cached is not source:
-        verdict = not is_satisfiable(source.clause_set).satisfiable
-        _source_verdict = (source, verdict)
-    return verdict
+    _last_mus = (clause_set, method, report)
+    return report
 
 
 def check_theorem(theorem: Theorem) -> Theorem:
     """Certify one entailment; returns a copy with ``certified`` set.
 
-    Four conditions, all recomputed from the clause lists: the full set is
-    unsatisfiable; the remainder is satisfiable; the stored conclusion is
-    exactly the literal-wise negation of the removed clause; and each
-    conclusion literal is entailed by the remainder (adding its negation
-    as a unit makes the remainder unsatisfiable). The first is decided once
-    per construction and remembered for the next theorem of the same one.
-    One solver serves the remainder, and each conclusion literal is refuted
-    by solving under its negation as an assumption.
+    Certification is the source's minimality check at the removed index
+    plus a comparison: the full set is unsatisfiable, the remainder is
+    satisfiable, and the stored conclusion is exactly the literal-wise
+    negation of the removed clause. Entailment needs no solve of its own:
+    the remainder entails every conclusion literal exactly when adding
+    the removed clause back, the source, is unsatisfiable. The check is
+    read from ``check_mus``, which decides each construction once.
     Failure is reported in the certification state, never raised.
     """
-    source = theorem.source.clause_set
+    source = theorem.source
     i = theorem.removed_index
-    if not 1 <= i <= theorem.source.n + 1:
+    if not 1 <= i <= source.n + 1:
         return replace(theorem, certified=CERT_FAILED)
-    removed = theorem.source.clause(i)
-    solver = DpllSolver(source.without(i - 1).int_clauses(), source.signature.size)
+    negated = {l.negate() for l in source.clause(i).literals}
+    mus = check_mus(source.clause_set)
     ok = (
-        _source_unsatisfiable(theorem.source)
-        and solver.solve() is not None
-        and set(theorem.conclusion) == {l.negate() for l in removed.literals}
+        mus.is_unsatisfiable
+        and mus.deletion_results[i - 1].satisfiable
+        and set(theorem.conclusion) == negated
     )
-    if ok:
-        for lit in theorem.conclusion:
-            index = source.signature.index_of(lit.symbol) + 1
-            if solver.solve([index if lit.negated else -index]) is not None:
-                ok = False
-                break
     return replace(theorem, certified=CERT_VERIFIED if ok else CERT_FAILED)
 
 

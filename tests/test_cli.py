@@ -160,6 +160,64 @@ class TestVerify:
         assert out.endswith("verification FAILED\n")
 
     @pytest.mark.parametrize(
+        "tamper, permutation, symbols",
+        [
+            (
+                lambda data: data["signature"].append({"symbol": "d", "arity": 0}),
+                "['a', 'b', 'c']",
+                "['a', 'b', 'c', 'd']",
+            ),
+            (
+                lambda data: data["metadata"].update(permutation=["c", "b", "a"]),
+                "['c', 'b', 'a']",
+                "['a', 'b', 'c']",
+            ),
+        ],
+        ids=["extra-symbol", "permutation-reordered"],
+    )
+    def test_signature_matches_n_and_permutation(
+        self, capsys, tmp_path, tamper, permutation, symbols
+    ):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+        data = json.loads(target.read_text())
+        tamper(data)
+        target.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_VERIFICATION
+        expected = (
+            f"signature: expected n=3 symbols in permutation order {permutation}, "
+            f"got {symbols}"
+        )
+        assert expected in out.splitlines()
+        assert out.endswith("verification FAILED\n")
+
+    def test_each_set_decided_once_per_command(self, capsys, tmp_path, monkeypatch):
+        import contragen.verifier as verifier
+
+        solved = []
+        genuine = verifier.is_satisfiable
+
+        def counting(clause_set, method="auto"):
+            solved.append(clause_set)
+            return genuine(clause_set, method)
+
+        monkeypatch.setattr(verifier, "is_satisfiable", counting)
+        target = tmp_path / "report.json"
+        code, _, _ = run(capsys, "generate", "a", "b", "c", "d", "e", "--output", str(target))
+        assert code == EXIT_OK
+        # The source and its n+1 deletions, each decided once.
+        assert len(solved) == 7
+        solved.clear()
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+        assert len(solved) == 7
+
+    @pytest.mark.parametrize(
         "tamper, message",
         [
             (

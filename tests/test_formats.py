@@ -126,6 +126,25 @@ class TestParseDimacs:
         with pytest.raises(DimacsParseError):
             parse_dimacs("p cnf 2 1\n1 -2\n")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("c var 7 zz\np cnf 1 2\n1 0\n-1 0\n", 1, "c var index 7 outside 1..1"),
+            ("c var 1 a\nc var 0 zz\np cnf 1 2\n1 0\n-1 0\n", 2,
+             "c var index 0 outside 1..1"),
+            ("c var 1 a\nc var 1 b\np cnf 2 1\n1 0\n", 2,
+             "variable 1 already named on line 1"),
+            ("c var 1 a\nc var 2 a\np cnf 2 1\n1 0\n", 2,
+             "name 'a' already given on line 1"),
+        ],
+        ids=["index-above-count", "index-zero", "repeated-index", "repeated-name"],
+    )
+    def test_bad_var_comment(self, text, line, message):
+        with pytest.raises(DimacsParseError) as excinfo:
+            parse_dimacs(text)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: {message}"
+
 
 @st.composite
 def clause_sets(draw):

@@ -13,8 +13,10 @@ from contragen import (
     CERT_VERIFIED,
     Clause,
     ClauseSet,
+    Ftsc,
     ProofTrace,
     Signature,
+    Theorem,
     TraceStep,
     build_ftsc,
     build_proof_trace,
@@ -79,6 +81,14 @@ class TestIsSatisfiable:
         clause_set = ClauseSet.build([Clause(())], Signature(("x1",)))
         for method in ("truth-table", "dpll"):
             assert not is_satisfiable(clause_set, method).satisfiable
+
+    def test_tautology_constrains_nothing(self):
+        clause_set = ClauseSet.build(
+            [Clause((pos("x1"),)), Clause((pos("x1"), neg("x1")))], Signature(("x1",))
+        )
+        for method in ("truth-table", "dpll"):
+            result = is_satisfiable(clause_set, method)
+            assert result.witness == {"x1": True}
 
     def test_no_clauses_satisfiable(self):
         clause_set = ClauseSet((), Signature(("x1", "x2")))
@@ -167,14 +177,14 @@ class TestOracleAgreement:
 @st.composite
 def int_cnf(draw):
     """Raw signed-integer CNF: empty clauses, repeated literals and
-    tautologies allowed, plus assumptions that may contradict each other."""
+    tautologies allowed, plus unit clauses that may contradict each other."""
     n = draw(st.integers(min_value=1, max_value=6))
     literal = st.integers(min_value=1, max_value=n).flatmap(
         lambda v: st.sampled_from((v, -v))
     )
     clauses = draw(st.lists(st.lists(literal, max_size=5), max_size=10))
-    assumptions = draw(st.lists(literal, max_size=3))
-    return n, clauses, assumptions
+    units = [[lit] for lit in draw(st.lists(literal, max_size=3))]
+    return n, clauses, units
 
 
 def plain_int(clauses):
@@ -193,45 +203,23 @@ class TestDpllSolver:
     @given(int_cnf())
     @settings(max_examples=300)
     def test_solve_agrees_with_brute_force(self, case):
-        n, clauses, assumptions = case
-        solver = DpllSolver(clauses, n)
-        units = [[lit] for lit in assumptions]
-        assert solver.solve(assumptions) == oracle_model(clauses + units, n)
+        n, clauses, units = case
+        assert DpllSolver(clauses + units, n).solve() == oracle_model(clauses + units, n)
         symbols = [f"v{v}" for v in range(1, n + 1)]
         for var in range(1, n + 1):
             for lit in (var, -var):
                 entailed = brute_force_entails(
                     plain_int(clauses), symbols, (f"v{var}", lit < 0)
                 )
-                assert (solver.solve([-lit]) is None) == entailed
-
-    def test_repeated_solves_restore_root_state(self):
-        rng = random.Random(7)
-
-        def literals(n, least):
-            chosen = rng.sample(range(1, n + 1), rng.randint(least, min(n, 3)))
-            return [rng.choice((v, -v)) for v in chosen]
-
-        for _ in range(40):
-            n = rng.randint(2, 7)
-            clauses = [literals(n, 1) for _ in range(rng.randint(1, 2 * n))]
-            solver = DpllSolver(clauses, n)
-            for _ in range(25):
-                assumptions = literals(n, 0)
-                units = [[lit] for lit in assumptions]
-                assert solver.solve(assumptions) == oracle_model(clauses + units, n)
-            assert solver.solve() == oracle_model(clauses, n)
+                assert (DpllSolver(clauses + [[-lit]], n).solve() is None) == entailed
 
     def test_contradictory_assumptions(self):
-        solver = DpllSolver([[1, 2]], 2)
-        assert solver.solve([1, -1]) is None
-        assert solver.solve() == [True, True]
+        assert DpllSolver([[1, 2], [1], [-1]], 2).solve() is None
+        assert DpllSolver([[1, 2]], 2).solve() == [True, True]
 
     def test_literal_out_of_range(self):
         with pytest.raises(ValueError):
             DpllSolver([[3]], 2)
-        with pytest.raises(ValueError):
-            DpllSolver([[1]], 2).solve([0])
 
     def test_decisions_deeper_than_recursion_limit(self):
         # One all-negative clause: every variable but the last is decided
@@ -291,7 +279,58 @@ class TestCheckMus:
         assert not report.is_mus
 
 
+@st.composite
+def theorem_cases(draw):
+    """A theorem over n+1 arbitrary clauses (empty clauses, repeated
+    literals and tautologies allowed), a removed index in 0..n+2 and a
+    conclusion that is exact or has one literal dropped, flipped or added."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    symbols = tuple(f"v{i}" for i in range(1, n + 1))
+    literal = st.builds(Literal, st.sampled_from(symbols), st.booleans())
+    clauses = draw(
+        st.lists(st.lists(literal, max_size=4), min_size=n + 1, max_size=n + 1)
+    )
+    clause_set = ClauseSet.build(clauses, Signature(symbols))
+    i = draw(st.integers(min_value=0, max_value=n + 2))
+    conclusion = []
+    if 1 <= i <= n + 1:
+        conclusion = [l.negate() for l in clause_set.clauses[i - 1].literals]
+    edit = draw(st.sampled_from(("exact", "drop", "flip", "add")))
+    if edit == "add":
+        conclusion.insert(draw(st.integers(0, len(conclusion))), draw(literal))
+    elif edit != "exact" and conclusion:
+        k = draw(st.integers(0, len(conclusion) - 1))
+        if edit == "drop":
+            del conclusion[k]
+        else:
+            conclusion[k] = conclusion[k].negate()
+    return Theorem(Ftsc(clause_set, symbols, n), i, tuple(conclusion), None)
+
+
+def oracle_certifies(theorem):
+    """The four certification conditions, decided by brute force."""
+    i = theorem.removed_index
+    if not 1 <= i <= theorem.source.n + 1:
+        return False
+    clauses = plain_clauses(theorem.source.clause_set)
+    symbols = theorem.source.signature.symbols
+    remainder = clauses[: i - 1] + clauses[i:]
+    conclusion = [(l.symbol, l.negated) for l in theorem.conclusion]
+    return (
+        not brute_force_satisfiable(clauses, symbols)[0]
+        and brute_force_satisfiable(remainder, symbols)[0]
+        and set(conclusion) == {(s, not negated) for s, negated in clauses[i - 1]}
+        and all(brute_force_entails(remainder, symbols, l) for l in conclusion)
+    )
+
+
 class TestCheckTheorem:
+    @given(theorem_cases())
+    @settings(max_examples=400)
+    def test_agrees_with_brute_force(self, theorem):
+        verified = check_theorem(theorem).certified == CERT_VERIFIED
+        assert verified == oracle_certifies(theorem)
+
     def test_medical_all_verified(self):
         ftsc = chain(MEDICAL)
         for theorem in derive_theorems(ftsc):
