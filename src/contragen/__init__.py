@@ -6,192 +6,78 @@ proof trace, certifies the results with an independent satisfiability
 oracle, and renders them as domain-aligned explanations and ranked
 remediation reports. DIMACS, TPTP, and a JSON report schema cover
 interchange; the ``contragen`` console script drives the whole pipeline.
+
+The package root re-exports the names the demos use. Everything else is
+imported from the module that defines it (``contragen.core``,
+``contragen.generator``, ``contragen.verifier``, ``contragen.fol``,
+``contragen.explain``, ``contragen.formats``, ``contragen.report``).
 """
 
 __version__ = "0.1.0"
 
 from .core import (
-    Assignment,
     Clause,
     ClauseSet,
     ComplementaryPairError,
-    DuplicateSymbolError,
-    EmptyInputError,
-    Literal,
     Signature,
-    UnboundSymbolError,
-    ValidationError,
     canonicalize,
     evaluate_clause,
     evaluate_set,
     neg,
-    parse_literal,
     pos,
     validate_input,
 )
 from .generator import (
-    CERT_FAILED,
-    CERT_UNCHECKED,
-    CERT_VERIFIED,
-    DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceededError,
-    Ftsc,
-    OpCounter,
-    ProofTrace,
-    Theorem,
-    TraceStep,
     build_ftsc,
-    build_proof_trace,
     closure_counts,
     derive_theorems,
     enumerate_ftscs,
-    permutation_by_rank,
-    total_literals,
 )
-from .verifier import (
-    MusReport,
-    ReplayResult,
-    SatResult,
-    check_mus,
-    check_theorem,
-    is_satisfiable,
-    replay_trace,
-)
-from .fol import (
-    EmptyDomainError,
-    GroundingDomain,
-    PredicateAtom,
-    Term,
-    UnboundVariableError,
-    atom_literal,
-    build_fol_ftsc,
-    const,
-    ground_atoms,
-    var,
-)
-from .explain import (
-    ArityMismatchError,
-    DefaultRankingPolicy,
-    Explanation,
-    HttpModelClient,
-    ModelClientError,
-    ModelRankingPolicy,
-    RankedEntry,
-    RankedReport,
-    RemediationRule,
-    Scenario,
-    ScenarioAtom,
-    ScenarioParseError,
-    SchemaViolationError,
-    StaticModelClient,
-    UncertifiedTheoremError,
-    explain_via_model,
-    load_scenario,
-    load_scenario_text,
-    rank,
-    role_for_index,
-    verbalize,
-)
-from .formats import (
-    DimacsParseError,
-    HeaderMismatchError,
-    MissingScenarioMetadataError,
-    NonGroundClauseError,
-    emit_dimacs,
-    emit_tptp,
-    parse_dimacs,
-)
-from .report import Report, TheoremRecord, build_report
+from .verifier import check_mus, check_theorem, is_satisfiable, replay_trace
+from .fol import GroundingDomain, PredicateAtom, build_fol_ftsc, var
+from .explain import load_scenario, rank, verbalize
+from .formats import emit_dimacs, emit_tptp, parse_dimacs
+from .report import Report, build_report
 
 __all__ = [
     "__version__",
     # core
-    "Assignment",
     "Clause",
     "ClauseSet",
     "ComplementaryPairError",
-    "DuplicateSymbolError",
-    "EmptyInputError",
-    "Literal",
     "Signature",
-    "UnboundSymbolError",
-    "ValidationError",
     "canonicalize",
     "evaluate_clause",
     "evaluate_set",
     "neg",
-    "parse_literal",
     "pos",
     "validate_input",
     # generator
-    "CERT_FAILED",
-    "CERT_UNCHECKED",
-    "CERT_VERIFIED",
-    "DEFAULT_ENUMERATION_CAP",
     "EnumerationCapExceededError",
-    "Ftsc",
-    "OpCounter",
-    "ProofTrace",
-    "Theorem",
-    "TraceStep",
     "build_ftsc",
-    "build_proof_trace",
     "closure_counts",
     "derive_theorems",
     "enumerate_ftscs",
-    "permutation_by_rank",
-    "total_literals",
     # verifier
-    "MusReport",
-    "ReplayResult",
-    "SatResult",
     "check_mus",
     "check_theorem",
     "is_satisfiable",
     "replay_trace",
     # fol
-    "EmptyDomainError",
     "GroundingDomain",
     "PredicateAtom",
-    "Term",
-    "UnboundVariableError",
-    "atom_literal",
     "build_fol_ftsc",
-    "const",
-    "ground_atoms",
     "var",
     # explain
-    "ArityMismatchError",
-    "DefaultRankingPolicy",
-    "Explanation",
-    "HttpModelClient",
-    "ModelClientError",
-    "ModelRankingPolicy",
-    "RankedEntry",
-    "RankedReport",
-    "RemediationRule",
-    "Scenario",
-    "ScenarioAtom",
-    "ScenarioParseError",
-    "SchemaViolationError",
-    "StaticModelClient",
-    "UncertifiedTheoremError",
-    "explain_via_model",
     "load_scenario",
-    "load_scenario_text",
     "rank",
-    "role_for_index",
     "verbalize",
     # formats
-    "DimacsParseError",
-    "HeaderMismatchError",
-    "MissingScenarioMetadataError",
-    "NonGroundClauseError",
     "emit_dimacs",
     "emit_tptp",
     "parse_dimacs",
     # report
     "Report",
-    "TheoremRecord",
     "build_report",
 ]

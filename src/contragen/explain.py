@@ -20,13 +20,9 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Mapping, Optional, Sequence, Union
-
-import yaml
 
 from .core import (
     EmptyInputError,
@@ -39,6 +35,10 @@ from .core import (
 from .fol import GroundingDomain, PredicateAtom, const, ground_atoms, var
 from .generator import CERT_VERIFIED, Ftsc, Theorem, build_ftsc
 
+# ``yaml`` and ``urllib`` are imported inside the two functions that use
+# them: they were about 40% of ``import contragen.cli``, and most commands
+# need neither.
+
 # Role vocabulary for removal indices. The first and last clauses have
 # fixed structural readings; interior clauses are read off their position
 # in the dependency chain. With only two literals the single conditional
@@ -49,15 +49,6 @@ ROLE_INTERMEDIATE = "intermediate-causal"
 ROLE_TERMINAL = "treatment/terminal"
 ROLE_GLOBAL = "global-unsat"
 ROLE_GENERIC = "generic-chain"
-
-ROLE_LABELS = (
-    ROLE_BASE,
-    ROLE_LOCAL,
-    ROLE_INTERMEDIATE,
-    ROLE_TERMINAL,
-    ROLE_GLOBAL,
-    ROLE_GENERIC,
-)
 
 PRIORITIES = ("High", "Medium", "Low")
 
@@ -122,7 +113,13 @@ class RemediationRule:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named registry binding abstract literals to domain meanings."""
+    """A named registry binding abstract literals to domain meanings.
+
+    Construction grounds the atoms over ``grounding`` once and admits each
+    ground instance as a signature (a duplicate or complementary atom
+    raises a ``ValidationError`` here, not mid-pipeline). ``signatures``,
+    ``ftscs`` and ``atoms_for`` read those stored instances.
+    """
 
     name: str
     domain_label: str
@@ -132,29 +129,25 @@ class Scenario:
     remediations: tuple[RemediationRule, ...] = ()
     priorities: tuple[tuple[int, str], ...] = ()
 
+    def __post_init__(self):
+        arities = [a.arity for a in self.atoms]
+        instances = ground_atoms(
+            [a.predicate() for a in self.atoms], GroundingDomain(self.grounding)
+        )
+        signatures = tuple(validate_input(lits, arities=arities) for lits in instances)
+        object.__setattr__(self, "_signatures", signatures)
+
     @property
     def n(self) -> int:
         return len(self.atoms)
 
-    def predicate_atoms(self) -> tuple[PredicateAtom, ...]:
-        return tuple(a.predicate() for a in self.atoms)
-
-    def grounding_domain(self) -> GroundingDomain:
-        return GroundingDomain(self.grounding)
-
-    def instances(self) -> list[list[Literal]]:
-        """Ground literal lists, one per constant combination."""
-        return ground_atoms(self.predicate_atoms(), self.grounding_domain())
-
     def signatures(self) -> list[Signature]:
-        return [
-            validate_input(lits, arities=[a.arity for a in self.atoms])
-            for lits in self.instances()
-        ]
+        """One admitted signature per ground instance, in grounding order."""
+        return list(self._signatures)
 
     def ftscs(self) -> list[Ftsc]:
         """One triangular construction per ground instance, identity order."""
-        return [build_ftsc(sig) for sig in self.signatures()]
+        return [build_ftsc(sig) for sig in self._signatures]
 
     def rule_text_for(self, index: int) -> Optional[str]:
         for i, text in self.rule_texts:
@@ -177,11 +170,10 @@ class Scenario:
     def atoms_for(self, signature: Signature) -> dict[str, ScenarioAtom]:
         """Map each signature symbol to the scenario atom it grounds.
 
-        Works by re-grounding the scenario and matching the instance whose
-        symbols coincide with the signature (in any order), so permuted
-        constructions and predicates that repeat under different constant
-        arguments both resolve correctly. Raises ArityMismatchError when
-        no instance matches.
+        Matches the stored ground instance whose symbols coincide with the
+        signature (in any order), so permuted constructions and predicates
+        that repeat under different constant arguments both resolve
+        correctly. Raises ArityMismatchError when no instance matches.
         """
         if signature.size != self.n:
             raise ArityMismatchError(
@@ -189,10 +181,9 @@ class Scenario:
                 f"signature has {signature.size} symbols"
             )
         wanted = set(signature.symbols)
-        for lits in self.instances():
-            symbols = [l.symbol for l in lits]
-            if set(symbols) == wanted:
-                return dict(zip(symbols, self.atoms))
+        for instance in self._signatures:
+            if set(instance.symbols) == wanted:
+                return dict(zip(instance.symbols, self.atoms))
         raise ArityMismatchError(
             f"signature symbols do not match any ground instance of "
             f"scenario {self.name!r}"
@@ -277,7 +268,7 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
             )
         priorities.append((index, v))
 
-    scenario = Scenario(
+    return Scenario(
         name=name,
         domain_label=domain_label,
         atoms=tuple(atoms),
@@ -286,14 +277,11 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
         remediations=tuple(remediations),
         priorities=tuple(priorities),
     )
-    # Admission check up front: every ground instance must be a valid
-    # literal list (this surfaces duplicate or complementary atoms here
-    # rather than later, mid-pipeline).
-    scenario.signatures()
-    return scenario
 
 
 def load_scenario_text(text: str, source_name: str = "<scenario>") -> Scenario:
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -655,6 +643,9 @@ class HttpModelClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        import urllib.error
+        import urllib.request
+
         req = urllib.request.Request(self.endpoint, data=body, headers=headers)
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:

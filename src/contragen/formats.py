@@ -81,8 +81,8 @@ def parse_dimacs(text: str) -> ClauseSet:
     declared clause count disagrees with the body, and DimacsParseError
     (with the line number) for unreadable tokens, out-of-range variables,
     a ``c var`` comment whose index is outside 1..count or repeated, whose
-    name is repeated or is not an admissible literal symbol, or an
-    unterminated final clause.
+    name is repeated, is the ``v<i>`` of an unnamed variable or is not an
+    admissible literal symbol, or an unterminated final clause.
     """
     names: dict[int, str] = {}
     # Line of each ``c var`` comment by index and by name. Comments come
@@ -163,6 +163,12 @@ def parse_dimacs(text: str) -> ClauseSet:
             f"header declares {num_clauses} clauses, body has {len(clauses)}"
         )
 
+    for i in range(1, num_vars + 1):
+        if i not in names and f"v{i}" in name_line:
+            raise DimacsParseError(
+                f"name 'v{i}' is the default name of unnamed variable {i}",
+                name_line[f"v{i}"],
+            )
     symbols = tuple(names.get(i, f"v{i}") for i in range(1, num_vars + 1))
     signature = Signature(symbols)
     built = [

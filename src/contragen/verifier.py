@@ -352,7 +352,7 @@ def check_theorem(theorem: Theorem) -> Theorem:
     """
     source = theorem.source
     i = theorem.removed_index
-    if not 1 <= i <= source.n + 1:
+    if not 1 <= i <= source.n + 1 or len(source.clause_set) < source.n + 1:
         return replace(theorem, certified=CERT_FAILED)
     negated = {l.negate() for l in source.clause(i).literals}
     mus = check_mus(source.clause_set)

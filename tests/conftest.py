@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from contragen import Clause, ClauseSet, Literal, Signature
+from contragen import Clause, ClauseSet, Signature
+from contragen.core import Literal
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 

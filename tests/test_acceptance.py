@@ -16,8 +16,6 @@ from pathlib import Path
 import pytest
 
 from contragen import (
-    CERT_VERIFIED,
-    OpCounter,
     Report,
     build_ftsc,
     check_mus,
@@ -36,6 +34,7 @@ from contragen import (
     verbalize,
 )
 from contragen.cli import EXIT_OK, run_cli
+from contragen.generator import CERT_VERIFIED, OpCounter
 
 from conftest import SCENARIO_DIR, random_clause_set
 from tptp_check import check_tptp

@@ -1,14 +1,18 @@
 """CLI subcommands, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from contragen import cli
 from contragen.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, run_cli
 
-from conftest import TWO_PATIENTS_SCENARIO
+from conftest import SCENARIO_DIR, TWO_PATIENTS_SCENARIO
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
 
@@ -98,6 +102,20 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", *literals, "--n-cap", "4", "--no-certify")
         assert code == EXIT_OK
         assert "permutations=24" in out
+
+
+def _other_mus(data):
+    # Another minimal unsatisfiable set over a, b; all its theorems hold.
+    data["clauses"] = [["a", "b"], ["~a"], ["~b"]]
+    for theorem, conclusion in zip(data["theorems"], [["~a", "~b"], ["a"], ["b"]]):
+        theorem["conclusion"] = conclusion
+
+
+def _no_symbols(data):
+    # One empty clause over no symbols, and its one theorem.
+    data["metadata"].update(n=0, permutation=[])
+    data.update(signature=[], clauses=[[]], theorems=data["theorems"][:1])
+    data["theorems"][0]["conclusion"] = []
 
 
 class TestVerify:
@@ -194,6 +212,29 @@ class TestVerify:
         )
         assert expected in out.splitlines()
         assert out.endswith("verification FAILED\n")
+
+    @pytest.mark.parametrize(
+        "tamper, permutation",
+        [(_other_mus, "['a', 'b']"), (_no_symbols, "[]")],
+        ids=["other-mus", "no-symbols"],
+    )
+    def test_clauses_are_the_chain(self, capsys, tmp_path, tamper, permutation):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "--output", str(target))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+        data = json.loads(target.read_text())
+        tamper(data)
+        target.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_VERIFICATION
+        lines = out.splitlines()
+        assert lines[-2:] == [
+            f"chain: clauses are not the triangular chain over permutation {permutation}",
+            "verification FAILED",
+        ]
+        assert all(not line.endswith(": failed") for line in lines)
 
     def test_each_set_decided_once_per_command(self, capsys, tmp_path, monkeypatch):
         import contragen.verifier as verifier
@@ -317,6 +358,31 @@ class TestExplain:
         _, second, _ = run(capsys, "explain", str(scenario_dir / "medical.yaml"))
         assert strip_timestamp(first) == strip_timestamp(second)
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["explain"],
+            ["explain", "--table"],
+            ["export", "--format", "tptp", "--tptp-mode", "fof"],
+        ],
+        ids=["json", "table", "fof"],
+    )
+    def test_scenario_grounded_once(self, capsys, monkeypatch, command):
+        import contragen.explain as explain
+
+        grounded = []
+        genuine = explain.ground_atoms
+
+        def counting(atoms, domain):
+            grounded.append(atoms)
+            return genuine(atoms, domain)
+
+        monkeypatch.setattr(explain, "ground_atoms", counting)
+        path = str(SCENARIO_DIR / "medical.yaml")
+        code, _, _ = run(capsys, command[0], path, *command[1:])
+        assert code == EXIT_OK
+        assert len(grounded) == 1
+
     def test_instance_out_of_range_matches_generate(self, capsys, tmp_path):
         path = tmp_path / "two_patients.yaml"
         path.write_text(TWO_PATIENTS_SCENARIO)
@@ -406,6 +472,41 @@ class TestExport:
         code, out, _ = run(capsys, "export", "a", "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["metadata"]["n"] == 1
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [["a", "b", "c"], [str(SCENARIO_DIR / "medical.yaml")]],
+        ids=["literals", "scenario"],
+    )
+    def test_json_is_the_generate_report(self, capsys, inputs):
+        args = [*inputs, "--permutation", "3"]
+        code, exported, _ = run(capsys, "export", *args, "--format", "json")
+        assert code == EXIT_OK
+        _, generated, _ = run(capsys, "generate", *args)
+        assert strip_timestamp(exported) == strip_timestamp(generated)
+        assert all(t["trace_replayed"] for t in json.loads(exported)["theorems"])
+
+
+def test_cli_import_leaves_out_model_client_and_yaml():
+    # The span tracer patches contragen.explain and contragen.fol, so the
+    # CLI must import them; urllib and yaml load only when a command needs
+    # a model request or a scenario file.
+    import contragen
+
+    probe = (
+        "import sys, contragen.cli; "
+        "print(sorted(m for m in ('contragen.explain', 'contragen.fol', "
+        "'urllib.request', 'yaml') if m in sys.modules))"
+    )
+    src = str(Path(contragen.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert child.stdout == "['contragen.explain', 'contragen.fol']\n"
 
 
 class TestUsageErrors:

@@ -7,21 +7,24 @@ from contragen import (
     Clause,
     ClauseSet,
     ComplementaryPairError,
-    DuplicateSymbolError,
-    EmptyInputError,
-    Literal,
     Signature,
-    UnboundSymbolError,
-    ValidationError,
     canonicalize,
     evaluate_clause,
     evaluate_set,
     neg,
-    parse_literal,
     pos,
     validate_input,
 )
-from contragen.core import SchemaViolationError, require
+from contragen.core import (
+    DuplicateSymbolError,
+    EmptyInputError,
+    Literal,
+    SchemaViolationError,
+    UnboundSymbolError,
+    ValidationError,
+    parse_literal,
+    require,
+)
 
 symbols = st.sampled_from([f"x{i}" for i in range(1, 7)])
 literals = st.builds(Literal, symbols, st.booleans())

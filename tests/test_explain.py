@@ -3,29 +3,16 @@
 import pytest
 
 from contragen import (
-    ArityMismatchError,
-    DuplicateSymbolError,
-    HttpModelClient,
-    ModelClientError,
-    ModelRankingPolicy,
-    EmptyInputError,
-    ScenarioParseError,
-    SchemaViolationError,
     Signature,
-    StaticModelClient,
-    UncertifiedTheoremError,
     build_ftsc,
     check_theorem,
     derive_theorems,
     emit_tptp,
-    explain_via_model,
     load_scenario,
-    load_scenario_text,
-    permutation_by_rank,
     rank,
-    role_for_index,
     verbalize,
 )
+from contragen.core import DuplicateSymbolError, EmptyInputError, SchemaViolationError
 from contragen.explain import (
     PROVENANCE_MODEL,
     PROVENANCE_TEMPLATE,
@@ -35,8 +22,19 @@ from contragen.explain import (
     ROLE_INTERMEDIATE,
     ROLE_LOCAL,
     ROLE_TERMINAL,
+    ArityMismatchError,
+    HttpModelClient,
+    ModelClientError,
+    ModelRankingPolicy,
+    ScenarioParseError,
+    StaticModelClient,
+    UncertifiedTheoremError,
     build_model_request,
+    explain_via_model,
+    load_scenario_text,
+    role_for_index,
 )
+from contragen.generator import permutation_by_rank
 
 from conftest import TWO_PATIENTS_SCENARIO
 

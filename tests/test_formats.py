@@ -8,15 +8,9 @@ from hypothesis import given, settings, strategies as st
 from contragen import (
     Clause,
     ClauseSet,
-    DimacsParseError,
-    HeaderMismatchError,
-    Literal,
-    MissingScenarioMetadataError,
-    NonGroundClauseError,
     PredicateAtom,
     Report,
     Signature,
-    atom_literal,
     build_ftsc,
     build_report,
     check_theorem,
@@ -30,6 +24,14 @@ from contragen import (
     validate_input,
     var,
     verbalize,
+)
+from contragen.core import Literal
+from contragen.fol import atom_literal
+from contragen.formats import (
+    DimacsParseError,
+    HeaderMismatchError,
+    MissingScenarioMetadataError,
+    NonGroundClauseError,
 )
 
 from conftest import random_clause_set
@@ -136,8 +138,11 @@ class TestParseDimacs:
              "variable 1 already named on line 1"),
             ("c var 1 a\nc var 2 a\np cnf 2 1\n1 0\n", 2,
              "name 'a' already given on line 1"),
+            ("c var 2 v1\np cnf 2 1\n1 0\n", 1,
+             "name 'v1' is the default name of unnamed variable 1"),
         ],
-        ids=["index-above-count", "index-zero", "repeated-index", "repeated-name"],
+        ids=["index-above-count", "index-zero", "repeated-index", "repeated-name",
+             "default-name-taken"],
     )
     def test_bad_var_comment(self, text, line, message):
         with pytest.raises(DimacsParseError) as excinfo:

@@ -6,30 +6,30 @@ import math
 import pytest
 
 from contragen import (
-    CERT_UNCHECKED,
     Clause,
     ClauseSet,
     EnumerationCapExceededError,
-    OpCounter,
     build_ftsc,
-    build_proof_trace,
     closure_counts,
     derive_theorems,
     enumerate_ftscs,
     neg,
-    permutation_by_rank,
     pos,
     replay_trace,
-    total_literals,
     validate_input,
 )
 from contragen.generator import (
+    CERT_UNCHECKED,
     STEP_ASSUME,
     STEP_DISCHARGE,
     STEP_EMPTY,
     STEP_PROPAGATE,
     STEP_UNIT,
+    OpCounter,
+    build_proof_trace,
+    permutation_by_rank,
     recover_permutation,
+    total_literals,
 )
 
 from oracles import brute_force_entails, plain_clauses

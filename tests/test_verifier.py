@@ -8,18 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contragen import (
-    Literal,
-    CERT_FAILED,
-    CERT_VERIFIED,
     Clause,
     ClauseSet,
-    Ftsc,
-    ProofTrace,
     Signature,
-    Theorem,
-    TraceStep,
     build_ftsc,
-    build_proof_trace,
     check_mus,
     check_theorem,
     derive_theorems,
@@ -30,12 +22,20 @@ from contragen import (
     replay_trace,
     validate_input,
 )
+from contragen.core import Literal
 from contragen.generator import (
+    CERT_FAILED,
+    CERT_VERIFIED,
     STEP_ASSUME,
     STEP_DISCHARGE,
     STEP_EMPTY,
     STEP_PROPAGATE,
     STEP_UNIT,
+    Ftsc,
+    ProofTrace,
+    Theorem,
+    TraceStep,
+    build_proof_trace,
 )
 from contragen.verifier import DpllSolver
 
@@ -396,6 +396,13 @@ class TestCheckTheorem:
         tampered = replace(theorems[0], source=impostor)
         assert check_theorem(tampered).certified == CERT_FAILED
         assert sum(c is weak for c in solved) == 1
+
+    def test_short_source_fails_without_raising(self):
+        ftsc = chain(["a", "b"])
+        short = replace(ftsc, clause_set=ftsc.clause_set.without(2))
+        for theorem in derive_theorems(ftsc):
+            checked = check_theorem(replace(theorem, source=short))
+            assert checked.certified == CERT_FAILED
 
     def test_degenerate_removal_of_final_clause(self):
         theorem = derive_theorems(chain(["x1"]))[1]
