@@ -260,6 +260,22 @@ def _cmd_verify(args) -> int:
                     f"permutation {list(report.permutation)}"
                 )
                 ok = False
+        # The chain's trace over index i has n+2 steps, n for i = n+1, so
+        # the recorded counts are checked by arithmetic; a replay recorded
+        # as neither true nor null (not run) fails.
+        if ok:
+            bad = [
+                t.removed_index
+                for t in report.theorems
+                if t.trace_steps != (n if t.removed_index == n + 1 else n + 2)
+                or t.trace_replayed not in (True, None)
+            ]
+            if bad:
+                print(
+                    f"trace: theorems {bad} record a failed replay or a step "
+                    "count other than the chain trace's"
+                )
+                ok = False
     print("verification " + ("passed" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -282,14 +298,9 @@ def _cmd_explain(args) -> int:
     if not all(t.certified == CERT_VERIFIED for t in theorems):
         print("certification failed; refusing to explain", file=sys.stderr)
         return EXIT_VERIFICATION
-    client = None
-    if args.model_endpoint:
-        client = HttpModelClient(endpoint=args.model_endpoint)
-    use_model = client is not None or HttpModelClient().configured
-    if use_model:
-        explanations = [
-            explain_via_model(t, scenario, client=client) for t in theorems
-        ]
+    client = HttpModelClient(endpoint=args.model_endpoint)
+    if client.endpoint:
+        explanations = [explain_via_model(t, scenario, client) for t in theorems]
     else:
         explanations = [verbalize(t, scenario) for t in theorems]
     ranking = rank(explanations)

@@ -221,12 +221,12 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
         symbol = require(entry, "symbol", str, where)
         gloss = require(entry, "gloss", str, where)
         args = tuple(require(entry, "args", list, where, str, default=()))
-        arity = entry.get("arity", len(args))
+        arity = require(entry, "arity", int, where, default=len(args))
         if arity != len(args):
             raise SchemaViolationError(
                 f"{where}: arity {arity} disagrees with {len(args)} args"
             )
-        variables = frozenset(entry.get("variables") or ())
+        variables = frozenset(require(entry, "variables", list, where, str, default=()))
         unknown = variables - set(args)
         if unknown:
             raise SchemaViolationError(
@@ -236,7 +236,8 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
 
     grounding_raw = require(doc, "grounding", dict, source_name, default={})
     grounding = tuple(
-        (str(k), tuple(str(c) for c in v)) for k, v in grounding_raw.items()
+        (str(k), tuple(str(c) for c in require(grounding_raw, k, list, source_name)))
+        for k in grounding_raw
     )
 
     n = len(atoms)
@@ -247,7 +248,8 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
     )
 
     remediations = []
-    for pos_i, entry in enumerate(doc.get("remediations") or [], start=1):
+    raw_remediations = require(doc, "remediations", list, source_name, default=())
+    for pos_i, entry in enumerate(raw_remediations, start=1):
         where = f"{source_name}: remediations[{pos_i}]"
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"{where}: each remediation must be a mapping")
@@ -255,7 +257,7 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
         text = require(entry, "text", str, where)
         if not text.strip():
             raise SchemaViolationError(f"{where}: text must be nonempty")
-        formal = entry.get("formal")
+        formal = require(entry, "formal", str, where, default=None)
         remediations.append(RemediationRule(index, text, formal))
 
     priorities_raw = require(doc, "priorities", dict, source_name, default={})
@@ -447,6 +449,9 @@ def verbalize(theorem: Theorem, scenario: Scenario) -> Explanation:
 
 _PRIORITY_SCORES = {"High": 0.9, "Medium": 0.6, "Low": 0.3}
 
+_HIGH_THRESHOLD = 0.75
+_MEDIUM_THRESHOLD = 0.45
+
 
 @dataclass(frozen=True)
 class RankedEntry:
@@ -461,100 +466,56 @@ class RankedReport:
     policy: str
 
 
-class DefaultRankingPolicy:
-    """Deterministic scoring from declared priorities.
+def rank(explanations: Sequence[Explanation]) -> RankedReport:
+    """Score explanations and order them by score, descending.
 
-    Declared priorities are authoritative and map straight to scores
-    (High 0.9, Medium 0.6, Low 0.3). Within a (scenario, permutation)
-    group that declares at least one priority, undeclared entries rate
-    Low so the declarations keep their discriminating power. Only when a
-    group declares nothing does the fallback heuristic apply: the joint
-    consistency clause rates Medium, the earliest conditional clause
-    rates High, and everything else rates Low. The heuristic is a
-    configuration of this artifact, not a reproduction of any particular
-    scoring scheme.
-    """
+    A model score is used clamped to [0, 1], rating High from 0.75 and
+    Medium from 0.45. Without one, declared priorities map to scores (High
+    0.9, Medium 0.6, Low 0.3); undeclared entries rate Low in a (scenario,
+    permutation) group that declares any priority, so the declarations
+    keep their discriminating power. Only a group that declares nothing
+    gets the fallback heuristic: the joint consistency clause rates
+    Medium, the earliest conditional clause High, everything else Low. The
+    heuristic is a configuration of this artifact, not a reproduction of
+    any particular scoring scheme. The policy is "external-model" when any
+    explanation has a model score, else "default".
 
-    name = "default"
-
-    def evaluate(self, explanations: Sequence[Explanation]) -> list[tuple[str, float]]:
-        GroupKey = tuple[str, tuple[str, ...]]
-        declared_groups: set[GroupKey] = set()
-        earliest: dict[GroupKey, int] = {}
-        for e in explanations:
-            key = (e.scenario, e.permutation)
-            if e.declared_priority is not None:
-                declared_groups.add(key)
-            elif 2 <= e.removed_index <= e.n:
-                if key not in earliest or e.removed_index < earliest[key]:
-                    earliest[key] = e.removed_index
-        results = []
-        for e in explanations:
-            key = (e.scenario, e.permutation)
-            if e.declared_priority is not None:
-                priority = e.declared_priority
-            elif key in declared_groups:
-                priority = "Low"
-            elif e.removed_index == e.n + 1:
-                priority = "Medium"
-            elif earliest.get(key) == e.removed_index:
-                priority = "High"
-            else:
-                priority = "Low"
-            results.append((priority, _PRIORITY_SCORES[priority]))
-        return results
-
-
-class ModelRankingPolicy:
-    """Scores from an external model where available, clamped to [0, 1].
-
-    Entries with no model score fall back to the default policy. Priority
-    labels derive from score thresholds so the label ordering always
-    agrees with the numeric ordering.
-    """
-
-    name = "external-model"
-
-    def __init__(self, high_threshold: float = 0.75, medium_threshold: float = 0.45):
-        self.high_threshold = high_threshold
-        self.medium_threshold = medium_threshold
-
-    def evaluate(self, explanations: Sequence[Explanation]) -> list[tuple[str, float]]:
-        fallback = DefaultRankingPolicy().evaluate(explanations)
-        results = []
-        for e, (fb_priority, fb_score) in zip(explanations, fallback):
-            if e.model_score is None:
-                results.append((fb_priority, fb_score))
-                continue
-            score = min(1.0, max(0.0, float(e.model_score)))
-            if score >= self.high_threshold:
-                priority = "High"
-            elif score >= self.medium_threshold:
-                priority = "Medium"
-            else:
-                priority = "Low"
-            results.append((priority, score))
-        return results
-
-
-def rank(
-    explanations: Sequence[Explanation], policy=None
-) -> RankedReport:
-    """Order explanations by score, descending.
-
-    Deterministic and input-order independent: ties break by scenario name
-    and then by removed index ascending. Raises EmptyInputError on an
-    empty list.
+    Deterministic and input-order independent: ties break by scenario
+    name and then by removed index ascending. Raises EmptyInputError on
+    an empty list.
     """
     if not explanations:
         raise EmptyInputError("nothing to rank")
-    if policy is None:
-        policy = DefaultRankingPolicy()
-    assessed = policy.evaluate(explanations)
-    entries = [
-        RankedEntry(e, priority, score)
-        for e, (priority, score) in zip(explanations, assessed)
-    ]
+    GroupKey = tuple[str, tuple[str, ...]]
+    declared_groups: set[GroupKey] = set()
+    earliest: dict[GroupKey, int] = {}
+    for e in explanations:
+        key = (e.scenario, e.permutation)
+        if e.declared_priority is not None:
+            declared_groups.add(key)
+        elif 2 <= e.removed_index <= e.n:
+            if key not in earliest or e.removed_index < earliest[key]:
+                earliest[key] = e.removed_index
+    entries = []
+    for e in explanations:
+        key = (e.scenario, e.permutation)
+        if e.declared_priority is not None:
+            priority = e.declared_priority
+        elif key in declared_groups:
+            priority = "Low"
+        elif e.removed_index == e.n + 1:
+            priority = "Medium"
+        elif earliest.get(key) == e.removed_index:
+            priority = "High"
+        else:
+            priority = "Low"
+        score = _PRIORITY_SCORES[priority]
+        if e.model_score is not None:
+            score = min(1.0, max(0.0, float(e.model_score)))
+            priority = "High" if score >= _HIGH_THRESHOLD else (
+                "Medium" if score >= _MEDIUM_THRESHOLD else "Low"
+            )
+        entries.append(RankedEntry(e, priority, score))
     entries.sort(
         key=lambda entry: (
             -entry.score,
@@ -562,7 +523,8 @@ def rank(
             entry.explanation.removed_index,
         )
     )
-    return RankedReport(tuple(entries), policy.name)
+    scored = any(e.model_score is not None for e in explanations)
+    return RankedReport(tuple(entries), PROVENANCE_MODEL if scored else "default")
 
 
 # --- External model client ---------------------------------------------
@@ -618,8 +580,9 @@ class HttpModelClient:
     """Minimal JSON-over-HTTP client.
 
     Endpoint and key come from the constructor or from the
-    CONTRAGEN_MODEL_ENDPOINT / CONTRAGEN_MODEL_KEY environment variables.
-    Any transport or decoding problem raises ModelClientError.
+    CONTRAGEN_MODEL_ENDPOINT / CONTRAGEN_MODEL_KEY environment variables;
+    a model is in use exactly when ``endpoint`` is set. A missing endpoint
+    and any transport or decoding problem raise ModelClientError.
     """
 
     def __init__(
@@ -631,10 +594,6 @@ class HttpModelClient:
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
         self.api_key = api_key or os.environ.get(API_KEY_ENV)
         self.timeout = timeout
-
-    @property
-    def configured(self) -> bool:
-        return bool(self.endpoint)
 
     def complete(self, request: dict) -> dict:
         if not self.endpoint:
@@ -674,26 +633,20 @@ def _validate_model_response(response: dict) -> tuple[str, Optional[str], float]
     return narrative, remediation, float(score)
 
 
-def explain_via_model(
-    theorem: Theorem, scenario: Scenario, client=None
-) -> Explanation:
+def explain_via_model(theorem: Theorem, scenario: Scenario, client=None) -> Explanation:
     """Explain through the external model, degrading safely to templates.
 
-    The request carries the clause set, the removed index, and a versioned
-    trace summary; the response must supply {narrative, remediation,
-    score}. On any client failure the template explanation is returned
-    with a warning recorded, so this function never raises for transport
-    or schema problems. The theorem must still be certified.
+    ``client`` defaults to an ``HttpModelClient`` configured from the
+    environment. The request carries the clause set, the removed index,
+    and a versioned trace summary; the response must supply {narrative,
+    remediation, score}. On any client failure, a missing endpoint
+    included, the template explanation is returned with a warning
+    recorded, so this function never raises for transport or schema
+    problems. The theorem must still be certified.
     """
     template = verbalize(theorem, scenario)
     if client is None:
         client = HttpModelClient()
-    if isinstance(client, HttpModelClient) and not client.configured:
-        return replace(
-            template,
-            warnings=template.warnings
-            + ("no model endpoint configured; template output used",),
-        )
     try:
         response = client.complete(build_model_request(theorem, scenario))
         narrative, remediation, score = _validate_model_response(response)

@@ -143,10 +143,6 @@ class Theorem:
     certified: str = CERT_UNCHECKED
 
     @property
-    def premises(self) -> ClauseSet:
-        return self.source.premises_without(self.removed_index)
-
-    @property
     def removed_clause(self) -> Clause:
         return self.source.clause(self.removed_index)
 

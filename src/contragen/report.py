@@ -11,7 +11,7 @@ comparisons. See docs/report_schema.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -29,6 +29,11 @@ from .generator import CERT_UNCHECKED, Ftsc, Theorem
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "contragen"
+
+
+def _fields_of(record) -> dict:
+    """A dataclass's fields by name, shallow: no copy as ``asdict`` makes."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -70,31 +75,10 @@ class Report:
                 {"symbol": s, "arity": a} for s, a in self.signature
             ],
             "clauses": [list(c) for c in self.clauses],
-            "theorems": [
-                {
-                    "removed_index": t.removed_index,
-                    "conclusion": list(t.conclusion),
-                    "certified": t.certified,
-                    "trace_steps": t.trace_steps,
-                    "trace_replayed": t.trace_replayed,
-                }
-                for t in self.theorems
-            ],
-            "explanations": [
-                {
-                    "scenario": e.scenario,
-                    "permutation": list(e.permutation),
-                    "removed_index": e.removed_index,
-                    "role_label": e.role_label,
-                    "narrative": e.narrative,
-                    "remediation": e.remediation,
-                    "provenance": e.provenance,
-                    "declared_priority": e.declared_priority,
-                    "model_score": e.model_score,
-                    "warnings": list(e.warnings),
-                }
-                for e in self.explanations
-            ],
+            # Records are written field by field in declaration order, so
+            # a dataclass field is a report key; json writes tuples as lists.
+            "theorems": [_fields_of(t) for t in self.theorems],
+            "explanations": [_fields_of(e) for e in self.explanations],
             "ranking": None,
         }
         if self.ranking is not None:

@@ -236,6 +236,39 @@ class TestVerify:
         ]
         assert all(not line.endswith(": failed") for line in lines)
 
+    @pytest.mark.parametrize(
+        "position, field, value",
+        [(1, "trace_replayed", False), (2, "trace_steps", 999)],
+        ids=["replay-false", "steps-999"],
+    )
+    def test_trace_fields_checked(self, capsys, tmp_path, position, field, value):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+        data = json.loads(target.read_text())
+        data["theorems"][position][field] = value
+        target.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines()[-2:] == [
+            f"trace: theorems [{position + 1}] record a failed replay or a step "
+            "count other than the chain trace's",
+            "verification FAILED",
+        ]
+
+    def test_unreplayed_trace_passes(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        data = json.loads(target.read_text())
+        for theorem in data["theorems"]:
+            theorem["trace_replayed"] = None
+        target.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+
     def test_each_set_decided_once_per_command(self, capsys, tmp_path, monkeypatch):
         import contragen.verifier as verifier
 
@@ -431,6 +464,72 @@ class TestExplain:
         report = json.loads(out)
         assert all(e["provenance"] == "template" for e in report["explanations"])
         assert all(e["warnings"] for e in report["explanations"])
+        assert report["ranking"]["policy"] == "default"
+
+    def test_model_endpoint_ranks_by_served_scores(
+        self, capsys, scenario_dir, monkeypatch
+    ):
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+        from threading import Thread
+
+        for proxy in ("http_proxy", "HTTP_PROXY"):  # the server is on loopback
+            monkeypatch.delenv(proxy, raising=False)
+        scores = {1: 0.1, 2: 0.95, 3: 0.5, 4: 0.3, 5: 0.8}
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                request = json.loads(self.rfile.read(length))
+                body = json.dumps(
+                    {"narrative": "served", "score": scores[request["removed_index"]]}
+                ).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
+            code, out, _ = run(
+                capsys, "explain", str(scenario_dir / "medical.yaml"),
+                "--model-endpoint", endpoint,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert all(e["provenance"] == "external-model" for e in report["explanations"])
+        assert all(e["narrative"] == "served" for e in report["explanations"])
+        assert report["ranking"]["policy"] == "external-model"
+        entries = report["ranking"]["entries"]
+        assert [e["removed_index"] for e in entries] == [2, 5, 3, 4, 1]
+        assert [e["score"] for e in entries] == [0.95, 0.8, 0.5, 0.3, 0.1]
+        assert [e["priority"] for e in entries] == [
+            "High", "High", "Medium", "Low", "Low",
+        ]
+
+    def test_record_key_order(self, capsys, scenario_dir):
+        # Report records are written from their dataclass fields; a
+        # reordered field would silently change report bytes.
+        code, out, _ = run(capsys, "explain", str(scenario_dir / "medical.yaml"))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert list(report["theorems"][0]) == [
+            "removed_index", "conclusion", "certified", "trace_steps", "trace_replayed",
+        ]
+        assert list(report["explanations"][0]) == [
+            "scenario", "permutation", "removed_index", "role_label", "narrative",
+            "remediation", "provenance", "declared_priority", "model_score", "warnings",
+        ]
 
 
 class TestExport:

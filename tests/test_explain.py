@@ -25,7 +25,6 @@ from contragen.explain import (
     ArityMismatchError,
     HttpModelClient,
     ModelClientError,
-    ModelRankingPolicy,
     ScenarioParseError,
     StaticModelClient,
     UncertifiedTheoremError,
@@ -139,6 +138,33 @@ atoms:
             return
         with pytest.raises(SchemaViolationError, match=message):
             load_scenario_text(text)
+
+    @pytest.mark.parametrize(
+        "atom, extra, message",
+        [
+            ("", "remediations: 5\n", "field 'remediations' must be list, got int"),
+            (", variables: 5", "", "field 'variables' must be list, got int"),
+            (", variables: pq", "", "field 'variables' must be list, got str"),
+            (", arity: true", "", "field 'arity' must be int, got bool"),
+            (
+                "",
+                "remediations:\n  - {index: 1, text: fix, formal: [1, 2]}\n",
+                "field 'formal' must be str, got list",
+            ),
+            ("", "grounding: {p: 5}\n", "field 'p' must be list, got int"),
+            ("", "grounding: {p: ab}\n", "field 'p' must be list, got str"),
+        ],
+        ids=["remediations-int", "variables-int", "variables-str", "arity-bool",
+             "formal-list", "grounding-int", "grounding-str"],
+    )
+    def test_mistyped_fields_rejected(self, atom, extra, message):
+        text = (
+            "name: bad\ndomain: Test\natoms:\n"
+            f"  - {{symbol: A, args: [p, q], gloss: g{atom}}}\n" + extra
+        )
+        with pytest.raises(SchemaViolationError, match=message) as info:
+            load_scenario_text(text)
+        assert "\n" not in str(info.value)
 
     def test_atom_args_must_be_strings(self):
         text = """
@@ -307,7 +333,7 @@ class TestRank:
             dc_replace(explanations[0], model_score=7.5),
             dc_replace(explanations[1], model_score=-0.2),
         ]
-        report = rank(boosted, policy=ModelRankingPolicy())
+        report = rank(boosted)
         assert report.entries[0].score == 1.0
         assert report.entries[1].score == 0.0
         assert report.entries[0].priority == "High"
