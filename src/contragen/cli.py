@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
 
     def add_input_options(p, with_permutation=True):
         p.add_argument("inputs", nargs="*", help="literal symbols, or a scenario file path")
-        p.add_argument("--scenario", help="scenario YAML file")
         p.add_argument("--instance", type=int, default=0,
                        help="ground instance index for multi-instance scenarios (default 0)")
         if with_permutation:
@@ -115,18 +114,15 @@ def _build_parser() -> _Parser:
 
 
 def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
-    scenario = None
+    # ``explain`` takes a scenario path; the others take literals or one path.
     scenario_path = getattr(args, "scenario", None)
-    inputs = list(getattr(args, "inputs", []) or [])
-    if scenario_path is None and len(inputs) == 1 and Path(inputs[0]).is_file():
+    inputs = getattr(args, "inputs", [])
+    if len(inputs) == 1 and Path(inputs[0]).is_file():
         scenario_path = inputs[0]
-        inputs = []
     if scenario_path is not None:
-        if inputs:
-            raise ValidationError("give literals or a scenario file, not both")
         scenario = load_scenario(scenario_path)
         signatures = scenario.signatures()
-        instance = getattr(args, "instance", 0)
+        instance = args.instance
         if not 0 <= instance < len(signatures):
             raise ValidationError(
                 f"instance {instance} out of range; scenario grounds to "

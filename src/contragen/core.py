@@ -9,14 +9,14 @@ for the verifier's hot loops. All types are immutable values: once built
 they can be shared freely between workers.
 
 Ground first-order atoms are handled as opaque propositional symbols of
-the shape ``Name(c1,c2)``; the arity of such a symbol is inferred from its
-argument list so that parsing and construction agree everywhere.
+the shape ``Name(c1,c2)``; ``split_symbol`` is the one reader of that
+shape, so a symbol's arity and its export agree everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 #: Truth assignment: maps symbol names to booleans. Partial during search,
 #: total (covering the whole signature) during truth-table enumeration.
@@ -126,12 +126,15 @@ def parse_literal(text: str) -> Literal:
     return Literal(text, negated)
 
 
-def _inferred_arity(symbol: str) -> int:
-    # "Name(a,b)" -> 2, "Name" -> 0. Commas never occur in term names.
+def split_symbol(symbol: str) -> tuple[str, tuple[str, ...]]:
+    """``"Name(a,b)"`` -> ``("Name", ("a", "b"))``; ``"Name"`` -> ``("Name", ())``.
+
+    Empty arguments are dropped. Term names never hold ``(``, ``)`` or ``,``.
+    """
     if symbol.endswith(")") and "(" in symbol:
-        inner = symbol[symbol.index("(") + 1 : -1]
-        return inner.count(",") + 1 if inner else 0
-    return 0
+        head, _, inner = symbol[:-1].partition("(")
+        return head, tuple(a for a in inner.split(",") if a)
+    return symbol, ()
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ class Signature:
     def __post_init__(self):
         if not self.arities:
             object.__setattr__(
-                self, "arities", tuple(_inferred_arity(s) for s in self.symbols)
+                self, "arities", tuple(len(split_symbol(s)[1]) for s in self.symbols)
             )
         if len(self.arities) != len(self.symbols):
             raise ValueError("arities must align one-to-one with symbols")
@@ -182,9 +185,7 @@ class Signature:
         )
 
 
-def validate_input(
-    literals: Sequence[Literal], arities: Optional[Sequence[int]] = None
-) -> Signature:
+def validate_input(literals: Sequence[Literal]) -> Signature:
     """Check the two admission constraints and build the signature.
 
     The constraints: no symbol occurs in both polarities (non-complementarity)
@@ -209,10 +210,7 @@ def validate_input(
                 raise ComplementaryPairError(lit.symbol)
             raise DuplicateSymbolError(lit.symbol)
         seen[lit.symbol] = lit.negated
-    return Signature(
-        tuple(lit.symbol for lit in literals),
-        tuple(arities) if arities is not None else (),
-    )
+    return Signature(tuple(lit.symbol for lit in literals))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
     EmptyInputError,
@@ -91,17 +91,12 @@ class ModelClientError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioAtom:
-    symbol: str
-    arity: int
-    args: tuple[str, ...]
-    variables: frozenset[str]
+    predicate: PredicateAtom
     gloss: str
 
-    def predicate(self) -> PredicateAtom:
-        terms = tuple(
-            var(a) if a in self.variables else const(a) for a in self.args
-        )
-        return PredicateAtom(self.symbol, terms)
+    @property
+    def symbol(self) -> str:
+        return self.predicate.name
 
 
 @dataclass(frozen=True)
@@ -130,11 +125,10 @@ class Scenario:
     priorities: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        arities = [a.arity for a in self.atoms]
         instances = ground_atoms(
-            [a.predicate() for a in self.atoms], GroundingDomain(self.grounding)
+            [a.predicate for a in self.atoms], GroundingDomain(self.grounding)
         )
-        signatures = tuple(validate_input(lits, arities=arities) for lits in instances)
+        signatures = tuple(validate_input(lits) for lits in instances)
         object.__setattr__(self, "_signatures", signatures)
 
     @property
@@ -232,7 +226,8 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
             raise SchemaViolationError(
                 f"{where}: variables {sorted(unknown)} do not appear in args"
             )
-        atoms.append(ScenarioAtom(symbol, arity, args, variables, gloss))
+        terms = tuple(var(a) if a in variables else const(a) for a in args)
+        atoms.append(ScenarioAtom(PredicateAtom(symbol, terms), gloss))
 
     grounding_raw = require(doc, "grounding", dict, source_name, default={})
     grounding = tuple(
@@ -243,8 +238,11 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
     n = len(atoms)
     rule_texts_raw = require(doc, "rule_texts", dict, source_name, default={})
     rule_texts = tuple(
-        (_parse_index(k, n, f"{source_name}: rule_texts"), str(v))
-        for k, v in rule_texts_raw.items()
+        (
+            _parse_index(k, n, f"{source_name}: rule_texts"),
+            require(rule_texts_raw, k, str, f"{source_name}: rule_texts"),
+        )
+        for k in rule_texts_raw
     )
 
     remediations = []
@@ -295,11 +293,9 @@ def load_scenario_text(text: str, source_name: str = "<scenario>") -> Scenario:
     return _scenario_from_document(doc, source_name)
 
 
-def load_scenario(source: Union[str, Path, IO[str]]) -> Scenario:
-    """Load and validate a scenario from a YAML file path or open file."""
-    if hasattr(source, "read"):
-        return load_scenario_text(source.read(), getattr(source, "name", "<scenario>"))
-    path = Path(source)
+def load_scenario(path: Union[str, Path]) -> Scenario:
+    """Load and validate a scenario from a YAML file."""
+    path = Path(path)
     return load_scenario_text(path.read_text(encoding="utf-8"), str(path))
 
 
@@ -579,20 +575,16 @@ class StaticModelClient:
 class HttpModelClient:
     """Minimal JSON-over-HTTP client.
 
-    Endpoint and key come from the constructor or from the
-    CONTRAGEN_MODEL_ENDPOINT / CONTRAGEN_MODEL_KEY environment variables;
-    a model is in use exactly when ``endpoint`` is set. A missing endpoint
-    and any transport or decoding problem raise ModelClientError.
+    The endpoint comes from the constructor or from the
+    CONTRAGEN_MODEL_ENDPOINT environment variable, the key from
+    CONTRAGEN_MODEL_KEY only; a model is in use exactly when ``endpoint``
+    is set. A missing endpoint and any transport or decoding problem raise
+    ModelClientError.
     """
 
-    def __init__(
-        self,
-        endpoint: Optional[str] = None,
-        api_key: Optional[str] = None,
-        timeout: float = 10.0,
-    ):
+    def __init__(self, endpoint: Optional[str] = None, timeout: float = 10.0):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
-        self.api_key = api_key or os.environ.get(API_KEY_ENV)
+        self.api_key = os.environ.get(API_KEY_ENV)
         self.timeout = timeout
 
     def complete(self, request: dict) -> dict:

@@ -8,16 +8,19 @@ list), and there is no unification and no function symbols.
 
 A variable that is still unsubstituted renders with a ``?`` sigil
 (``Name(?p)``); ground symbols never contain ``?``, which is how the
-export layer tells the two apart.
+export layer tells the two apart. So that every symbol reads back as the
+atom it renders, a term or predicate name is nonempty and holds none of
+``(``, ``)``, ``,``, ``?`` or whitespace.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import EmptyInputError, Literal, validate_input
+from .core import EmptyInputError, Literal, ValidationError, validate_input
 from .generator import Ftsc, build_ftsc
 
 VARIABLE = "variable"
@@ -36,6 +39,17 @@ class EmptyDomainError(ValueError):
         self.name = name
 
 
+_RESERVED = re.compile(r"[(),?\s]")
+
+
+def _check_name(name: str, what: str) -> None:
+    if not name or _RESERVED.search(name):
+        raise ValidationError(
+            f"{what} name {name!r} must be nonempty and hold no '(', ')', ',', "
+            "'?' or whitespace"
+        )
+
+
 @dataclass(frozen=True)
 class Term:
     name: str
@@ -44,6 +58,7 @@ class Term:
     def __post_init__(self):
         if self.kind not in (VARIABLE, CONSTANT):
             raise ValueError(f"unknown term kind: {self.kind!r}")
+        _check_name(self.name, "term")
 
     @property
     def is_variable(self) -> bool:
@@ -67,6 +82,9 @@ class PredicateAtom:
 
     name: str
     args: tuple[Term, ...] = ()
+
+    def __post_init__(self):
+        _check_name(self.name, "predicate")
 
     @property
     def arity(self) -> int:
@@ -175,6 +193,5 @@ def build_fol_ftsc(
     """
     results = []
     for literals in ground_atoms(atoms, domain):
-        signature = validate_input(literals, arities=[a.arity for a in atoms])
-        results.append(build_ftsc(signature))
+        results.append(build_ftsc(validate_input(literals)))
     return results

@@ -25,7 +25,15 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .core import Clause, ClauseSet, Literal, Signature, ValidationError, validate_input
+from .core import (
+    Clause,
+    ClauseSet,
+    Literal,
+    Signature,
+    ValidationError,
+    split_symbol,
+    validate_input,
+)
 from .generator import Ftsc, Theorem
 
 
@@ -76,7 +84,9 @@ def parse_dimacs(text: str) -> ClauseSet:
     """Parse DIMACS CNF text back into a clause set.
 
     Symbol names are recovered from ``c var`` comments when present;
-    variables without one get a synthetic ``v<i>`` name. Raises
+    variables without one get a synthetic ``v<i>`` name. The signature
+    holds, in index order, the variables that occur in a clause or are
+    named; the header's count is only their upper bound. Raises
     HeaderMismatchError for a missing or malformed header or when the
     declared clause count disagrees with the body, and DimacsParseError
     (with the line number) for unreadable tokens, out-of-range variables,
@@ -163,19 +173,21 @@ def parse_dimacs(text: str) -> ClauseSet:
             f"header declares {num_clauses} clauses, body has {len(clauses)}"
         )
 
-    for i in range(1, num_vars + 1):
+    # Only variables that occur or are named enter the signature: the
+    # header's count is an upper bound, never an allocation size.
+    used = sorted(set(names).union(abs(v) for ints in clauses for v in ints))
+    for i in used:
         if i not in names and f"v{i}" in name_line:
             raise DimacsParseError(
                 f"name 'v{i}' is the default name of unnamed variable {i}",
                 name_line[f"v{i}"],
             )
-    symbols = tuple(names.get(i, f"v{i}") for i in range(1, num_vars + 1))
-    signature = Signature(symbols)
+    symbols = {i: names.get(i, f"v{i}") for i in used}
     built = [
-        Clause(tuple(Literal(symbols[abs(v) - 1], v < 0) for v in ints))
+        Clause(tuple(Literal(symbols[abs(v)], v < 0) for v in ints))
         for ints in clauses
     ]
-    return ClauseSet.build(built, signature)
+    return ClauseSet.build(built, Signature(tuple(symbols.values())))
 
 
 # --- TPTP ---------------------------------------------------------------
@@ -197,37 +209,12 @@ def _tptp_token(name: str, upper_first: bool) -> str:
     return cleaned
 
 
-def _split_ground_symbol(symbol: str) -> tuple[str, tuple[str, ...]]:
-    if symbol.endswith(")") and "(" in symbol:
-        head, _, inner = symbol[:-1].partition("(")
-        args = tuple(a for a in inner.split(",") if a)
-        return head, args
-    return symbol, ()
-
-
-def _tptp_atom_ground(symbol: str) -> str:
-    head, args = _split_ground_symbol(symbol)
-    functor = _tptp_token(head, upper_first=False)
+def _tptp_atom(name: str, args: Sequence[tuple[str, bool]]) -> str:
+    # ``args`` pairs each argument name with "is a variable" (uppercase).
+    functor = _tptp_token(name, upper_first=False)
     if not args:
         return functor
-    rendered = ",".join(_tptp_token(a, upper_first=False) for a in args)
-    return f"{functor}({rendered})"
-
-
-def _tptp_literal_ground(lit: Literal) -> str:
-    atom = _tptp_atom_ground(lit.symbol)
-    return f"~{atom}" if lit.negated else atom
-
-
-def _tptp_atom_scenario(atom) -> str:
-    # ScenarioAtom: variables render uppercase, constants lowercase.
-    functor = _tptp_token(atom.symbol, upper_first=False)
-    if not atom.args:
-        return functor
-    rendered = ",".join(
-        _tptp_token(a, upper_first=(a in atom.variables)) for a in atom.args
-    )
-    return f"{functor}({rendered})"
+    return f"{functor}({','.join(_tptp_token(a, upper) for a, upper in args)})"
 
 
 def emit_tptp(
@@ -244,39 +231,32 @@ def emit_tptp(
     if mode not in ("cnf", "fof"):
         raise ValueError(f"unknown TPTP mode: {mode!r}")
     lines = [f"% dependency clauses: {ftsc.n + 1}, theorems: {len(theorems)}"]
-
+    # symbol -> (TPTP atom, variables it quantifies over)
+    atoms: dict[str, tuple[str, tuple[str, ...]]] = {}
     if mode == "cnf":
         _check_ground(ftsc.clause_set)
-        for t, clause in enumerate(ftsc.clause_set.clauses, start=1):
-            body = " | ".join(_tptp_literal_ground(l) for l in clause.literals)
-            lines.append(f"cnf(dependency_{t}, axiom, ({body})).")
-        for theorem in theorems:
-            body = " & ".join(
-                _tptp_literal_ground(l) for l in theorem.conclusion
+        for symbol in ftsc.signature.symbols:
+            head, args = split_symbol(symbol)
+            atoms[symbol] = (_tptp_atom(head, [(a, False) for a in args]), ())
+    else:
+        # fof: each clause is rebuilt over the scenario's atom declarations.
+        if scenario is None:
+            raise MissingScenarioMetadataError("fof mode requires a scenario")
+        if scenario.n != ftsc.n:
+            raise MissingScenarioMetadataError(
+                f"scenario declares {scenario.n} atoms, construction has {ftsc.n}"
             )
-            lines.append(
-                f"fof(entailment_{theorem.removed_index}, conjecture, ({body}))."
-            )
-        return "\n".join(lines) + "\n"
-
-    # fof mode: rebuild each clause over the scenario's atom declarations.
-    if scenario is None:
-        raise MissingScenarioMetadataError("fof mode requires a scenario")
-    if scenario.n != ftsc.n:
-        raise MissingScenarioMetadataError(
-            f"scenario declares {scenario.n} atoms, construction has {ftsc.n}"
-        )
-    symbol_to_atom = scenario.atoms_for(ftsc.signature)
+        for symbol, atom in scenario.atoms_for(ftsc.signature).items():
+            p = atom.predicate
+            args = [(t.name, t.is_variable) for t in p.args]
+            atoms[symbol] = (_tptp_atom(p.name, args), p.variables())
 
     def render_clause(lits, joiner: str) -> str:
         rendered = []
         variables: list[str] = []
         for lit in lits:
-            atom = symbol_to_atom[lit.symbol]
-            for a in atom.args:
-                if a in atom.variables and a not in variables:
-                    variables.append(a)
-            text = _tptp_atom_scenario(atom)
+            text, names = atoms[lit.symbol]
+            variables += [v for v in names if v not in variables]
             rendered.append(f"~{text}" if lit.negated else text)
         body = f" {joiner} ".join(rendered)
         if variables:
@@ -285,7 +265,7 @@ def emit_tptp(
         return f"({body})"
 
     for t, clause in enumerate(ftsc.clause_set.clauses, start=1):
-        lines.append(f"fof(dependency_{t}, axiom, {render_clause(clause.literals, '|')}).")
+        lines.append(f"{mode}(dependency_{t}, axiom, {render_clause(clause.literals, '|')}).")
     for theorem in theorems:
         lines.append(
             f"fof(entailment_{theorem.removed_index}, conjecture, "

@@ -4,9 +4,10 @@ Nothing in this module trusts generator metadata; every verdict is
 recomputed from the clause lists. Satisfiability is decided two ways:
 
   * an exhaustive truth table, bit-packed so each of the 2^n assignments
-    is one bit of a big integer and each clause contributes its violated
-    subcube with a handful of shifts; ``is_satisfiable`` and ``check_mus``
-    choose it for signatures up to TRUTH_TABLE_MAX_VARS symbols;
+    is one bit of a big integer; a clause is violated where every literal
+    is false, the AND of one cached bit pattern (or its complement) per
+    literal; ``is_satisfiable`` and ``check_mus`` choose it for signatures
+    up to TRUTH_TABLE_MAX_VARS symbols;
   * a deterministic, iterative DPLL search (``DpllSolver``): counter-based
     unit propagation over the integer encoding, in time linear in the
     occurrences it touches, and chronological backtracking that branches
@@ -106,39 +107,23 @@ def _bit_pattern(n: int, j: int) -> int:
 
 def _truth_table(clause_set: ClauseSet) -> SatResult:
     n = clause_set.signature.size
-    space = 1 << n
-    full = (1 << space) - 1
+    full = (1 << (1 << n)) - 1
+    patterns = [_bit_pattern(n, j) for j in range(n)]
+    # Where each literal is false, indexed by the literal (``-v`` from the end).
+    false_at = [full] + [full ^ p for p in patterns] + patterns[::-1]
     violated = 0
     for ints in clause_set.int_clauses():
-        pos_mask = 0
-        neg_mask = 0
+        # A clause is violated exactly where all of its literals are false.
+        block = full
         for lit in ints:
-            if lit > 0:
-                pos_mask |= 1 << (lit - 1)
-            else:
-                neg_mask |= 1 << (-lit - 1)
-        if pos_mask & neg_mask:
-            continue  # a tautology is violated nowhere
-        # Assignments violating the clause: all positive symbols false,
-        # all negative symbols true; the rest free.
-        block = 1 << neg_mask
-        free = ((1 << n) - 1) & ~(pos_mask | neg_mask)
-        j = 0
-        while free:
-            if free & 1:
-                block |= block << (1 << j)
-            free >>= 1
-            j += 1
+            block &= false_at[lit]
         violated |= block
         if violated == full:
             return SatResult(False, None, METHOD_TRUTH_TABLE)
-    if violated == full:
-        return SatResult(False, None, METHOD_TRUTH_TABLE)
     alive = full & ~violated
     # Preferred model: decide symbols in signature order, trying true first.
     chosen = 0
-    for j in range(n):
-        pattern = _bit_pattern(n, j)
+    for j, pattern in enumerate(patterns):
         if alive & pattern:
             alive &= pattern
             chosen |= 1 << j

@@ -421,7 +421,7 @@ class TestExplain:
         path.write_text(TWO_PATIENTS_SCENARIO)
         explain = run(capsys, "explain", str(path), "--instance", "9")
         generate = run(
-            capsys, "generate", "--scenario", str(path), "--instance", "9"
+            capsys, "generate", str(path), "--instance", "9"
         )
         assert explain == generate
         code, out, err = explain
@@ -446,7 +446,7 @@ class TestExplain:
             report["explanations"][0]["narrative"]
         )
         code, out, _ = run(
-            capsys, "export", "--scenario", str(path), "--instance", "1",
+            capsys, "export", str(path), "--instance", "1",
             "--permutation", "3", "--format", "tptp", "--tptp-mode", "fof",
         )
         assert code == EXIT_OK
@@ -555,7 +555,6 @@ class TestExport:
         code, out, _ = run(
             capsys,
             "export",
-            "--scenario",
             str(scenario_dir / "healthcare_data_sharing.yaml"),
             "--format",
             "tptp",
@@ -566,6 +565,31 @@ class TestExport:
         from tptp_check import check_tptp
 
         assert check_tptp(out) == 12
+
+    @pytest.mark.parametrize("constant", ["a,b", "?x"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["generate"],
+            ["export", "--format", "dimacs"],
+            ["export", "--format", "tptp"],
+            ["export", "--format", "tptp", "--tptp-mode", "fof"],
+        ],
+        ids=["generate", "dimacs", "tptp-cnf", "tptp-fof"],
+    )
+    def test_reserved_constant_rejected(self, capsys, tmp_path, constant, command):
+        # "a,b" would export as a binary atom, "?x" as a variable.
+        path = tmp_path / "reserved.yaml"
+        path.write_text(
+            "name: reserved\ndomain: Test\natoms:\n"
+            "  - {symbol: Holds, args: [p], variables: [p], gloss: g}\n"
+            "  - {symbol: B, gloss: h}\n"
+            f'grounding:\n  p: ["{constant}"]\n'
+        )
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: term name {constant!r} ")
+        assert err.count("\n") == 1
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "export", "a", "--format", "json")

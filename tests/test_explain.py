@@ -3,6 +3,7 @@
 import pytest
 
 from contragen import (
+    PredicateAtom,
     Signature,
     build_ftsc,
     check_theorem,
@@ -35,7 +36,7 @@ from contragen.explain import (
 )
 from contragen.generator import permutation_by_rank
 
-from conftest import TWO_PATIENTS_SCENARIO
+from conftest import SCENARIO_DIR, TWO_PATIENTS_SCENARIO
 
 MINIMAL_SCENARIO = """
 name: minimal
@@ -77,6 +78,19 @@ class TestLoadScenario:
             "TerminationWithoutCause",
             "FixedPricing",
         ]
+
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem
+    )
+    def test_fixture_atoms_read_back_from_their_symbols(self, path):
+        from contragen.core import split_symbol
+
+        scenario = load_scenario(path)
+        for signature in scenario.signatures():
+            for symbol, atom in scenario.atoms_for(signature).items():
+                assert isinstance(atom.predicate, PredicateAtom)
+                head, args = split_symbol(symbol)
+                assert (head, len(args)) == (atom.symbol, atom.predicate.arity)
 
     def test_duplicate_atom_rejected(self):
         text = """
@@ -153,9 +167,14 @@ atoms:
             ),
             ("", "grounding: {p: 5}\n", "field 'p' must be list, got int"),
             ("", "grounding: {p: ab}\n", "field 'p' must be list, got str"),
+            (
+                "",
+                "rule_texts: {2: [a, b]}\n",
+                "rule_texts: field 2 must be str, got list",
+            ),
         ],
         ids=["remediations-int", "variables-int", "variables-str", "arity-bool",
-             "formal-list", "grounding-int", "grounding-str"],
+             "formal-list", "grounding-int", "grounding-str", "rule-text-list"],
     )
     def test_mistyped_fields_rejected(self, atom, extra, message):
         text = (

@@ -1,5 +1,7 @@
 """Grounding, first-order construction, instance independence."""
 
+import re
+
 import pytest
 
 from contragen import (
@@ -12,6 +14,7 @@ from contragen import (
     validate_input,
     var,
 )
+from contragen.core import ValidationError
 from contragen.fol import (
     EmptyDomainError,
     UnboundVariableError,
@@ -59,6 +62,33 @@ class TestTerms:
         assert atom.symbol() == "Fever"
         assert atom.arity == 0
         assert atom.is_ground()
+
+
+BAD_NAMES = ["", "a,b", "?x", "f(a)", "a)", "a b", "a\tb"]
+
+
+class TestNames:
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_term_name_rejected(self, name):
+        message = re.escape(f"term name {name!r}")
+        for make in (const, var):
+            with pytest.raises(ValidationError, match=message) as info:
+                make(name)
+            assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_predicate_name_rejected(self, name):
+        with pytest.raises(ValidationError, match=re.escape(f"predicate name {name!r}")):
+            PredicateAtom(name)
+
+    def test_comma_constant_rejected_while_grounding(self):
+        # Grounded, "a,b" would read back as two arguments.
+        atoms = [PredicateAtom("Holds", (var("p"),)), PredicateAtom("B")]
+        domain = GroundingDomain.from_mapping({"p": ["a,b"]})
+        with pytest.raises(ValidationError, match="term name 'a,b'"):
+            build_fol_ftsc(atoms, domain)
+        with pytest.raises(ValidationError, match="term name 'a,b'"):
+            build_fol_ftsc([PredicateAtom("Holds", (const("a,b"),))])
 
 
 class TestGroundAtoms:

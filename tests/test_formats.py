@@ -103,6 +103,19 @@ class TestParseDimacs:
         assert len(clause_set.clauses) == 1
         assert clause_set.signature.symbols == ("v1", "v2")
 
+    @pytest.mark.parametrize(
+        "text, symbols",
+        [
+            ("p cnf 5 1\n2 0\n", ("v2",)),
+            ("c var 4 d\np cnf 5 1\n-2 0\n", ("v2", "d")),
+            # v3 is unused and unnamed, so its default name is free.
+            ("c var 1 v3\np cnf 3 1\n1 0\n", ("v3",)),
+        ],
+        ids=["unused-dropped", "named-kept", "default-name-free"],
+    )
+    def test_signature_holds_only_used_or_named_variables(self, text, symbols):
+        assert parse_dimacs(text).signature.symbols == symbols
+
     def test_malformed_header(self):
         with pytest.raises(HeaderMismatchError):
             parse_dimacs("p dnf 2 1\n1 0\n")
