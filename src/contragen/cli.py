@@ -39,6 +39,7 @@ from .explain import (
 from .formats import emit_dimacs, emit_tptp, parse_dimacs
 from .generator import (
     CERT_VERIFIED,
+    DEFAULT_ENUMERATION_CAP,
     build_ftsc,
     closure_counts,
     derive_theorems,
@@ -89,8 +90,9 @@ def _build_parser() -> _Parser:
 
     enum = sub.add_parser("enumerate", help="stream all permutation constructions with counts")
     add_input_options(enum, with_permutation=False)
-    enum.add_argument("--n-cap", type=int, default=10, dest="n_cap",
-                      help="refuse to enumerate above this many literals (default 10)")
+    enum.add_argument("--n-cap", type=int, default=DEFAULT_ENUMERATION_CAP, dest="n_cap",
+                      help="refuse to enumerate above this many literals "
+                      f"(default {DEFAULT_ENUMERATION_CAP})")
     enum.add_argument("--no-certify", action="store_true",
                       help="skip per-permutation certification")
 
@@ -227,6 +229,11 @@ def _cmd_verify(args) -> int:
                 f"signature: expected n={report.n} symbols in permutation order "
                 f"{list(report.permutation)}, got {symbols}"
             )
+            ok = False
+        arities = zip(report.signature, clause_set.signature.arities)
+        wrong = [f"{s!r} (recorded {a}, symbol gives {d})" for (s, a), d in arities if a != d]
+        if wrong:
+            print(f"signature: arity differs from the symbol's for {', '.join(wrong)}")
             ok = False
         # n+1 clauses and one theorem per removal index 1..n+1. The clause
         # count is compared first, so the range is bounded by the input.

@@ -139,22 +139,15 @@ def split_symbol(symbol: str) -> tuple[str, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Signature:
-    """Ordered universe of distinct atom symbols, with per-symbol arity.
+    """Ordered universe of distinct atom symbols.
 
     Order is significant: clause canonicalization and the triangular
     construction both key off the position of a symbol in the signature.
     """
 
     symbols: tuple[str, ...]
-    arities: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.arities:
-            object.__setattr__(
-                self, "arities", tuple(len(split_symbol(s)[1]) for s in self.symbols)
-            )
-        if len(self.arities) != len(self.symbols):
-            raise ValueError("arities must align one-to-one with symbols")
         index = {}
         for i, sym in enumerate(self.symbols):
             if sym in index:
@@ -165,6 +158,11 @@ class Signature:
     @property
     def size(self) -> int:
         return len(self.symbols)
+
+    @property
+    def arities(self) -> tuple[int, ...]:
+        """Each symbol's arity: the length of its argument list."""
+        return tuple(len(split_symbol(s)[1]) for s in self.symbols)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index  # type: ignore[attr-defined]
@@ -179,10 +177,7 @@ class Signature:
         """Reorder the symbols; ``order`` must be a permutation of 0..size-1."""
         if sorted(order) != list(range(self.size)):
             raise ValueError("order must be a permutation of the signature indices")
-        return Signature(
-            tuple(self.symbols[i] for i in order),
-            tuple(self.arities[i] for i in order),
-        )
+        return Signature(tuple(self.symbols[i] for i in order))
 
 
 def validate_input(literals: Sequence[Literal]) -> Signature:

@@ -528,14 +528,13 @@ def rank(explanations: Sequence[Explanation]) -> RankedReport:
 
 def trace_summary(theorem: Theorem) -> str:
     """Versioned text summary of a theorem's proof trace for model prompts."""
-    steps = theorem.trace.steps if theorem.trace else ()
-    kinds = ", ".join(s.kind for s in steps) if steps else "none"
+    steps = theorem.trace.steps
     return _TRACE_SUMMARY_TEMPLATE.format(
         version=PROMPT_VERSION,
         index=theorem.removed_index,
         total=theorem.source.n + 1,
         steps=len(steps),
-        kinds=kinds,
+        kinds=", ".join(s.kind for s in steps),
     )
 
 

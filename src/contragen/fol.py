@@ -16,6 +16,7 @@ atom it renders, a term or predicate name is nonempty and holds none of
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -149,6 +150,9 @@ class GroundingDomain:
 
 EMPTY_DOMAIN = GroundingDomain(())
 
+#: Most ground instances one atom list may expand to.
+MAX_GROUND_INSTANCES = 1000
+
 
 def _shared_variables(atoms: Sequence[PredicateAtom]) -> tuple[str, ...]:
     seen: list[str] = []
@@ -167,12 +171,19 @@ def ground_atoms(
     Variables are substituted uniformly within one instance. Instances are
     emitted in cartesian-product order over the variables' first occurrence
     and the domain's constant order, so output is deterministic. An atom
-    list with no variables grounds to exactly one instance.
+    list with no variables grounds to exactly one instance. More than
+    MAX_GROUND_INSTANCES instances raise ValidationError before any is built.
     """
     if not atoms:
         raise EmptyInputError("at least one atom is required")
     names = _shared_variables(atoms)
     pools = [domain.constants_for(v) for v in names]
+    count = math.prod(len(p) for p in pools)
+    if count > MAX_GROUND_INSTANCES:
+        raise ValidationError(
+            f"grounding {list(names)} gives {count} instances, "
+            f"more than the limit of {MAX_GROUND_INSTANCES}"
+        )
     instances = []
     for combo in itertools.product(*pools):
         substitution = dict(zip(names, combo))

@@ -217,6 +217,15 @@ def _tptp_atom(name: str, args: Sequence[tuple[str, bool]]) -> str:
     return f"{functor}({','.join(_tptp_token(a, upper) for a, upper in args)})"
 
 
+def _check_distinct(tokens: dict[str, str], what: str) -> None:
+    """Two names sharing one TPTP token would state a different problem."""
+    owners: dict[str, str] = {}
+    for name, token in tokens.items():
+        other = owners.setdefault(token, name)
+        if other != name:
+            raise ValidationError(f"TPTP {what} {other!r} and {name!r} both render as {token!r}")
+
+
 def emit_tptp(
     ftsc: Ftsc,
     theorems: Sequence[Theorem] = (),
@@ -227,6 +236,8 @@ def emit_tptp(
 
     ``mode`` is "cnf" (ground clauses; requires a ground set) or "fof"
     (universally quantified scenario-level formulas; requires ``scenario``).
+    Raises ValidationError when two symbols, or two variables, would
+    render as one TPTP name.
     """
     if mode not in ("cnf", "fof"):
         raise ValueError(f"unknown TPTP mode: {mode!r}")
@@ -250,6 +261,9 @@ def emit_tptp(
             p = atom.predicate
             args = [(t.name, t.is_variable) for t in p.args]
             atoms[symbol] = (_tptp_atom(p.name, args), p.variables())
+        tokens = {v: _tptp_token(v, upper_first=True) for _, vs in atoms.values() for v in vs}
+        _check_distinct(tokens, "variables")
+    _check_distinct({s: text for s, (text, _) in atoms.items()}, "symbols")
 
     def render_clause(lits, joiner: str) -> str:
         rendered = []

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .core import (
@@ -133,18 +134,22 @@ class Theorem:
 
     ``conclusion`` lists the negations of the removed clause's literals,
     in the clause's canonical order. ``certified`` stays "unchecked" until
-    the verifier confirms or refutes the entailment.
+    the verifier confirms or refutes the entailment. ``trace`` is written
+    down from the construction on first read and kept with this value.
     """
 
     source: Ftsc
     removed_index: int
     conclusion: tuple[Literal, ...]
-    trace: Optional[ProofTrace]
     certified: str = CERT_UNCHECKED
 
     @property
     def removed_clause(self) -> Clause:
         return self.source.clause(self.removed_index)
+
+    @cached_property
+    def trace(self) -> ProofTrace:
+        return build_proof_trace(self.source, self.removed_index)
 
 
 def build_ftsc(signature: Signature, *, counter: Optional[OpCounter] = None) -> Ftsc:
@@ -209,17 +214,9 @@ def build_proof_trace(ftsc: Ftsc, removed_index: int) -> ProofTrace:
 
 
 def derive_theorems(ftsc: Ftsc) -> list[Theorem]:
-    """All n+1 canonical entailments of one construction, uncertified."""
-    return [
-        Theorem(
-            source=ftsc,
-            removed_index=i,
-            conclusion=conclusion_for(ftsc, i),
-            trace=build_proof_trace(ftsc, i),
-            certified=CERT_UNCHECKED,
-        )
-        for i in range(1, ftsc.n + 2)
-    ]
+    """All n+1 canonical entailments of one construction, uncertified.
+    Each trace is built only when it is read."""
+    return [Theorem(ftsc, i, conclusion_for(ftsc, i)) for i in range(1, ftsc.n + 2)]
 
 
 def enumerate_ftscs(

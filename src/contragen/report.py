@@ -25,7 +25,7 @@ from .core import (
     require,
 )
 from .explain import Explanation, RankedEntry, RankedReport
-from .generator import CERT_UNCHECKED, Ftsc, Theorem
+from .generator import Ftsc, Theorem
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "contragen"
@@ -201,20 +201,16 @@ def build_report(
     timestamp: Optional[str] = None,
 ) -> Report:
     sig = ftsc.signature
-    records = []
-    for pos, theorem in enumerate(theorems):
-        replayed = None
-        if replay_results is not None:
-            replayed = bool(replay_results[pos])
-        records.append(
-            TheoremRecord(
-                removed_index=theorem.removed_index,
-                conclusion=tuple(str(l) for l in theorem.conclusion),
-                certified=theorem.certified,
-                trace_steps=len(theorem.trace) if theorem.trace else 0,
-                trace_replayed=replayed,
-            )
+    records = [
+        TheoremRecord(
+            removed_index=theorem.removed_index,
+            conclusion=tuple(str(l) for l in theorem.conclusion),
+            certified=theorem.certified,
+            trace_steps=len(theorem.trace),
+            trace_replayed=None if replay_results is None else bool(replay_results[pos]),
         )
+        for pos, theorem in enumerate(theorems)
+    ]
     return Report(
         n=ftsc.n,
         permutation=ftsc.permutation,
@@ -232,11 +228,9 @@ def build_report(
 
 
 def clause_set_from_report(report: Report) -> ClauseSet:
-    """Rebuild the clause set exactly as recorded."""
-    signature = Signature(
-        tuple(s for s, _ in report.signature),
-        tuple(a for _, a in report.signature),
-    )
+    """Rebuild the clause set exactly as recorded. Arities are not read:
+    each follows from its symbol, and ``verify`` compares the two."""
+    signature = Signature(tuple(s for s, _ in report.signature))
     clauses = tuple(
         Clause(tuple(parse_literal(text) for text in clause))
         for clause in report.clauses
@@ -245,16 +239,10 @@ def clause_set_from_report(report: Report) -> ClauseSet:
 
 
 def theorems_from_report(report: Report, clause_set: ClauseSet) -> list[Theorem]:
-    """Rebuild bare theorems (no traces) for re-verification, over the
-    report's clause set as ``clause_set_from_report`` read it."""
+    """Rebuild the recorded theorems, uncertified, for re-verification, over
+    the report's clause set as ``clause_set_from_report`` read it."""
     ftsc = Ftsc(clause_set, report.permutation, report.n)
     return [
-        Theorem(
-            source=ftsc,
-            removed_index=t.removed_index,
-            conclusion=tuple(parse_literal(text) for text in t.conclusion),
-            trace=None,
-            certified=CERT_UNCHECKED,
-        )
+        Theorem(ftsc, t.removed_index, tuple(parse_literal(c) for c in t.conclusion))
         for t in report.theorems
     ]

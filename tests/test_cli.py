@@ -97,6 +97,12 @@ class TestEnumerate:
         assert code == EXIT_VALIDATION
         assert "cap" in err
 
+    def test_default_cap_is_the_generator_constant(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_ENUMERATION_CAP", 3)
+        code, _, err = run(capsys, "enumerate", "a", "b", "c", "d")
+        assert code == EXIT_VALIDATION
+        assert "4 literals mean 4! permutations" in err
+
     def test_cap_override(self, capsys):
         literals = [f"x{i}" for i in range(1, 5)]
         code, out, _ = run(capsys, "enumerate", *literals, "--n-cap", "4", "--no-certify")
@@ -211,6 +217,25 @@ class TestVerify:
             f"got {symbols}"
         )
         assert expected in out.splitlines()
+        assert out.endswith("verification FAILED\n")
+
+    def test_recorded_arity_checked(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "P(x,y)", "c", "--output", str(target))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+        data = json.loads(target.read_text())
+        assert [s["arity"] for s in data["signature"]] == [0, 2, 0]
+        data["signature"][0]["arity"] = 5
+        target.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_VERIFICATION
+        lines = [line for line in out.splitlines() if line.startswith("signature:")]
+        assert lines == [
+            "signature: arity differs from the symbol's for 'a' "
+            "(recorded 5, symbol gives 0)"
+        ]
         assert out.endswith("verification FAILED\n")
 
     @pytest.mark.parametrize(
@@ -590,6 +615,31 @@ class TestExport:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(f"error: term name {constant!r} ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            (["a-b", "a_b"], "TPTP symbols 'a-b' and 'a_b' both render as 'a_b'"),
+            (["Fever", "fever"], "TPTP symbols 'Fever' and 'fever' both render as 'fever'"),
+            (None, "TPTP variables 'p' and 'P' both render as 'P'"),
+        ],
+        ids=["punctuation", "case", "variables"],
+    )
+    def test_tptp_name_collision_rejected(self, capsys, tmp_path, inputs, message):
+        mode = "cnf"
+        if inputs is None:
+            path = tmp_path / "vars.yaml"
+            path.write_text(
+                "name: vars\ndomain: Test\natoms:\n"
+                "  - {symbol: a, args: [p], variables: [p], gloss: g}\n"
+                "  - {symbol: b, args: [P], variables: [P], gloss: h}\n"
+                "grounding: {p: [c1], P: [c2]}\n"
+            )
+            inputs, mode = [str(path)], "fof"
+        code, out, err = run(
+            capsys, "export", *inputs, "--format", "tptp", "--tptp-mode", mode
+        )
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "export", "a", "--format", "json")

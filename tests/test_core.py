@@ -1,5 +1,7 @@
 """Clause algebra: literals, validation, canonicalization, evaluation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -126,6 +128,13 @@ class TestValidateInput:
     def test_ground_atom_arity_inferred(self):
         signature = validate_input([pos("Holds(h1,p1)"), pos("Consents(p1)")])
         assert signature.arities == (2, 1)
+
+    def test_arity_is_derived_not_stored(self):
+        assert [f.name for f in dataclasses.fields(Signature)] == ["symbols"]
+        with pytest.raises(TypeError):
+            Signature(("a", "P(x,y)"), (5, 0))
+        permuted = Signature(("a", "P(x,y)", "Q(z)")).permuted([2, 0, 1])
+        assert permuted.arities == (1, 0, 2)
 
 
 class TestClause:

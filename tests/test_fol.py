@@ -14,7 +14,9 @@ from contragen import (
     validate_input,
     var,
 )
+from contragen import fol
 from contragen.core import ValidationError
+from contragen.explain import load_scenario_text
 from contragen.fol import (
     EmptyDomainError,
     UnboundVariableError,
@@ -140,6 +142,41 @@ class TestGroundAtoms:
     def test_empty_domain(self):
         with pytest.raises(EmptyDomainError):
             GroundingDomain.from_mapping({"p": []})
+
+    def test_instance_count_bounded_before_grounding(self, monkeypatch):
+        # 3 variables x 11 constants: 1,331 instances, over the limit.
+        atoms = [PredicateAtom("P", (var("x"), var("y"), var("z"))), PredicateAtom("Q")]
+        constants = [f"c{i}" for i in range(11)]
+        domain = GroundingDomain.from_mapping({v: constants for v in "xyz"})
+        text = "name: big\ndomain: Test\natoms:\n" + (
+            "  - {symbol: P, args: [x, y, z], variables: [x, y, z], gloss: p}\n"
+            "  - {symbol: Q, gloss: q}\n"
+            f"grounding: {{x: {constants}, y: {constants}, z: {constants}}}\n"
+        )
+
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(fol, "atom_literal", no_instance)
+        message = re.escape(
+            f"grounding ['x', 'y', 'z'] gives 1331 instances, more than the limit "
+            f"of {fol.MAX_GROUND_INSTANCES}"
+        )
+        for load in (
+            lambda: ground_atoms(atoms, domain),
+            lambda: build_fol_ftsc(atoms, domain),
+            lambda: load_scenario_text(text),
+        ):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                load()
+
+    def test_instance_limit_is_inclusive(self):
+        atoms = [PredicateAtom("P", (var("x"),))]
+        constants = [f"c{i}" for i in range(fol.MAX_GROUND_INSTANCES + 1)]
+        domain = GroundingDomain.from_mapping({"x": constants[:-1]})
+        assert len(ground_atoms(atoms, domain)) == fol.MAX_GROUND_INSTANCES
+        with pytest.raises(ValidationError, match="more than the limit"):
+            ground_atoms(atoms, GroundingDomain.from_mapping({"x": constants}))
 
 
 class TestBuildFolFtsc:

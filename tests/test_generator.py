@@ -1,5 +1,6 @@
 """Construction shape, enumeration closure, theorem derivation, proof traces."""
 
+import dataclasses
 import itertools
 import math
 
@@ -208,6 +209,31 @@ class TestDeriveTheorems:
             "PenaltyForDelay",
             "~TerminationWithoutCause",
         ]
+
+    def test_traces_built_on_first_read_only(self, monkeypatch):
+        from contragen import generator
+
+        calls = []
+        real = generator.build_proof_trace
+
+        def counting(ftsc, removed_index):
+            calls.append(removed_index)
+            return real(ftsc, removed_index)
+
+        monkeypatch.setattr(generator, "build_proof_trace", counting)
+        theorems = derive_theorems(build_ftsc(signature_of(MEDICAL)))
+        assert calls == []
+        assert [f.name for f in dataclasses.fields(theorems[0])] == [
+            "source", "removed_index", "conclusion", "certified"
+        ]
+        first = theorems[1].trace
+        assert theorems[1].trace is first
+        assert calls == [2]
+        assert first == real(theorems[1].source, 2)
+        # A copy made by ``replace`` (as certification makes) builds its own once.
+        copy = dataclasses.replace(theorems[1], certified="verified")
+        assert copy.trace == first and copy.trace is copy.trace
+        assert calls == [2, 2]
 
     def test_conclusion_negates_removed_clause(self):
         ftsc = build_ftsc(signature_of(MEDICAL))

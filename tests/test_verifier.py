@@ -304,7 +304,7 @@ def theorem_cases(draw):
             del conclusion[k]
         else:
             conclusion[k] = conclusion[k].negate()
-    return Theorem(Ftsc(clause_set, symbols, n), i, tuple(conclusion), None)
+    return Theorem(Ftsc(clause_set, symbols, n), i, tuple(conclusion))
 
 
 def oracle_certifies(theorem):
@@ -508,6 +508,35 @@ class TestReplayTrace:
         assert result.established == {
             pos("Infection"), pos("HighWBC"), pos("Fever"), neg("RequiresAntibiotics")
         }
+
+    # Premises of chain a, b, c without clause 3: [a], [b | ~a], [~a | ~b | ~c].
+    @pytest.mark.parametrize(
+        "steps, failed_step, reason",
+        [
+            ([(STEP_UNIT, pos("a"), 5)], 0, "premise index out of range: 5"),
+            ([(STEP_ASSUME, pos("a"), None), (STEP_UNIT, pos("a"), 0)], 1,
+             "unit derivation inside an assumption scope"),
+            ([(STEP_UNIT, None, 0)], 0, "unit derivation needs a literal and a premise"),
+            ([(STEP_ASSUME, pos("a"), None), (STEP_ASSUME, pos("b"), None)], 1,
+             "nested assumption"),
+            ([(STEP_ASSUME, None, None)], 0, "assumption needs a literal"),
+            ([(STEP_PROPAGATE, pos("a"), 0)], 0, "propagation outside an assumption scope"),
+            ([(STEP_ASSUME, pos("a"), None), (STEP_PROPAGATE, pos("b"), None)], 1,
+             "propagation needs a literal and a premise"),
+            ([(STEP_ASSUME, pos("a"), None), (STEP_PROPAGATE, pos("c"), 1)], 1,
+             "derived literal does not occur in the cited clause"),
+            ([(STEP_EMPTY, None, 2)], 0, "empty-clause step outside an assumption scope"),
+            ([(STEP_ASSUME, pos("a"), None), (STEP_EMPTY, None, None)], 1,
+             "empty-clause step needs a premise"),
+            ([(STEP_DISCHARGE, neg("a"), None)], 0, "discharge without a refuted assumption"),
+            ([("leap", pos("a"), None)], 0, "unknown step kind: 'leap'"),
+        ],
+    )
+    def test_malformed_step_rejected(self, steps, failed_step, reason):
+        trace = ProofTrace(tuple(TraceStep(*step) for step in steps))
+        result = replay_trace(trace, chain(["a", "b", "c"]).premises_without(3))
+        assert not result
+        assert (result.failed_step, result.reason) == (failed_step, reason)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_generated_traces_replay(self, n):
