@@ -4,7 +4,7 @@ Subcommands:
 
   generate   build one construction plus its certified theorems (JSON report)
   enumerate  stream every permutation construction with closure counts
-  verify     re-check a JSON report or a DIMACS file from scratch
+  verify     regenerate a JSON report and compare it, or re-check a DIMACS file
   explain    produce the ranked narrative report for a scenario
   export     emit DIMACS, TPTP, or JSON for a construction
 
@@ -16,7 +16,10 @@ deterministic; the report timestamp is the only field that varies.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import replace
+from itertools import starmap, zip_longest
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,6 +41,7 @@ from .explain import (
 )
 from .formats import emit_dimacs, emit_tptp, parse_dimacs
 from .generator import (
+    CERT_FAILED,
     CERT_VERIFIED,
     DEFAULT_ENUMERATION_CAP,
     build_ftsc,
@@ -46,13 +50,9 @@ from .generator import (
     enumerate_ftscs,
     permutation_by_rank,
     recover_permutation,
+    total_literals,
 )
-from .report import (
-    Report,
-    build_report,
-    clause_set_from_report,
-    theorems_from_report,
-)
+from .report import Report, build_report
 from .verifier import check_mus, check_theorem, replay_trace
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
     enum.add_argument("--no-certify", action="store_true",
                       help="skip per-permutation certification")
 
-    ver = sub.add_parser("verify", help="re-check a JSON report or DIMACS file")
+    ver = sub.add_parser("verify", help="regenerate and compare a JSON report, or re-check DIMACS")
     ver.add_argument("input", help="path to a .json report or DIMACS .cnf file")
 
     exp = sub.add_parser("explain", help="ranked narrative report for a scenario")
@@ -121,31 +121,38 @@ def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
     inputs = getattr(args, "inputs", [])
     if len(inputs) == 1 and Path(inputs[0]).is_file():
         scenario_path = inputs[0]
+    scenario = None
     if scenario_path is not None:
         scenario = load_scenario(scenario_path)
         signatures = scenario.signatures()
-        instance = args.instance
-        if not 0 <= instance < len(signatures):
+        if not 0 <= args.instance < len(signatures):
             raise ValidationError(
-                f"instance {instance} out of range; scenario grounds to "
+                f"instance {args.instance} out of range; scenario grounds to "
                 f"{len(signatures)} instance(s)"
             )
-        return signatures[instance], scenario
-    if not inputs:
+        signature = signatures[args.instance]
+    elif inputs:
+        signature = validate_input([parse_literal(t) for t in inputs])
+    else:
         raise ValidationError("no input literals and no scenario file given")
-    return validate_input([parse_literal(t) for t in inputs]), None
+    if getattr(args, "permutation", 0):
+        signature = permutation_by_rank(signature, args.permutation)
+    return signature, scenario
 
 
-def _build_and_certify(signature: Signature, permutation_rank: int):
-    if permutation_rank:
-        signature = permutation_by_rank(signature, permutation_rank)
+def _certified_report(signature: Signature, scenario, *, replay=True, timestamp=None):
+    """The report ``generate`` writes for the chain over the signature's
+    order, and its certified theorems. ``verify`` regenerates it unreplayed."""
     ftsc = build_ftsc(signature)
     theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
     replays = [
         bool(replay_trace(t.trace, ftsc.premises_without(t.removed_index)))
         for t in theorems
-    ]
-    return ftsc, theorems, replays
+    ] if replay else None
+    report = build_report(
+        ftsc, theorems, scenario=scenario, replay_results=replays, timestamp=timestamp
+    )
+    return report, theorems
 
 
 def _write(text: str, output: Optional[str]) -> None:
@@ -157,15 +164,9 @@ def _write(text: str, output: Optional[str]) -> None:
 
 def _cmd_generate(args) -> int:
     signature, scenario = _signature_from_args(args)
-    ftsc, theorems, replays = _build_and_certify(signature, args.permutation)
-    report = build_report(
-        ftsc,
-        theorems,
-        scenario=scenario.name if scenario else None,
-        replay_results=replays,
-    )
+    report, _ = _certified_report(signature, scenario.name if scenario else None)
     _write(report.to_json(), args.output)
-    ok = all(t.certified == CERT_VERIFIED for t in theorems) and all(replays)
+    ok = all(t.certified == CERT_VERIFIED and t.trace_replayed for t in report.theorems)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -212,6 +213,77 @@ def _verify_clause_set(clause_set) -> bool:
     return mus.is_mus
 
 
+# Not found at a path: one side of a comparison lacks the key or item.
+_ABSENT = object()
+
+
+def _first_difference(got, want, path: str):
+    """(path, recorded, regenerated) where two JSON values first differ, or
+    None. Equal JSON text means equal values of equal types (true is not 1,
+    1 is not 1.0). Recursion follows ``want``, so it is as deep as a report."""
+    if _ABSENT not in (got, want) and json.dumps(got) == json.dumps(want):
+        return None
+    if isinstance(got, dict) and isinstance(want, dict):
+        keys = {**want, **got}
+        pairs = [(got.get(k, _ABSENT), want.get(k, _ABSENT), f"{path}.{k}") for k in keys]
+    elif isinstance(got, list) and isinstance(want, (list, tuple)):
+        pairs = enumerate(zip_longest(got, want, fillvalue=_ABSENT))
+        pairs = [(g, w, f"{path}[{i}]") for i, (g, w) in pairs]
+    else:
+        return path, got, want
+    return next(filter(None, starmap(_first_difference, pairs)), None)
+
+
+def _show(value) -> str:
+    return "(absent)" if value is _ABSENT else json.dumps(value)
+
+
+def _verify_report(data) -> bool:
+    """Regenerate the report from its permutation; one line per differing group."""
+    recorded = Report.from_dict(data)
+    try:
+        signature = validate_input([parse_literal(s) for s in recorded.permutation])
+    except ValidationError as exc:
+        print(f"metadata: metadata.permutation is not admissible: {exc}")
+        return False
+    # Checked first, so regenerating costs no more than the recorded size.
+    size, chain = sum(map(len, recorded.clauses)), total_literals(signature.size)
+    if size != chain:
+        print(f"clauses: recorded {size} literals, the chain over {signature.size} "
+              f"symbols has {chain}")
+        return False
+    report, theorems = _certified_report(signature, recorded.scenario, replay=False,
+                                         timestamp=recorded.timestamp)
+    expected = report.to_dict()
+    # No trace is replayed here, so a recorded true or null stands.
+    for got, want in zip(data["theorems"], expected["theorems"]):
+        if got.get("trace_replayed") is not None:
+            want["trace_replayed"] = True
+    # A v1 report does not record its scenario, so an explain report's narrative
+    # cannot be regenerated: it is taken as recorded and reported unaudited.
+    unaudited = bool(recorded.explanations and recorded.ranking)
+    if unaudited:
+        expected.update(explanations=data["explanations"], ranking=data["ranking"])
+    differences = {}
+    if json.dumps(data) != json.dumps(expected):  # equal text is the common case
+        for key in {**expected, **data}:
+            found = _first_difference(data.get(key, _ABSENT), expected.get(key, _ABSENT), key)
+            if found:
+                differences[key] = found
+    # These lines speak of the recorded clauses, so they need them to match.
+    if "clauses" not in differences:
+        _verify_clause_set(theorems[0].source.clause_set)
+        recorded_theorems = data["theorems"] + [_ABSENT] * len(theorems)
+        for got, want in zip(recorded_theorems, expected["theorems"]):
+            same = "theorems" not in differences or _first_difference(got, want, "") is None
+            print(f"theorem {want['removed_index']}: {want['certified'] if same else CERT_FAILED}")
+    for key, (path, got, want) in differences.items():
+        print(f"{key}: {path} recorded {_show(got)}, regenerated {_show(want)}")
+    if unaudited:
+        print("explanations, ranking: not audited; a v1 report does not record its scenario")
+    return not differences and all(t.certified == CERT_VERIFIED for t in theorems)
+
+
 def _cmd_verify(args) -> int:
     path = Path(args.input)
     if not path.is_file():
@@ -220,65 +292,7 @@ def _cmd_verify(args) -> int:
     if path.suffix != ".json":
         ok = _verify_clause_set(parse_dimacs(text))
     else:
-        report = Report.from_json(text)
-        clause_set = clause_set_from_report(report)
-        ok = _verify_clause_set(clause_set)
-        symbols = [s for s, _ in report.signature]
-        if symbols != list(report.permutation) or len(symbols) != report.n:
-            print(
-                f"signature: expected n={report.n} symbols in permutation order "
-                f"{list(report.permutation)}, got {symbols}"
-            )
-            ok = False
-        arities = zip(report.signature, clause_set.signature.arities)
-        wrong = [f"{s!r} (recorded {a}, symbol gives {d})" for (s, a), d in arities if a != d]
-        if wrong:
-            print(f"signature: arity differs from the symbol's for {', '.join(wrong)}")
-            ok = False
-        # n+1 clauses and one theorem per removal index 1..n+1. The clause
-        # count is compared first, so the range is bounded by the input.
-        n, indices = report.n, sorted(t.removed_index for t in report.theorems)
-        if len(report.clauses) != n + 1 or indices != list(range(1, n + 2)):
-            print(
-                f"theorem coverage: expected {n + 1} clauses and one theorem per "
-                f"removed_index 1..{n + 1}, got {len(report.clauses)} clauses "
-                f"and removed_index {indices}"
-            )
-            ok = False
-        else:
-            for theorem in theorems_from_report(report, clause_set):
-                checked = check_theorem(theorem)
-                ok = ok and checked.certified == CERT_VERIFIED
-                print(f"theorem {theorem.removed_index}: {checked.certified}")
-        # Last, so a report that fails above prints no second complaint:
-        # clause t must hold the literals of chain clause t over the
-        # permutation, in any order (there is no chain over n = 0).
-        if ok:
-            chain = (
-                build_ftsc(clause_set.signature).clause_set.int_clauses() if n else ()
-            )
-            if [set(c) for c in clause_set.int_clauses()] != [set(c) for c in chain]:
-                print(
-                    "chain: clauses are not the triangular chain over "
-                    f"permutation {list(report.permutation)}"
-                )
-                ok = False
-        # The chain's trace over index i has n+2 steps, n for i = n+1, so
-        # the recorded counts are checked by arithmetic; a replay recorded
-        # as neither true nor null (not run) fails.
-        if ok:
-            bad = [
-                t.removed_index
-                for t in report.theorems
-                if t.trace_steps != (n if t.removed_index == n + 1 else n + 2)
-                or t.trace_replayed not in (True, None)
-            ]
-            if bad:
-                print(
-                    f"trace: theorems {bad} record a failed replay or a step "
-                    "count other than the chain trace's"
-                )
-                ok = False
+        ok = _verify_report(json.loads(text))
     print("verification " + ("passed" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -297,7 +311,7 @@ def _render_table(ranking) -> str:
 
 def _cmd_explain(args) -> int:
     signature, scenario = _signature_from_args(args)
-    ftsc, theorems, replays = _build_and_certify(signature, args.permutation)
+    report, theorems = _certified_report(signature, scenario.name)
     if not all(t.certified == CERT_VERIFIED for t in theorems):
         print("certification failed; refusing to explain", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -307,18 +321,8 @@ def _cmd_explain(args) -> int:
     else:
         explanations = [verbalize(t, scenario) for t in theorems]
     ranking = rank(explanations)
-    report = build_report(
-        ftsc,
-        theorems,
-        scenario=scenario.name,
-        explanations=explanations,
-        ranking=ranking,
-        replay_results=replays,
-    )
-    if args.table:
-        _write(_render_table(ranking), args.output)
-    else:
-        _write(report.to_json(), args.output)
+    report = replace(report, explanations=tuple(explanations), ranking=ranking)
+    _write(_render_table(ranking) if args.table else report.to_json(), args.output)
     return EXIT_OK
 
 
@@ -326,8 +330,6 @@ def _cmd_export(args) -> int:
     if args.format == "json":
         return _cmd_generate(args)
     signature, scenario = _signature_from_args(args)
-    if args.permutation:
-        signature = permutation_by_rank(signature, args.permutation)
     ftsc = build_ftsc(signature)
     if args.format == "dimacs":
         text = emit_dimacs(ftsc.clause_set)

@@ -218,12 +218,19 @@ def _tptp_atom(name: str, args: Sequence[tuple[str, bool]]) -> str:
 
 
 def _check_distinct(tokens: dict[str, str], what: str) -> None:
-    """Two names sharing one TPTP token would state a different problem."""
+    """Two names sharing one TPTP token, or one predicate at two arities
+    (``p`` beside ``p(a)``), would state a different problem."""
     owners: dict[str, str] = {}
+    heads: dict[str, tuple[str, int]] = {}
     for name, token in tokens.items():
         other = owners.setdefault(token, name)
         if other != name:
             raise ValidationError(f"TPTP {what} {other!r} and {name!r} both render as {token!r}")
+        head, args = split_symbol(token)
+        other, arity = heads.setdefault(head, (name, len(args)))
+        if arity != len(args):
+            raise ValidationError(f"TPTP predicate {head!r} has arity {arity} in "
+                                  f"{other!r} and {len(args)} in {name!r}")
 
 
 def emit_tptp(
@@ -237,7 +244,7 @@ def emit_tptp(
     ``mode`` is "cnf" (ground clauses; requires a ground set) or "fof"
     (universally quantified scenario-level formulas; requires ``scenario``).
     Raises ValidationError when two symbols, or two variables, would
-    render as one TPTP name.
+    render as one TPTP name, or one TPTP predicate would take two arities.
     """
     if mode not in ("cnf", "fof"):
         raise ValueError(f"unknown TPTP mode: {mode!r}")

@@ -162,18 +162,18 @@ def build_ftsc(signature: Signature, *, counter: Optional[OpCounter] = None) -> 
     if n == 0:
         raise EmptyInputError("cannot build over an empty signature")
     syms = signature.symbols
+    # Each literal is built once and shared: clause t is ~x1..~x(t-1), xt.
+    negatives = tuple(Literal(s, True) for s in syms)
     clauses = []
     for t in range(1, n + 1):
-        lits = [Literal(syms[j], True) for j in range(t - 1)]
-        lits.append(Literal(syms[t - 1], False))
-        clauses.append(Clause(tuple(lits)))
+        lits = negatives[: t - 1] + (Literal(syms[t - 1], False),)
+        clauses.append(Clause(lits))
         if counter is not None:
             counter.literal_emissions += len(lits)
             counter.clauses_built += 1
-    final = tuple(Literal(s, True) for s in syms)
-    clauses.append(Clause(final))
+    clauses.append(Clause(negatives))
     if counter is not None:
-        counter.literal_emissions += len(final)
+        counter.literal_emissions += n
         counter.clauses_built += 1
     clause_set = ClauseSet(tuple(clauses), signature)
     return Ftsc(clause_set, syms, n)
@@ -300,3 +300,9 @@ def closure_counts(n: int) -> tuple[int, int]:
 def total_literals(n: int) -> int:
     """Closed form for the literal count of one construction: n(n+3)/2."""
     return n * (n + 3) // 2
+
+
+def trace_length(n: int, removed_index: int) -> int:
+    """Closed form for the step count of ``build_proof_trace``: n+2 when a
+    clause 1..n is removed, and the n units when clause n+1 is."""
+    return n if removed_index == n + 1 else n + 2

@@ -16,16 +16,9 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import (
-    Clause,
-    ClauseSet,
-    SchemaViolationError,
-    Signature,
-    parse_literal,
-    require,
-)
+from .core import SchemaViolationError, Signature, parse_literal, require
 from .explain import Explanation, RankedEntry, RankedReport
-from .generator import Ftsc, Theorem
+from .generator import Ftsc, Theorem, trace_length
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "contragen"
@@ -156,13 +149,14 @@ class Report:
             theorems.append(
                 TheoremRecord(
                     removed_index=require(t, "removed_index", int, where),
-                    conclusion=tuple(require(t, "conclusion", list, where)),
+                    conclusion=_literal_texts(require(t, "conclusion", list, where)),
                     certified=require(t, "certified", str, where),
                     trace_steps=require(t, "trace_steps", int, where),
                     trace_replayed=t.get("trace_replayed"),
                 )
             )
-        # Literal texts are checked where they are parsed (parse_literal).
+        # A listed symbol is listed once, and a clause literal names one.
+        symbols = Signature(tuple(s for s, _ in signature))
         clauses = require(data, "clauses", list, "report", list)
         return cls(
             n=require(meta, "n", int, "report metadata"),
@@ -170,9 +164,9 @@ class Report:
                 require(meta, "permutation", list, "report metadata", str)
             ),
             signature=tuple(signature),
-            clauses=tuple(tuple(c) for c in clauses),
+            clauses=tuple(_literal_texts(c, symbols) for c in clauses),
             theorems=tuple(theorems),
-            scenario=meta.get("scenario"),
+            scenario=require(meta, "scenario", str, "report metadata", default=None),
             explanations=tuple(explanations),
             ranking=ranking,
             timestamp=meta.get("timestamp", ""),
@@ -184,6 +178,16 @@ class Report:
     @classmethod
     def from_json(cls, text: str) -> "Report":
         return cls.from_dict(json.loads(text))
+
+
+def _literal_texts(texts: list, signature: Optional[Signature] = None) -> tuple[str, ...]:
+    """Recorded literals as written, each checked to parse and, given a
+    ``signature``, to name one of its symbols."""
+    for text in texts:
+        symbol = parse_literal(text).symbol
+        if signature is not None:
+            signature.index_of(symbol)
+    return tuple(texts)
 
 
 def current_timestamp() -> str:
@@ -206,7 +210,7 @@ def build_report(
             removed_index=theorem.removed_index,
             conclusion=tuple(str(l) for l in theorem.conclusion),
             certified=theorem.certified,
-            trace_steps=len(theorem.trace),
+            trace_steps=trace_length(ftsc.n, theorem.removed_index),
             trace_replayed=None if replay_results is None else bool(replay_results[pos]),
         )
         for pos, theorem in enumerate(theorems)
@@ -226,23 +230,3 @@ def build_report(
         timestamp=timestamp if timestamp is not None else current_timestamp(),
     )
 
-
-def clause_set_from_report(report: Report) -> ClauseSet:
-    """Rebuild the clause set exactly as recorded. Arities are not read:
-    each follows from its symbol, and ``verify`` compares the two."""
-    signature = Signature(tuple(s for s, _ in report.signature))
-    clauses = tuple(
-        Clause(tuple(parse_literal(text) for text in clause))
-        for clause in report.clauses
-    )
-    return ClauseSet(clauses, signature)
-
-
-def theorems_from_report(report: Report, clause_set: ClauseSet) -> list[Theorem]:
-    """Rebuild the recorded theorems, uncertified, for re-verification, over
-    the report's clause set as ``clause_set_from_report`` read it."""
-    ftsc = Ftsc(clause_set, report.permutation, report.n)
-    return [
-        Theorem(ftsc, t.removed_index, tuple(parse_literal(c) for c in t.conclusion))
-        for t in report.theorems
-    ]

@@ -1,13 +1,18 @@
 """CLI subcommands, exit codes, determinism."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contragen import cli
 from contragen.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, run_cli
@@ -124,6 +129,110 @@ def _no_symbols(data):
     data["theorems"][0]["conclusion"] = []
 
 
+_EXPLANATION = {
+    "scenario": "s", "permutation": ["a"], "removed_index": 1, "role_label": "r",
+    "narrative": "n", "remediation": "m", "provenance": "p",
+}
+
+# Inputs of the genuine reports the edit test starts from: n <= 6, a
+# permuted order, a ground binary atom and a scenario.
+_EDIT_SOURCES = (
+    ("a",),
+    ("a", "b", "c"),
+    ("a", "P(x,y)", "c", "d", "--permutation", "5"),
+    ("a", "b", "c", "d", "e", "f"),
+    (str(SCENARIO_DIR / "medical.yaml"), "--permutation", "3"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _genuine_report(source: int) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run_cli(["generate", *_EDIT_SOURCES[source]]) == EXIT_OK
+    return out.getvalue()
+
+
+def _verify_text(text: str) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as work:
+        target = Path(work) / "report.json"
+        target.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(["verify", str(target)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _paths(value, path=()):
+    """Every path in a report outside the fields verify does not regenerate."""
+    if path in (("metadata", "timestamp"), ("explanations",), ("ranking",)):
+        return
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.floats(-2, 70)
+    | st.sampled_from(["", "a", "~a", "c", "~c", "P(x,y)", "verified", "failed"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from("ab"), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _at(data, path):
+    return functools.reduce(lambda value, key: value[key], path, data)
+
+
+@st.composite
+def _report_edits(draw):
+    """(source, path, kind, value): one edit of a genuine report. The kinds
+    replace a value, reorder a list, drop an item or key, or add one."""
+    source = draw(st.integers(0, len(_EDIT_SOURCES) - 1))
+    data = json.loads(_genuine_report(source))
+    path = draw(st.sampled_from(list(_paths(data))))
+    node = _at(data, path)
+    kinds = ["replace"] if path else []
+    if isinstance(node, list):
+        kinds += ["add", "drop"] if node else ["add"]
+        if len(set(map(json.dumps, node))) > 1:
+            kinds.append("reorder")
+    elif isinstance(node, dict):
+        kinds += ["add", "drop"]
+    kind = draw(st.sampled_from(kinds))
+    value = None
+    if kind == "drop":
+        keys = range(len(node)) if isinstance(node, list) else node.keys() - {"timestamp"}
+        value = draw(st.sampled_from(sorted(keys)))
+    elif kind != "reorder":
+        value = draw(_JSON)
+    if kind == "replace":
+        # The scenario name is an input that a v1 report records but cannot
+        # be regenerated from; a null trace_replayed records no replay run.
+        assume(json.dumps(node) != json.dumps(value))
+        assume(path != ("metadata", "scenario") or not isinstance(value, (str, type(None))))
+        assume(path[-1] != "trace_replayed" or value is not None)
+    return source, path, kind, value
+
+
+def _apply_edit(data, path, kind, value):
+    node = _at(data, path)
+    if kind == "replace":
+        _at(data, path[:-1])[path[-1]] = value
+    elif kind == "reorder":
+        node.append(node.pop(0))
+    elif kind == "drop":
+        del node[value]
+    elif isinstance(node, list):
+        node.append(value)
+    else:
+        node["extra"] = value
+
+
 class TestVerify:
     def test_valid_report(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -161,15 +270,26 @@ class TestVerify:
         assert code == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
-        "tamper",
+        "tamper, message",
         [
-            lambda data: data["theorems"].clear(),
-            lambda data: data.update(theorems=[data["theorems"][0]] * 4),
-            lambda data: data["clauses"].pop(),
+            (
+                lambda data: data["theorems"].clear(),
+                'theorems: theorems[0] recorded (absent), regenerated {"removed_index": 1, '
+                '"conclusion": ["~a"], "certified": "verified", "trace_steps": 5, '
+                '"trace_replayed": null}',
+            ),
+            (
+                lambda data: data.update(theorems=[data["theorems"][0]] * 4),
+                "theorems: theorems[1].removed_index recorded 1, regenerated 2",
+            ),
+            (
+                lambda data: data["clauses"].pop(),
+                "clauses: recorded 6 literals, the chain over 3 symbols has 9",
+            ),
         ],
         ids=["no-theorems", "theorem-1-four-times", "clause-missing"],
     )
-    def test_theorem_coverage(self, capsys, tmp_path, tamper):
+    def test_theorem_coverage(self, capsys, tmp_path, tamper, message):
         target = tmp_path / "report.json"
         run(capsys, "generate", "a", "b", "c", "--output", str(target))
         code, out, _ = run(capsys, "verify", str(target))
@@ -180,28 +300,25 @@ class TestVerify:
         target.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_VERIFICATION
-        assert "theorem coverage" in out
+        assert message in out.splitlines()
         assert out.endswith("verification FAILED\n")
 
     @pytest.mark.parametrize(
-        "tamper, permutation, symbols",
+        "tamper, expected",
         [
             (
                 lambda data: data["signature"].append({"symbol": "d", "arity": 0}),
-                "['a', 'b', 'c']",
-                "['a', 'b', 'c', 'd']",
+                'signature: signature[3] recorded {"symbol": "d", "arity": 0}, '
+                "regenerated (absent)",
             ),
             (
                 lambda data: data["metadata"].update(permutation=["c", "b", "a"]),
-                "['c', 'b', 'a']",
-                "['a', 'b', 'c']",
+                'signature: signature[0].symbol recorded "a", regenerated "c"',
             ),
         ],
         ids=["extra-symbol", "permutation-reordered"],
     )
-    def test_signature_matches_n_and_permutation(
-        self, capsys, tmp_path, tamper, permutation, symbols
-    ):
+    def test_signature_matches_n_and_permutation(self, capsys, tmp_path, tamper, expected):
         target = tmp_path / "report.json"
         run(capsys, "generate", "a", "b", "c", "--output", str(target))
         code, out, _ = run(capsys, "verify", str(target))
@@ -212,10 +329,6 @@ class TestVerify:
         target.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_VERIFICATION
-        expected = (
-            f"signature: expected n=3 symbols in permutation order {permutation}, "
-            f"got {symbols}"
-        )
         assert expected in out.splitlines()
         assert out.endswith("verification FAILED\n")
 
@@ -232,18 +345,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_VERIFICATION
         lines = [line for line in out.splitlines() if line.startswith("signature:")]
-        assert lines == [
-            "signature: arity differs from the symbol's for 'a' "
-            "(recorded 5, symbol gives 0)"
-        ]
+        assert lines == ["signature: signature[0].arity recorded 5, regenerated 0"]
         assert out.endswith("verification FAILED\n")
 
     @pytest.mark.parametrize(
-        "tamper, permutation",
-        [(_other_mus, "['a', 'b']"), (_no_symbols, "[]")],
+        "tamper, message",
+        [
+            (_other_mus, "clauses: recorded 4 literals, the chain over 2 symbols has 5"),
+            (
+                _no_symbols,
+                "metadata: metadata.permutation is not admissible: "
+                "at least one input literal is required",
+            ),
+        ],
         ids=["other-mus", "no-symbols"],
     )
-    def test_clauses_are_the_chain(self, capsys, tmp_path, tamper, permutation):
+    def test_clauses_are_the_chain(self, capsys, tmp_path, tamper, message):
         target = tmp_path / "report.json"
         run(capsys, "generate", "a", "b", "--output", str(target))
         code, out, _ = run(capsys, "verify", str(target))
@@ -255,18 +372,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_VERIFICATION
         lines = out.splitlines()
-        assert lines[-2:] == [
-            f"chain: clauses are not the triangular chain over permutation {permutation}",
-            "verification FAILED",
-        ]
+        assert lines[-2:] == [message, "verification FAILED"]
         assert all(not line.endswith(": failed") for line in lines)
 
     @pytest.mark.parametrize(
-        "position, field, value",
-        [(1, "trace_replayed", False), (2, "trace_steps", 999)],
+        "position, field, value, message",
+        [
+            (
+                1, "trace_replayed", False,
+                "theorems: theorems[1].trace_replayed recorded false, regenerated true",
+            ),
+            (
+                2, "trace_steps", 999,
+                "theorems: theorems[2].trace_steps recorded 999, regenerated 5",
+            ),
+        ],
         ids=["replay-false", "steps-999"],
     )
-    def test_trace_fields_checked(self, capsys, tmp_path, position, field, value):
+    def test_trace_fields_checked(self, capsys, tmp_path, position, field, value, message):
         target = tmp_path / "report.json"
         run(capsys, "generate", "a", "b", "c", "--output", str(target))
         code, out, _ = run(capsys, "verify", str(target))
@@ -277,11 +400,7 @@ class TestVerify:
         target.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_VERIFICATION
-        assert out.splitlines()[-2:] == [
-            f"trace: theorems [{position + 1}] record a failed replay or a step "
-            "count other than the chain trace's",
-            "verification FAILED",
-        ]
+        assert out.splitlines()[-2:] == [message, "verification FAILED"]
 
     def test_unreplayed_trace_passes(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -370,6 +489,93 @@ class TestVerify:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (
+                lambda data: data["theorems"][2].update(certified="failed"),
+                'theorems: theorems[2].certified recorded "failed", regenerated "verified"',
+            ),
+            (
+                lambda data: [t.update(certified="unchecked") for t in data["theorems"]],
+                'theorems: theorems[0].certified recorded "unchecked", regenerated "verified"',
+            ),
+            (
+                lambda data: data["metadata"].update(tool="other"),
+                'metadata: metadata.tool recorded "other", regenerated "contragen"',
+            ),
+            (
+                lambda data: data["metadata"].update(version="9.9"),
+                f'metadata: metadata.version recorded "9.9", regenerated "{cli.__version__}"',
+            ),
+            (
+                lambda data: data.update(schema_version=2),
+                "schema_version: schema_version recorded 2, regenerated 1",
+            ),
+            (
+                lambda data: data["clauses"][2].reverse(),
+                'clauses: clauses[2][0] recorded "c", regenerated "~a"',
+            ),
+            (
+                lambda data: data["theorems"][2]["conclusion"].reverse(),
+                'theorems: theorems[2].conclusion[0] recorded "~c", regenerated "a"',
+            ),
+            (
+                lambda data: data.update(extra=1),
+                "extra: extra recorded 1, regenerated (absent)",
+            ),
+            (
+                lambda data: data["explanations"].append(_EXPLANATION),
+                f"explanations: explanations[0] recorded {json.dumps(_EXPLANATION)}, "
+                "regenerated (absent)",
+            ),
+        ],
+        ids=["certified-failed", "all-unchecked", "tool", "version", "schema-version",
+             "clause-reversed", "conclusion-reordered", "extra-key", "explanation-added"],
+    )
+    def test_regenerated_report_names_first_difference(self, capsys, tmp_path, tamper, message):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert "verification passed" in out
+        data = json.loads(target.read_text())
+        tamper(data)
+        target.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines()[-2:] == [message, "verification FAILED"]
+
+    def test_explain_report_narrative_not_audited(self, capsys, tmp_path, scenario_dir):
+        target = tmp_path / "report.json"
+        run(capsys, "explain", str(scenario_dir / "medical.yaml"), "--output", str(target))
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert out.splitlines()[-2:] == [
+            "explanations, ranking: not audited; a v1 report does not record its scenario",
+            "verification passed",
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_report_edits())
+    @example((1, ("theorems", 2, "certified"), "replace", "failed"))
+    @example((1, ("metadata", "tool"), "replace", "other"))
+    @example((1, ("clauses", 2), "reorder", None))
+    def test_any_edit_of_a_genuine_report_fails(self, edit):
+        source, path, kind, value = edit
+        code, out, _ = _verify_text(_genuine_report(source))
+        assert (code, out.splitlines()[-1]) == (EXIT_OK, "verification passed")
+        data = json.loads(_genuine_report(source))
+        _apply_edit(data, path, kind, value)
+        code, out, err = _verify_text(json.dumps(data))
+        # An edit that breaks the schema is an input error; any other fails.
+        if code == EXIT_VALIDATION:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == EXIT_VERIFICATION
+            assert out.endswith("verification FAILED\n")
 
     def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
         def broken(args):
@@ -634,6 +840,31 @@ class TestExport:
                 "  - {symbol: a, args: [p], variables: [p], gloss: g}\n"
                 "  - {symbol: b, args: [P], variables: [P], gloss: h}\n"
                 "grounding: {p: [c1], P: [c2]}\n"
+            )
+            inputs, mode = [str(path)], "fof"
+        code, out, err = run(
+            capsys, "export", *inputs, "--format", "tptp", "--tptp-mode", mode
+        )
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            (["p", "p(a)"], "TPTP predicate 'p' has arity 0 in 'p' and 1 in 'p(a)'"),
+            (["p(a)", "P(a,b)"], "TPTP predicate 'p' has arity 1 in 'p(a)' and 2 in 'P(a,b)'"),
+            (None, "TPTP predicate 'has' has arity 1 in 'Has(c1)' and 0 in 'Has'"),
+        ],
+        ids=["constant-and-unary", "unary-and-binary", "fof"],
+    )
+    def test_tptp_predicate_keeps_one_arity(self, capsys, tmp_path, inputs, message):
+        mode = "cnf"
+        if inputs is None:
+            path = tmp_path / "arity.yaml"
+            path.write_text(
+                "name: arity\ndomain: Test\natoms:\n"
+                "  - {symbol: Has, args: [p], variables: [p], gloss: g}\n"
+                "  - {symbol: Has, gloss: h}\n"
+                "grounding: {p: [c1]}\n"
             )
             inputs, mode = [str(path)], "fof"
         code, out, err = run(

@@ -242,6 +242,10 @@ class TestEmitTptp:
         with pytest.raises(TptpSyntaxError):
             check_tptp("cnf(foo, axiom, (A |).\n")
 
+    def test_checker_rejects_a_predicate_at_two_arities(self):
+        with pytest.raises(TptpSyntaxError, match="arities 0 and 1"):
+            check_tptp("cnf(c1, axiom, (~p | p(a))).\n")
+
 
 class TestReportRoundTrip:
     def _full_report(self, scenario_dir):

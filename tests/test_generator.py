@@ -31,6 +31,7 @@ from contragen.generator import (
     permutation_by_rank,
     recover_permutation,
     total_literals,
+    trace_length,
 )
 
 from oracles import brute_force_entails, plain_clauses
@@ -292,6 +293,12 @@ class TestProofTraces:
         ftsc = build_ftsc(signature_of(["x1"]))
         with pytest.raises(IndexError):
             build_proof_trace(ftsc, 3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trace_length_closed_form(self, n):
+        ftsc = build_ftsc(signature_of([f"x{i}" for i in range(1, n + 1)]))
+        for i in range(1, n + 2):
+            assert len(build_proof_trace(ftsc, i)) == trace_length(n, i)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_traces_replay_and_match_oracle(self, n):

@@ -2,8 +2,8 @@
 
 Independent recursive-descent parser for files made of cnf/fof annotated
 formulas over literals, | and & chains (unmixed), and ! quantifier
-prefixes. Returns normally on valid input and raises TptpSyntaxError
-otherwise.
+prefixes. Each predicate must keep one arity across the file. Returns
+normally on valid input and raises TptpSyntaxError otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ class _Tokens:
                     self.items.append(match.group(match.lastgroup))
                 pos = match.end()
         self.index = 0
+        # predicate name -> the number of arguments it was first used with
+        self.arities: dict[str, int] = {}
 
     def peek(self):
         return self.items[self.index] if self.index < len(self.items) else None
@@ -66,13 +68,19 @@ def _parse_atom(tokens: _Tokens):
     token = tokens.take()
     if not _NAME.fullmatch(token):
         raise TptpSyntaxError(f"bad predicate name: {token!r}")
+    arity = 0
     if tokens.peek() == "(":
         tokens.take("(")
         _parse_term(tokens)
+        arity = 1
         while tokens.peek() == ",":
             tokens.take(",")
             _parse_term(tokens)
+            arity += 1
         tokens.take(")")
+    first = tokens.arities.setdefault(token, arity)
+    if first != arity:
+        raise TptpSyntaxError(f"predicate {token!r} used with arities {first} and {arity}")
 
 
 def _parse_literal(tokens: _Tokens):
