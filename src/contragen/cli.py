@@ -16,6 +16,7 @@ deterministic; the report timestamp is the only field that varies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -71,6 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Building the parser costs more than a small command's own work, and
+# parsing leaves it unchanged, so one process builds it once.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="contragen", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"contragen {__version__}")
@@ -90,7 +94,7 @@ def _build_parser() -> _Parser:
 
     enum = sub.add_parser("enumerate", help="stream all permutation constructions with counts")
     add_input_options(enum, with_permutation=False)
-    enum.add_argument("--n-cap", type=int, default=DEFAULT_ENUMERATION_CAP, dest="n_cap",
+    enum.add_argument("--n-cap", type=int, dest="n_cap",
                       help="refuse to enumerate above this many literals "
                       f"(default {DEFAULT_ENUMERATION_CAP})")
     enum.add_argument("--no-certify", action="store_true",
@@ -179,7 +183,8 @@ def _cmd_enumerate(args) -> int:
     distinct = 0
     certified = 0
     total = 0
-    for ftsc in enumerate_ftscs(signature, cap=args.n_cap):
+    cap = DEFAULT_ENUMERATION_CAP if args.n_cap is None else args.n_cap
+    for ftsc in enumerate_ftscs(signature, cap=cap):
         total += 1
         order = recover_permutation(ftsc.clause_set)
         if order is not None:
@@ -206,8 +211,8 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _verify_clause_set(clause_set) -> bool:
-    mus = check_mus(clause_set)
+def _verify_clause_set(clause_set, witnesses=None) -> bool:
+    mus = check_mus(clause_set, witnesses=witnesses)
     print(f"unsatisfiable: {mus.is_unsatisfiable}")
     print(f"minimal (every deletion satisfiable): {mus.is_mus}")
     return mus.is_mus
@@ -272,7 +277,8 @@ def _verify_report(data) -> bool:
                 differences[key] = found
     # These lines speak of the recorded clauses, so they need them to match.
     if "clauses" not in differences:
-        _verify_clause_set(theorems[0].source.clause_set)
+        source = theorems[0].source
+        _verify_clause_set(source.clause_set, source.deletion_models)
         recorded_theorems = data["theorems"] + [_ABSENT] * len(theorems)
         for got, want in zip(recorded_theorems, expected["theorems"]):
             same = "theorems" not in differences or _first_difference(got, want, "") is None
@@ -292,7 +298,12 @@ def _cmd_verify(args) -> int:
     if path.suffix != ".json":
         ok = _verify_clause_set(parse_dimacs(text))
     else:
-        ok = _verify_report(json.loads(text))
+        # A report is a few levels deep, so only input nested about as deep
+        # as the interpreter's recursion limit recurses this far.
+        try:
+            ok = _verify_report(json.loads(text))
+        except RecursionError:
+            raise ValidationError(f"{args.input}: JSON nested too deeply to read") from None
     print("verification " + ("passed" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFICATION
 

@@ -20,6 +20,11 @@ directly, with no search:
     assumption as ~xi;
   * removing C(n+1): the units x1..xn are the whole conclusion.
 
+The models of the deletions are known in advance too: removing Ci with
+i <= n leaves "all true except xi" satisfied, and removing C(n+1) leaves
+"all true". ``Ftsc.deletion_models`` offers them to the verifier as
+certificates, which it checks rather than trusts.
+
 Everything here is deterministic. ``enumerate_ftscs`` streams one
 construction per permutation of the literals, in lexicographic order,
 guarded by a cap because the permutation space grows factorially.
@@ -125,6 +130,16 @@ class Ftsc:
         if not 1 <= removed_index <= self.n + 1:
             raise IndexError(f"removed index out of range: {removed_index}")
         return self.clause_set.without(removed_index - 1)
+
+    @cached_property
+    def deletion_models(self) -> tuple[int, ...]:
+        """A candidate model of each single-clause deletion, in clause order,
+        as a bitmask over the signature (bit j set: symbol j true): all true
+        except xi for clause i <= n, all true for clause n+1. Each is the
+        lexicographically first model of its deletion, the one a search
+        returns, so accepting it changes no witness."""
+        everything = (1 << self.n) - 1
+        return tuple(everything ^ (1 << j) for j in range(self.n)) + (everything,)
 
 
 @dataclass(frozen=True)

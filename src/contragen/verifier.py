@@ -19,21 +19,31 @@ lexicographically first under "lower signature index decided first, true
 preferred". No clause learning, no heuristics, no randomness. Each serves
 as the other's cross-check.
 
+Minimality is certified from checked certificates before any search
+(McConnell, Mehlhorn, Naeher & Schweitzer 2011, "Certifying algorithms").
+Given one candidate model per deletion, ``check_mus`` accepts deletion i
+when its model satisfies every other clause, and counts the set as
+unsatisfiable when unit propagation alone reaches a conflict, a RUP
+refutation (Goldberg & Novikov 2003). Whatever no certificate settles is
+searched as above, so a wrong or missing certificate costs time and never
+changes a verdict. The generator supplies the chain's models, so only
+DIMACS input and fallbacks search.
+
 A theorem is certified from its source's deletion-based minimality check
 alone: the remainder R entails the negated removed clause l1 | ... | lk
 exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
 certification is "MUS at the removed index plus the conclusion equals the
 negated clause", and ``check_mus`` remembers its last report, so each
 construction is decided once for all of its theorems. Trace replay runs
-on the premises' integer encoding with one incrementally maintained set
-of known literals.
+on the premises' clause bitmasks, with the known literals held as two
+masks, true and false.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import ClauseSet, Literal
 from .generator import (
@@ -52,6 +62,8 @@ TRUTH_TABLE_MAX_VARS = 16
 
 METHOD_TRUTH_TABLE = "truth-table"
 METHOD_DPLL = "dpll"
+#: The method of a result read from a checked certificate instead of a search.
+METHOD_CERTIFICATE = "certificate"
 
 
 @dataclass(frozen=True)
@@ -68,11 +80,23 @@ class SatResult:
 @dataclass(frozen=True)
 class MusReport:
     """Deletion-based minimality check: the set is minimal iff it is
-    unsatisfiable and every single-clause deletion is satisfiable."""
+    unsatisfiable and every single-clause deletion is satisfiable.
+
+    ``method`` says how the set itself was decided. It and each deletion
+    result's method are "certificate" where a checked certificate settled
+    the question, and name the search otherwise.
+    """
 
     is_unsatisfiable: bool
     deletion_results: tuple[SatResult, ...]
     is_mus: bool
+    method: str
+
+    @property
+    def searches(self) -> int:
+        """How many decisions, of the set and of each deletion, were searched."""
+        methods = [self.method] + [r.method for r in self.deletion_results]
+        return sum(m != METHOD_CERTIFICATE for m in methods)
 
 
 @dataclass(frozen=True)
@@ -181,6 +205,13 @@ class DpllSolver:
             if value[lit] < 0 or (value[lit] == 0 and not self._imply(lit)):
                 self._ok = False
                 break
+
+    @property
+    def refuted(self) -> bool:
+        """True when the clauses hold the empty clause or unit propagation
+        alone, run at construction, reached a conflict: a proof that they
+        are unsatisfiable with no search."""
+        return not self._ok
 
     def _imply(self, lit: int) -> bool:
         """Make ``lit`` true and propagate to fixpoint; False on a conflict.
@@ -292,35 +323,89 @@ def is_satisfiable(clause_set: ClauseSet, method: str = "auto") -> SatResult:
     return _dpll(clause_set)
 
 
-# (clause set, method, report) of the last check_mus call. Holding the
-# clause set keeps its identity from being reused.
-_last_mus: tuple = (None, None, None)
+# (clause set, method, witnesses, report) of the last check_mus call.
+# Holding the clause set keeps its identity from being reused.
+_last_mus: tuple = (None, None, None, None)
 
 
-def check_mus(clause_set: ClauseSet, method: str = "auto") -> MusReport:
-    """Full deletion-based minimality check: one satisfiability call on the
-    set and one per single-clause deletion.
+def check_mus(
+    clause_set: ClauseSet,
+    method: str = "auto",
+    witnesses: Optional[Sequence[Optional[int]]] = None,
+) -> MusReport:
+    """Full deletion-based minimality check: the set must be unsatisfiable
+    and each single-clause deletion satisfiable.
 
-    The last report is remembered, keyed on the clause-set object and
-    ``method``, so the theorems of one construction share one check.
+    Without ``witnesses`` the set and each deletion take one
+    satisfiability call. ``witnesses`` holds one candidate model per
+    deletion, in clause order, as a bitmask over the signature (bit j set:
+    symbol j true); None, or a list too short, leaves a deletion without
+    one. A deletion whose model satisfies every other clause is accepted
+    with that model as its witness, and the set counts as unsatisfiable
+    when unit propagation alone refutes it. The rest is searched as
+    without ``witnesses``, so a wrong certificate never changes the
+    verdict.
+
+    The last report is remembered, keyed on the clause-set and witnesses
+    objects and ``method``, so the theorems of one construction share one
+    check.
     """
     global _last_mus
-    cached, cached_method, report = _last_mus
-    if cached is clause_set and cached_method == method:
+    cached, cached_method, cached_witnesses, report = _last_mus
+    if cached is clause_set and cached_method == method and cached_witnesses is witnesses:
         return report
-    overall = is_satisfiable(clause_set, method)
+    # Checked up front, so a bad method fails even where nothing is searched.
+    _resolve_method(clause_set, method)
+    if witnesses is None:
+        certified: list[Optional[SatResult]] = [None] * len(clause_set.clauses)
+        refuted = False
+    else:
+        certified = _checked_models(clause_set, witnesses)
+        size = clause_set.signature.size
+        refuted = DpllSolver(clause_set.int_clauses(), size).refuted
+    if refuted:
+        overall = SatResult(False, None, METHOD_CERTIFICATE)
+    else:
+        overall = is_satisfiable(clause_set, method)
     deletions = tuple(
-        is_satisfiable(clause_set.without(i), method)
-        for i in range(len(clause_set.clauses))
+        result or is_satisfiable(clause_set.without(i), method)
+        for i, result in enumerate(certified)
     )
     is_unsat = not overall.satisfiable
     report = MusReport(
         is_unsatisfiable=is_unsat,
         deletion_results=deletions,
         is_mus=is_unsat and all(r.satisfiable for r in deletions),
+        method=overall.method,
     )
-    _last_mus = (clause_set, method, report)
+    _last_mus = (clause_set, method, witnesses, report)
     return report
+
+
+def _checked_models(
+    clause_set: ClauseSet, witnesses: Sequence[Optional[int]]
+) -> list[Optional[SatResult]]:
+    """Per deletion, a satisfiable result carrying its candidate model if
+    that model satisfies every other clause, and None otherwise."""
+    masks = clause_set.masks()
+    symbols = clause_set.signature.symbols
+    everything = (1 << len(symbols)) - 1
+    results: list[Optional[SatResult]] = []
+    for i in range(len(masks)):
+        model = witnesses[i] if i < len(witnesses) else None
+        result = None
+        if model is not None:
+            model &= everything  # bits beyond the signature name no symbol
+            other = everything ^ model
+            violated = [j for j, (positive, negative) in enumerate(masks)
+                        if not (positive & model or negative & other)]
+            if violated in ([], [i]):
+                # Bit j, lowest first, as symbol j's truth value.
+                bits = reversed(format(model, f"0{len(symbols)}b"))
+                witness = dict(zip(symbols, map("1".__eq__, bits)))
+                result = SatResult(True, witness, METHOD_CERTIFICATE)
+        results.append(result)
+    return results
 
 
 def check_theorem(theorem: Theorem) -> Theorem:
@@ -332,7 +417,8 @@ def check_theorem(theorem: Theorem) -> Theorem:
     negation of the removed clause. Entailment needs no solve of its own:
     the remainder entails every conclusion literal exactly when adding
     the removed clause back, the source, is unsatisfiable. The check is
-    read from ``check_mus``, which decides each construction once.
+    read from ``check_mus``, given the source's deletion models as
+    certificates, which decides each construction once.
     Failure is reported in the certification state, never raised.
     """
     source = theorem.source
@@ -340,7 +426,7 @@ def check_theorem(theorem: Theorem) -> Theorem:
     if not 1 <= i <= source.n + 1 or len(source.clause_set) < source.n + 1:
         return replace(theorem, certified=CERT_FAILED)
     negated = {l.negate() for l in source.clause(i).literals}
-    mus = check_mus(source.clause_set)
+    mus = check_mus(source.clause_set, witnesses=source.deletion_models)
     ok = (
         mus.is_unsatisfiable
         and mus.deletion_results[i - 1].satisfiable
@@ -361,16 +447,20 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
     contradiction and concludes the assumption's negation. A valid trace
     must be nonempty and must leave no assumption open.
 
-    Replay runs on the premises' integer encoding. Literals over symbols
-    outside the signature get fresh numbers, so they can never match a
-    premise literal.
+    Replay runs on the premises' clause bitmasks. Known literals are two
+    masks, those known true and those known false, so a cited clause with
+    the derived literal taken out is unit exactly when its positive mask
+    lies inside the known-false one and its negative mask inside the
+    known-true one. Literals over symbols outside the signature get fresh
+    high bits, so they can never match a premise literal.
     """
     signature = premises.signature
-    clauses = premises.int_clauses()
+    clauses = premises.masks()
     symbols = list(signature.symbols)
     extra: dict[str, int] = {}
 
     def encode(lit: Optional[Literal]) -> Optional[int]:
+        """Signed 1-based index of the literal's symbol; None for no literal."""
         if lit is None:
             return None
         if lit.symbol in signature:
@@ -382,28 +472,47 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
                 index = extra[lit.symbol] = len(symbols)
         return -index if lit.negated else index
 
-    units: set[int] = set()
-    # Always units | scoped | {assumption}; ``scoped`` lists what the open
-    # scope added to it, so a discharge can take exactly that back out.
-    known: set[int] = set()
-    scoped: list[int] = []
+    # (true, false) masks of the established units, and of everything
+    # known: the units plus, inside a scope, the assumption and what it
+    # propagated. Units cannot change inside a scope, so a discharge takes
+    # ``known`` back to ``units``.
+    units = (0, 0)
+    known = (0, 0)
     assumption: Optional[int] = None
     contradicted = False
 
     def established() -> frozenset[Literal]:
-        return frozenset(Literal(symbols[abs(l) - 1], l < 0) for l in units)
+        return frozenset(
+            Literal(symbols[j], negated)
+            for negated, mask in ((False, units[0]), (True, units[1]))
+            for j, bit in enumerate(reversed(format(mask, "b"))) if bit == "1"
+        )
 
     def fail(step_index: Optional[int], reason: str) -> ReplayResult:
         return ReplayResult(False, step_index, reason, established())
 
-    def supported(cited: tuple[int, ...], lit: int, facts: set[int]) -> bool:
-        return all(-l in facts for l in cited if l != lit)
+    def add(facts: tuple[int, int], lit: int) -> tuple[int, int]:
+        true, false = facts
+        if lit > 0:
+            return true | 1 << (lit - 1), false
+        return true, false | 1 << (-lit - 1)
+
+    def rest(cited: tuple[int, int], lit: int) -> Optional[tuple[int, int]]:
+        """The cited clause without ``lit``; None when it lacks ``lit``."""
+        positive, negative = cited
+        bit = 1 << (abs(lit) - 1)
+        if lit > 0:
+            return (positive & ~bit, negative) if positive & bit else None
+        return (positive, negative & ~bit) if negative & bit else None
+
+    def falsified(clause: tuple[int, int], facts: tuple[int, int]) -> bool:
+        return not (clause[0] & ~facts[1] or clause[1] & ~facts[0])
 
     if not trace.steps:
         return fail(None, "empty trace")
 
     for idx, step in enumerate(trace.steps):
-        cited: Optional[tuple[int, ...]] = None
+        cited: Optional[tuple[int, int]] = None
         if step.premise_index is not None:
             if not 0 <= step.premise_index < len(clauses):
                 return fail(idx, f"premise index out of range: {step.premise_index}")
@@ -415,40 +524,38 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
                 return fail(idx, "unit derivation inside an assumption scope")
             if lit is None or cited is None:
                 return fail(idx, "unit derivation needs a literal and a premise")
-            if lit not in cited:
+            others = rest(cited, lit)
+            if others is None:
                 return fail(idx, "derived literal does not occur in the cited clause")
-            if not supported(cited, lit, units):
+            if not falsified(others, units):
                 return fail(idx, "cited clause is not unit under established literals")
-            units.add(lit)
-            known.add(lit)
+            units = add(units, lit)
+            known = add(known, lit)
         elif step.kind == STEP_ASSUME:
             if assumption is not None:
                 return fail(idx, "nested assumption")
             if lit is None:
                 return fail(idx, "assumption needs a literal")
             assumption = lit
-            if lit not in known:
-                known.add(lit)
-                scoped.append(lit)
+            known = add(known, lit)
             contradicted = False
         elif step.kind == STEP_PROPAGATE:
             if assumption is None:
                 return fail(idx, "propagation outside an assumption scope")
             if lit is None or cited is None:
                 return fail(idx, "propagation needs a literal and a premise")
-            if lit not in cited:
+            others = rest(cited, lit)
+            if others is None:
                 return fail(idx, "derived literal does not occur in the cited clause")
-            if not supported(cited, lit, known):
+            if not falsified(others, known):
                 return fail(idx, "cited clause is not unit under established literals")
-            if lit not in known:
-                known.add(lit)
-                scoped.append(lit)
+            known = add(known, lit)
         elif step.kind == STEP_EMPTY:
             if assumption is None:
                 return fail(idx, "empty-clause step outside an assumption scope")
             if cited is None:
                 return fail(idx, "empty-clause step needs a premise")
-            if not supported(cited, 0, known):
+            if not falsified(cited, known):
                 return fail(idx, "cited clause is not fully falsified")
             contradicted = True
         elif step.kind == STEP_DISCHARGE:
@@ -456,10 +563,8 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
                 return fail(idx, "discharge without a refuted assumption")
             if lit != -assumption:
                 return fail(idx, "discharged literal must negate the assumption")
-            known.difference_update(scoped)
-            scoped.clear()
-            units.add(lit)
-            known.add(lit)
+            units = add(units, lit)
+            known = units
             assumption = None
             contradicted = False
         else:

@@ -269,6 +269,30 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "/nonexistent/report.json")
         assert code == EXIT_VALIDATION
 
+    def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "nested.json"
+        target.write_text("[" * 200_000)
+        code, out, err = run(capsys, "verify", str(target))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: {target}: JSON nested too deeply to read\n"
+
+    def test_nesting_near_the_recursion_limit(self, capsys, tmp_path):
+        # Shallow enough to load but deep enough that comparing it recurses
+        # past the limit somewhere in this range, wherever the stack stands.
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "--output", str(target))
+        text = target.read_text()
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 200, limit + 10):
+            deep = "[" * depth + "]" * depth
+            target.write_text(text.replace('"certified"', f'"deep": {deep}, "certified"', 1))
+            code, out, err = run(capsys, "verify", str(target))
+            assert (code, out.splitlines()[-1:], err) in (
+                (EXIT_VERIFICATION, ["verification FAILED"], ""),
+                (EXIT_VALIDATION, [], f"error: {target}: JSON nested too deeply to read\n"),
+            ), depth
+
     @pytest.mark.parametrize(
         "tamper, message",
         [
@@ -416,24 +440,29 @@ class TestVerify:
     def test_each_set_decided_once_per_command(self, capsys, tmp_path, monkeypatch):
         import contragen.verifier as verifier
 
-        solved = []
-        genuine = verifier.is_satisfiable
+        searched, checked = [], []
+        search, check = verifier.is_satisfiable, verifier._checked_models
 
-        def counting(clause_set, method="auto"):
-            solved.append(clause_set)
-            return genuine(clause_set, method)
+        def counting_search(clause_set, method="auto"):
+            searched.append(clause_set)
+            return search(clause_set, method)
 
-        monkeypatch.setattr(verifier, "is_satisfiable", counting)
+        def counting_check(clause_set, witnesses):
+            checked.append(clause_set)
+            return check(clause_set, witnesses)
+
+        monkeypatch.setattr(verifier, "is_satisfiable", counting_search)
+        monkeypatch.setattr(verifier, "_checked_models", counting_check)
         target = tmp_path / "report.json"
         code, _, _ = run(capsys, "generate", "a", "b", "c", "d", "e", "--output", str(target))
         assert code == EXIT_OK
-        # The source and its n+1 deletions, each decided once.
-        assert len(solved) == 7
-        solved.clear()
+        # The chain is certified from its certificates, once; nothing is searched.
+        assert (len(checked), len(searched)) == (1, 0)
+        checked.clear()
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_OK
         assert "verification passed" in out
-        assert len(solved) == 7
+        assert (len(checked), len(searched)) == (1, 0)
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -917,6 +946,25 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == EXIT_VALIDATION
+
+    def test_parser_built_once_per_process(self, capsys, tmp_path):
+        target = str(tmp_path / "report.json")
+        commands = [
+            ["generate", "a", "b", "--permutation", "x"],
+            ["generate", "a", "b", "c", "--output", target],
+            ["verify", target],
+        ]
+        cli._build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in commands]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [EXIT_VALIDATION, EXIT_OK, EXIT_OK]
+        assert "usage error: argument --permutation" in shared[0][2]
+        assert shared[2][1].endswith("verification passed\n")
 
     def test_missing_format(self, capsys):
         code, _, err = run(capsys, "export", "a")

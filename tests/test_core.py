@@ -251,19 +251,33 @@ class TestClauseSet:
             [Clause((pos("a"),)), Clause((pos("b"), neg("a")))], signature
         )
         assert clause_set.int_clauses() == ((1,), (-1, 2))
+        # Bit 0 is a, bit 1 is b: (positive, negative) per clause.
+        assert clause_set.masks() == ((0b01, 0b00), (0b10, 0b01))
+        assert clause_set.masks() is clause_set.masks()
 
     @given(
         st.lists(st.lists(literals, max_size=4), min_size=1, max_size=6),
         st.data(),
+        st.booleans(),
     )
-    def test_derived_encodings_match_fresh_sets(self, clauses, data):
+    def test_derived_encodings_match_fresh_sets(self, clauses, data, masked_first):
         signature = sig(*[f"x{i}" for i in range(1, 7)])
         clause_set = ClauseSet.build(clauses, signature)
+        if masked_first:
+            clause_set.masks()  # ``without`` then slices them
         index = data.draw(st.integers(min_value=0, max_value=len(clauses) - 1))
         removed = clause_set.without(index)
         fresh = ClauseSet(removed.clauses, signature)
         assert removed == fresh
         assert removed.int_clauses() == fresh.int_clauses()
+        assert removed.masks() == fresh.masks()
+        # A model satisfies a clause by its masks exactly when it does by
+        # literal-wise evaluation.
+        model = data.draw(st.integers(min_value=0, max_value=(1 << 6) - 1))
+        assignment = {s: bool(model >> j & 1) for j, s in enumerate(signature.symbols)}
+        for clause, (positive, negative) in zip(removed.clauses, removed.masks()):
+            by_mask = bool(positive & model or negative & ~model)
+            assert by_mask == evaluate_clause(clause, assignment)
 
     def test_without(self):
         signature = sig("a")

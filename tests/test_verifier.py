@@ -280,6 +280,120 @@ class TestCheckMus:
 
 
 @st.composite
+def permuted_chains(draw, max_n=16):
+    """A chain over up to ``max_n`` symbols in a random order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    order = draw(st.permutations(range(n)))
+    return build_ftsc(Signature(tuple(f"x{i}" for i in range(n))).permuted(order))
+
+
+def search_reports(clause_set):
+    """The minimality report of each search method: truth table and DPLL."""
+    return [check_mus(clause_set, method) for method in ("truth-table", "dpll")]
+
+
+def model_of(mask, symbols):
+    return {s: bool(mask >> j & 1) for j, s in enumerate(symbols)}
+
+
+class TestCertificates:
+    @given(permuted_chains())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_certificates_match_both_searches(self, ftsc):
+        report = check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models)
+        assert report.searches == 0
+        assert report.method == "certificate"
+        assert (report.is_unsatisfiable, report.is_mus) == (True, True)
+        for oracle in search_reports(ftsc.clause_set):
+            assert (oracle.is_unsatisfiable, oracle.is_mus) == (True, True)
+            assert [r.witness for r in report.deletion_results] == [
+                r.witness for r in oracle.deletion_results
+            ]
+
+    @given(permuted_chains(max_n=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_certificates_fall_back(self, ftsc, data):
+        n = ftsc.n
+        models = list(ftsc.deletion_models)
+        corruption = data.draw(st.sampled_from(("flip", "all true", "all false")))
+        if corruption == "flip":
+            i = data.draw(st.integers(0, n))
+            models[i] ^= 1 << data.draw(st.integers(0, n - 1))
+        else:
+            models = [(1 << n) - 1 if corruption == "all true" else 0] * (n + 1)
+        clause_set = ftsc.clause_set
+        report = check_mus(clause_set, witnesses=models)
+        oracle = check_mus(clause_set, "truth-table")
+        assert (report.is_unsatisfiable, report.is_mus) == (True, True)
+        symbols = clause_set.signature.symbols
+        for i, (result, expected) in enumerate(
+            zip(report.deletion_results, oracle.deletion_results)
+        ):
+            # A model is accepted exactly when it really satisfies the deletion;
+            # anything else is searched and gives the search's witness.
+            model = model_of(models[i], symbols)
+            if evaluate_set(clause_set.without(i), model):
+                assert (result.method, result.witness) == ("certificate", model)
+            else:
+                assert result == expected
+
+    @pytest.mark.parametrize("mutation", ["duplicate", "drop"])
+    @given(ftsc=permuted_chains(max_n=10), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_non_mus_never_passes(self, mutation, ftsc, data):
+        clauses = list(ftsc.clause_set.clauses)
+        k = data.draw(st.integers(0, ftsc.n))
+        if mutation == "duplicate":
+            clauses.insert(data.draw(st.integers(0, len(clauses))), clauses[k])
+        else:
+            del clauses[k]
+        clause_set = ClauseSet(tuple(clauses), ftsc.signature)
+        report = check_mus(clause_set, witnesses=ftsc.deletion_models)
+        oracle = check_mus(clause_set, "truth-table")
+        assert not report.is_mus
+        assert (report.is_unsatisfiable, report.is_mus) == (
+            oracle.is_unsatisfiable, oracle.is_mus
+        )
+        assert [r.satisfiable for r in report.deletion_results] == [
+            r.satisfiable for r in oracle.deletion_results
+        ]
+
+    def test_refutation_propagation_cannot_find_is_searched(self):
+        # Every pair of polarities over a, b: unsatisfiable, yet no clause is
+        # a unit, so propagation has nothing to start from.
+        a, b = pos("a"), pos("b")
+        clauses = [[a, b], [a, b.negate()], [a.negate(), b], [a.negate(), b.negate()]]
+        clause_set = ClauseSet.build(clauses, Signature(("a", "b")))
+        # Deleting clause i leaves exactly the model that violates it.
+        models = [0b00, 0b10, 0b01, 0b11]
+        report = check_mus(clause_set, witnesses=models)
+        assert report.is_unsatisfiable and report.is_mus
+        assert report.method == "truth-table"
+        assert report.searches == 1
+        assert all(r.method == "certificate" for r in report.deletion_results)
+
+    def test_missing_certificates_are_searched(self):
+        ftsc = chain(["a", "b", "c"])
+        report = check_mus(ftsc.clause_set, witnesses=[None, ftsc.deletion_models[1]])
+        assert [r.method for r in report.deletion_results] == [
+            "truth-table", "certificate", "truth-table", "truth-table"
+        ]
+        assert report.searches == 3
+        oracle = check_mus(ftsc.clause_set, "truth-table")
+        assert [r.witness for r in report.deletion_results] == [
+            r.witness for r in oracle.deletion_results
+        ]
+
+    def test_without_witnesses_every_question_is_searched(self):
+        ftsc = chain(["a", "b", "c"])
+        assert check_mus(ftsc.clause_set, "dpll", ftsc.deletion_models).searches == 0
+        # Not served from the remembered certified report of the same set.
+        report = check_mus(ftsc.clause_set, "dpll")
+        assert report.method == "dpll"
+        assert report.searches == 5
+
+
+@st.composite
 def theorem_cases(draw):
     """A theorem over n+1 arbitrary clauses (empty clauses, repeated
     literals and tautologies allowed), a removed index in 0..n+2 and a
@@ -376,26 +490,35 @@ class TestCheckTheorem:
     def test_source_decided_once_per_construction(self, n, monkeypatch):
         import contragen.verifier as verifier
 
-        solved = []
-        genuine = verifier.is_satisfiable
+        searched, checked = [], []
+        search, check = verifier.is_satisfiable, verifier._checked_models
 
-        def counting(clause_set, method="auto"):
-            solved.append(clause_set)
-            return genuine(clause_set, method)
+        def counting_search(clause_set, method="auto"):
+            searched.append(clause_set)
+            return search(clause_set, method)
 
-        monkeypatch.setattr(verifier, "is_satisfiable", counting)
+        def counting_check(clause_set, witnesses):
+            checked.append(clause_set)
+            return check(clause_set, witnesses)
+
+        monkeypatch.setattr(verifier, "is_satisfiable", counting_search)
+        monkeypatch.setattr(verifier, "_checked_models", counting_check)
         ftsc = chain([f"x{i}" for i in range(1, n + 1)])
         theorems = derive_theorems(ftsc)
         for theorem in theorems:
             assert check_theorem(theorem).certified == CERT_VERIFIED
-        assert sum(c is ftsc.clause_set for c in solved) == 1
+        # One certificate check per construction, and no search at all.
+        assert len(checked) == 1 and checked[0] is ftsc.clause_set
+        assert searched == []
         # A different construction is decided afresh, not served from memory.
+        # Unit propagation cannot refute it, so the fallback search decides it.
         clauses = ftsc.clause_set.clauses
         weak = ClauseSet(clauses[:-1] + (clauses[-2],), ftsc.signature)
         impostor = replace(ftsc, clause_set=weak)
         tampered = replace(theorems[0], source=impostor)
         assert check_theorem(tampered).certified == CERT_FAILED
-        assert sum(c is weak for c in solved) == 1
+        assert checked[1] is weak
+        assert sum(c is weak for c in searched) == 1
 
     def test_short_source_fails_without_raising(self):
         ftsc = chain(["a", "b"])
@@ -408,6 +531,114 @@ class TestCheckTheorem:
         theorem = derive_theorems(chain(["x1"]))[1]
         assert [str(l) for l in theorem.conclusion] == ["x1"]
         assert check_theorem(theorem).certified == CERT_VERIFIED
+
+
+def set_replay(trace, premises):
+    """Reference replay over sets of (symbol, negated) literals: the rules
+    of ``replay_trace`` written plainly. (ok, failed step, reason, units)."""
+    clauses = [frozenset((l.symbol, l.negated) for l in c) for c in premises.clauses]
+    units, known, scoped = set(), set(), set()
+    assumption, contradicted = None, False
+
+    def fail(idx, reason):
+        return False, idx, reason, {Literal(s, n) for s, n in units}
+
+    def unit_under(clause, lit, facts):
+        return all((s, not n) in facts for s, n in clause if (s, n) != lit)
+
+    if not trace.steps:
+        return fail(None, "empty trace")
+    for idx, step in enumerate(trace.steps):
+        cited = None
+        if step.premise_index is not None:
+            if not 0 <= step.premise_index < len(clauses):
+                return fail(idx, f"premise index out of range: {step.premise_index}")
+            cited = clauses[step.premise_index]
+        lit = None if step.literal is None else (step.literal.symbol, step.literal.negated)
+        if step.kind in (STEP_UNIT, STEP_PROPAGATE):
+            unit = step.kind == STEP_UNIT
+            if unit and assumption is not None:
+                return fail(idx, "unit derivation inside an assumption scope")
+            if not unit and assumption is None:
+                return fail(idx, "propagation outside an assumption scope")
+            if lit is None or cited is None:
+                what = "unit derivation" if unit else "propagation"
+                return fail(idx, f"{what} needs a literal and a premise")
+            if lit not in cited:
+                return fail(idx, "derived literal does not occur in the cited clause")
+            if not unit_under(cited, lit, units if unit else known):
+                return fail(idx, "cited clause is not unit under established literals")
+            if unit:
+                units.add(lit)
+            elif lit not in known:
+                scoped.add(lit)
+            known.add(lit)
+        elif step.kind == STEP_ASSUME:
+            if assumption is not None:
+                return fail(idx, "nested assumption")
+            if lit is None:
+                return fail(idx, "assumption needs a literal")
+            if lit not in known:
+                scoped.add(lit)
+            known.add(lit)
+            assumption, contradicted = lit, False
+        elif step.kind == STEP_EMPTY:
+            if assumption is None:
+                return fail(idx, "empty-clause step outside an assumption scope")
+            if cited is None:
+                return fail(idx, "empty-clause step needs a premise")
+            if not unit_under(cited, None, known):
+                return fail(idx, "cited clause is not fully falsified")
+            contradicted = True
+        elif step.kind == STEP_DISCHARGE:
+            if assumption is None or not contradicted:
+                return fail(idx, "discharge without a refuted assumption")
+            if lit != (assumption[0], not assumption[1]):
+                return fail(idx, "discharged literal must negate the assumption")
+            known -= scoped
+            scoped.clear()
+            units.add(lit)
+            known.add(lit)
+            assumption, contradicted = None, False
+        else:
+            return fail(idx, f"unknown step kind: {step.kind!r}")
+    if assumption is not None:
+        return fail(len(trace.steps) - 1, "assumption left undischarged")
+    return True, None, None, {Literal(s, n) for s, n in units}
+
+
+@st.composite
+def replay_cases(draw):
+    """Premises and a trace over up to 4 symbols: either a generated trace
+    with one step edited or dropped, or up to 10 arbitrary steps over
+    arbitrary premises. Literals may fall outside the signature."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    symbols = tuple(f"v{i}" for i in range(1, n + 1))
+    literal = st.builds(Literal, st.sampled_from(symbols + ("ghost",)), st.booleans())
+    if draw(st.booleans()):
+        ftsc = build_ftsc(Signature(symbols))
+        i = draw(st.integers(min_value=1, max_value=n + 1))
+        premises = ftsc.premises_without(i)
+        steps = list(build_proof_trace(ftsc, i).steps)
+        k = draw(st.integers(min_value=0, max_value=len(steps) - 1))
+        edit = draw(st.sampled_from(("literal", "premise_index", "drop")))
+        if edit == "literal":
+            steps[k] = replace(steps[k], literal=draw(st.none() | literal))
+        elif edit == "premise_index":
+            steps[k] = replace(steps[k], premise_index=draw(st.integers(0, n)))
+        else:
+            del steps[k]
+    else:
+        premise = st.lists(
+            st.builds(Literal, st.sampled_from(symbols), st.booleans()), max_size=3
+        )
+        premises = ClauseSet.build(draw(st.lists(premise, max_size=5)), Signature(symbols))
+        kinds = st.sampled_from((STEP_UNIT, STEP_ASSUME, STEP_PROPAGATE, STEP_EMPTY,
+                                 STEP_DISCHARGE))
+        index = st.none() | st.integers(min_value=-1, max_value=len(premises) + 1)
+        steps = draw(st.lists(st.builds(TraceStep, kinds, st.none() | literal, index),
+                              max_size=10))
+    return ProofTrace(tuple(steps)), premises
 
 
 class TestReplayTrace:
@@ -530,6 +761,11 @@ class TestReplayTrace:
              "empty-clause step needs a premise"),
             ([(STEP_DISCHARGE, neg("a"), None)], 0, "discharge without a refuted assumption"),
             ([("leap", pos("a"), None)], 0, "unknown step kind: 'leap'"),
+            # Literals outside the signature occur in no premise.
+            ([(STEP_UNIT, pos("ghost"), 0)], 0,
+             "derived literal does not occur in the cited clause"),
+            ([(STEP_ASSUME, neg("ghost"), None), (STEP_PROPAGATE, pos("ghost"), 1)], 1,
+             "derived literal does not occur in the cited clause"),
         ],
     )
     def test_malformed_step_rejected(self, steps, failed_step, reason):
@@ -544,6 +780,32 @@ class TestReplayTrace:
         for i in range(1, n + 2):
             trace = build_proof_trace(ftsc, i)
             assert replay_trace(trace, ftsc.premises_without(i))
+
+
+    def test_foreign_literal_established_by_name(self):
+        # Contradictory premises refute any assumption, a foreign one too; its
+        # discharged negation sits on a fresh bit and must come back by name.
+        premises = ClauseSet.build([[pos("a")], [neg("a")]], Signature(("a",)))
+        trace = ProofTrace(
+            (
+                TraceStep(STEP_UNIT, pos("a"), 0),
+                TraceStep(STEP_ASSUME, pos("ghost"), None),
+                TraceStep(STEP_EMPTY, None, 1),
+                TraceStep(STEP_DISCHARGE, neg("ghost"), None),
+            )
+        )
+        result = replay_trace(trace, premises)
+        assert result
+        assert result.established == {pos("a"), neg("ghost")}
+
+    @given(replay_cases())
+    @settings(max_examples=400)
+    def test_agrees_with_set_replay(self, case):
+        trace, premises = case
+        result = replay_trace(trace, premises)
+        expected = set_replay(trace, premises)
+        assert (result.ok, result.failed_step, result.reason) == expected[:3]
+        assert result.established == expected[3]
 
 
 class TestWitnessValidity:
