@@ -166,6 +166,11 @@ class Signature:
         """Each symbol's arity: the length of its argument list."""
         return tuple(len(split_symbol(s)[1]) for s in self.symbols)
 
+    @property
+    def index(self) -> Mapping[str, int]:
+        """Each symbol's position in ``symbols``, keyed by symbol."""
+        return self._index  # type: ignore[attr-defined]
+
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index  # type: ignore[attr-defined]
 

@@ -25,6 +25,12 @@ i <= n leaves "all true except xi" satisfied, and removing C(n+1) leaves
 "all true". ``Ftsc.deletion_models`` offers them to the verifier as
 certificates, which it checks rather than trusts.
 
+Each construction builds its n positive and n negative literals once
+(``Ftsc.literals``), and its conclusions are slices of them.
+Its traces share one tuple of unit steps, one of propagation steps and
+one empty-clause step (``Ftsc.trace_steps``); only a trace's assumption
+and discharge are built per theorem.
+
 Everything here is deterministic. ``enumerate_ftscs`` streams one
 construction per permutation of the literals, in lexicographic order,
 guarded by a cap because the permutation space grows factorially.
@@ -132,6 +138,27 @@ class Ftsc:
         return self.clause_set.without(removed_index - 1)
 
     @cached_property
+    def literals(self) -> tuple[tuple[Literal, ...], tuple[Literal, ...]]:
+        """(x1..xn, ~x1..~xn) over ``permutation``: every conclusion and
+        trace step of this construction shares these values."""
+        return (
+            tuple(Literal(s, False) for s in self.permutation),
+            tuple(Literal(s, True) for s in self.permutation),
+        )
+
+    @cached_property
+    def trace_steps(self) -> tuple[tuple[TraceStep, ...], tuple[TraceStep, ...], TraceStep]:
+        """The steps the traces share: each xt's unit step citing clause t at
+        position t-1, each xt's propagation step (t >= 2) citing it at t-2,
+        and the empty-clause step citing C(n+1) at n-1."""
+        positives = self.literals[0]
+        units = tuple(TraceStep(STEP_UNIT, x, t) for t, x in enumerate(positives))
+        propagations = tuple(
+            TraceStep(STEP_PROPAGATE, x, t) for t, x in enumerate(positives[1:])
+        )
+        return units, propagations, TraceStep(STEP_EMPTY, None, self.n - 1)
+
+    @cached_property
     def deletion_models(self) -> tuple[int, ...]:
         """A candidate model of each single-clause deletion, in clause order,
         as a bitmask over the signature (bit j set: symbol j true): all true
@@ -195,8 +222,14 @@ def build_ftsc(signature: Signature, *, counter: Optional[OpCounter] = None) -> 
 
 
 def conclusion_for(ftsc: Ftsc, removed_index: int) -> tuple[Literal, ...]:
-    """The conjunct list of the negated removed clause."""
-    return tuple(l.negate() for l in ftsc.clause(removed_index).literals)
+    """The conjunct list of the negated removed clause: x1..x(i-1), ~xi
+    when clause i <= n is removed, and x1..xn when clause n+1 is."""
+    if not 1 <= removed_index <= ftsc.n + 1:
+        raise IndexError(f"clause index out of range: {removed_index}")
+    positives, negatives = ftsc.literals
+    if removed_index > ftsc.n:
+        return positives
+    return positives[: removed_index - 1] + (negatives[removed_index - 1],)
 
 
 def build_proof_trace(ftsc: Ftsc, removed_index: int) -> ProofTrace:
@@ -204,28 +237,23 @@ def build_proof_trace(ftsc: Ftsc, removed_index: int) -> ProofTrace:
 
     Premise indices refer to positions in ``ftsc.premises_without(removed_index)``,
     so the trace replays against exactly the clause list the theorem keeps.
+    Every step but the assumption and its discharge is one of the
+    construction's shared ``trace_steps``.
     """
     n = ftsc.n
     if not 1 <= removed_index <= n + 1:
         raise IndexError(f"removed index out of range: {removed_index}")
-    syms = ftsc.permutation
-
-    def premise_pos(t: int) -> int:
-        # Position of clause t once the removed clause is dropped.
-        return t - 1 if t < removed_index else t - 2
-
-    steps: list[TraceStep] = []
-    unit_upto = removed_index - 1 if removed_index <= n else n
-    for t in range(1, unit_upto + 1):
-        steps.append(TraceStep(STEP_UNIT, Literal(syms[t - 1]), premise_pos(t)))
-    if removed_index <= n:
-        assumed = Literal(syms[removed_index - 1])
-        steps.append(TraceStep(STEP_ASSUME, assumed, None))
-        for t in range(removed_index + 1, n + 1):
-            steps.append(TraceStep(STEP_PROPAGATE, Literal(syms[t - 1]), premise_pos(t)))
-        steps.append(TraceStep(STEP_EMPTY, None, premise_pos(n + 1)))
-        steps.append(TraceStep(STEP_DISCHARGE, assumed.negate(), None))
-    return ProofTrace(tuple(steps))
+    units, propagations, empty = ftsc.trace_steps
+    if removed_index > n:
+        return ProofTrace(units)
+    positives, negatives = ftsc.literals
+    i = removed_index
+    return ProofTrace(
+        units[: i - 1]
+        + (TraceStep(STEP_ASSUME, positives[i - 1], None),)
+        + propagations[i - 1 :]
+        + (empty, TraceStep(STEP_DISCHARGE, negatives[i - 1], None))
+    )
 
 
 def derive_theorems(ftsc: Ftsc) -> list[Theorem]:
@@ -266,19 +294,20 @@ def recover_permutation(clause_set: ClauseSet) -> Optional[tuple[str, ...]]:
     t literals is xt. None if the contents do not pin down such an order.
 
     The result depends only on ``clause_set.as_sets()``, so two sets that
-    recover different orders are different sets.
+    recover different orders are different sets: a clause's masks hold
+    one bit per distinct literal, so t is their popcount.
     """
-    n = clause_set.signature.size
+    symbols = clause_set.signature.symbols
+    n = len(symbols)
     order: list[Optional[str]] = [None] * n
-    for clause in clause_set.clauses:
-        literals = clause.as_set()
-        positives = [l.symbol for l in literals if not l.negated]
-        if len(positives) != 1:
+    for positive, negative in clause_set.masks():
+        if not positive or positive & (positive - 1):
             continue
-        t = len(literals)
-        if not 1 <= t <= n or order[t - 1] not in (None, positives[0]):
+        symbol = symbols[positive.bit_length() - 1]
+        t = 1 + negative.bit_count()
+        if t > n or order[t - 1] not in (None, symbol):
             return None
-        order[t - 1] = positives[0]
+        order[t - 1] = symbol
     if None in order:
         return None
     return tuple(order)  # type: ignore[arg-type]

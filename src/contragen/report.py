@@ -143,13 +143,19 @@ class Report:
             signature.append(
                 (require(s, "symbol", str, where), require(s, "arity", int, where))
             )
+        # Each distinct text is checked once for each role: a conclusion literal
+        # must parse, and a clause literal must also name a listed symbol.
+        conclusion_texts: set[str] = set()
+        clause_texts: set[str] = set()
         theorems = []
         for i, t in enumerate(require(data, "theorems", list, "report", dict)):
             where = f"report theorems[{i}]"
             theorems.append(
                 TheoremRecord(
                     removed_index=require(t, "removed_index", int, where),
-                    conclusion=_literal_texts(require(t, "conclusion", list, where)),
+                    conclusion=_literal_texts(
+                        require(t, "conclusion", list, where), conclusion_texts
+                    ),
                     certified=require(t, "certified", str, where),
                     trace_steps=require(t, "trace_steps", int, where),
                     trace_replayed=t.get("trace_replayed"),
@@ -164,7 +170,7 @@ class Report:
                 require(meta, "permutation", list, "report metadata", str)
             ),
             signature=tuple(signature),
-            clauses=tuple(_literal_texts(c, symbols) for c in clauses),
+            clauses=tuple(_literal_texts(c, clause_texts, symbols) for c in clauses),
             theorems=tuple(theorems),
             scenario=require(meta, "scenario", str, "report metadata", default=None),
             explanations=tuple(explanations),
@@ -180,13 +186,19 @@ class Report:
         return cls.from_dict(json.loads(text))
 
 
-def _literal_texts(texts: list, signature: Optional[Signature] = None) -> tuple[str, ...]:
+def _literal_texts(
+    texts: list, checked: set[str], signature: Optional[Signature] = None
+) -> tuple[str, ...]:
     """Recorded literals as written, each checked to parse and, given a
-    ``signature``, to name one of its symbols."""
+    ``signature``, to name one of its symbols. A text in ``checked`` passed
+    before; each text that passes now is added to it."""
     for text in texts:
+        if isinstance(text, str) and text in checked:
+            continue
         symbol = parse_literal(text).symbol
         if signature is not None:
             signature.index_of(symbol)
+        checked.add(text)
     return tuple(texts)
 
 

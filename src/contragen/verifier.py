@@ -34,15 +34,17 @@ alone: the remainder R entails the negated removed clause l1 | ... | lk
 exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
 certification is "MUS at the removed index plus the conclusion equals the
 negated clause", and ``check_mus`` remembers its last report, so each
-construction is decided once for all of its theorems. Trace replay runs
+construction is decided once for all of its theorems. The conclusion is
+compared by masks: its (positive, negative) bitmask pair over the
+signature must be the removed clause's pair swapped. Trace replay runs
 on the premises' clause bitmasks, with the known literals held as two
 masks, true and false.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .core import ClauseSet, Literal
@@ -111,10 +113,20 @@ class ReplayResult:
     ok: bool
     failed_step: Optional[int]
     reason: Optional[str]
-    established: frozenset[Literal]
+    # The established literals as (true, false) masks; bit j names symbols[j].
+    units: tuple[int, int] = field(repr=False)
+    symbols: tuple[str, ...] = field(repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @cached_property
+    def established(self) -> frozenset[Literal]:
+        return frozenset(
+            Literal(self.symbols[j], negated)
+            for negated, mask in zip((False, True), self.units)
+            for j, bit in enumerate(reversed(format(mask, "b"))) if bit == "1"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -418,19 +430,27 @@ def check_theorem(theorem: Theorem) -> Theorem:
     the remainder entails every conclusion literal exactly when adding
     the removed clause back, the source, is unsatisfiable. The check is
     read from ``check_mus``, given the source's deletion models as
-    certificates, which decides each construction once.
-    Failure is reported in the certification state, never raised.
+    certificates, which decides each construction once. The conclusion is
+    compared as a set, by masks. Failure is reported in the certification
+    state, never raised.
     """
     source = theorem.source
     i = theorem.removed_index
     if not 1 <= i <= source.n + 1 or len(source.clause_set) < source.n + 1:
         return replace(theorem, certified=CERT_FAILED)
-    negated = {l.negate() for l in source.clause(i).literals}
+    index = source.signature.index
+    masks = [0, 0]  # the conclusion's positive and negative masks
+    for literal in theorem.conclusion:
+        j = index.get(literal.symbol)
+        if j is None:  # a symbol outside the signature is in no clause
+            return replace(theorem, certified=CERT_FAILED)
+        masks[literal.negated] |= 1 << j
     mus = check_mus(source.clause_set, witnesses=source.deletion_models)
+    positive, negative = source.clause_set.masks()[i - 1]
     ok = (
         mus.is_unsatisfiable
         and mus.deletion_results[i - 1].satisfiable
-        and set(theorem.conclusion) == negated
+        and masks == [negative, positive]
     )
     return replace(theorem, certified=CERT_VERIFIED if ok else CERT_FAILED)
 
@@ -451,62 +471,23 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
     masks, those known true and those known false, so a cited clause with
     the derived literal taken out is unit exactly when its positive mask
     lies inside the known-false one and its negative mask inside the
-    known-true one. Literals over symbols outside the signature get fresh
-    high bits, so they can never match a premise literal.
+    known-true one. Outside a scope the known literals are exactly the
+    units, so a unit derivation checks against them too. Literals over
+    symbols outside the signature get fresh high bits, so they can never
+    match a premise literal.
     """
-    signature = premises.signature
     clauses = premises.masks()
-    symbols = list(signature.symbols)
+    index = premises.signature.index
+    size = len(index)
     extra: dict[str, int] = {}
-
-    def encode(lit: Optional[Literal]) -> Optional[int]:
-        """Signed 1-based index of the literal's symbol; None for no literal."""
-        if lit is None:
-            return None
-        if lit.symbol in signature:
-            index = signature.index_of(lit.symbol) + 1
-        else:
-            index = extra.get(lit.symbol)
-            if index is None:
-                symbols.append(lit.symbol)
-                index = extra[lit.symbol] = len(symbols)
-        return -index if lit.negated else index
-
-    # (true, false) masks of the established units, and of everything
-    # known: the units plus, inside a scope, the assumption and what it
-    # propagated. Units cannot change inside a scope, so a discharge takes
-    # ``known`` back to ``units``.
-    units = (0, 0)
-    known = (0, 0)
-    assumption: Optional[int] = None
-    contradicted = False
-
-    def established() -> frozenset[Literal]:
-        return frozenset(
-            Literal(symbols[j], negated)
-            for negated, mask in ((False, units[0]), (True, units[1]))
-            for j, bit in enumerate(reversed(format(mask, "b"))) if bit == "1"
-        )
+    units_true = units_false = 0  # the established units
+    true = false = 0  # everything known: the units plus the open scope
+    assumed = 0  # the assumption's bit; 0 outside a scope
+    assumed_negated = contradicted = False
 
     def fail(step_index: Optional[int], reason: str) -> ReplayResult:
-        return ReplayResult(False, step_index, reason, established())
-
-    def add(facts: tuple[int, int], lit: int) -> tuple[int, int]:
-        true, false = facts
-        if lit > 0:
-            return true | 1 << (lit - 1), false
-        return true, false | 1 << (-lit - 1)
-
-    def rest(cited: tuple[int, int], lit: int) -> Optional[tuple[int, int]]:
-        """The cited clause without ``lit``; None when it lacks ``lit``."""
-        positive, negative = cited
-        bit = 1 << (abs(lit) - 1)
-        if lit > 0:
-            return (positive & ~bit, negative) if positive & bit else None
-        return (positive, negative & ~bit) if negative & bit else None
-
-    def falsified(clause: tuple[int, int], facts: tuple[int, int]) -> bool:
-        return not (clause[0] & ~facts[1] or clause[1] & ~facts[0])
+        symbols = premises.signature.symbols + tuple(extra)
+        return ReplayResult(False, step_index, reason, (units_true, units_false), symbols)
 
     if not trace.steps:
         return fail(None, "empty trace")
@@ -517,59 +498,72 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
             if not 0 <= step.premise_index < len(clauses):
                 return fail(idx, f"premise index out of range: {step.premise_index}")
             cited = clauses[step.premise_index]
-        lit = encode(step.literal)
+        literal = step.literal
+        bit, negated = 0, False  # bit 0: no literal
+        if literal is not None:
+            j = index.get(literal.symbol)
+            if j is None:
+                j = extra.setdefault(literal.symbol, size + len(extra))
+            bit, negated = 1 << j, literal.negated
+        kind = step.kind
 
-        if step.kind == STEP_UNIT:
-            if assumption is not None:
+        if kind == STEP_UNIT or kind == STEP_PROPAGATE:
+            unit = kind == STEP_UNIT
+            if unit and assumed:
                 return fail(idx, "unit derivation inside an assumption scope")
-            if lit is None or cited is None:
-                return fail(idx, "unit derivation needs a literal and a premise")
-            others = rest(cited, lit)
-            if others is None:
-                return fail(idx, "derived literal does not occur in the cited clause")
-            if not falsified(others, units):
-                return fail(idx, "cited clause is not unit under established literals")
-            units = add(units, lit)
-            known = add(known, lit)
-        elif step.kind == STEP_ASSUME:
-            if assumption is not None:
-                return fail(idx, "nested assumption")
-            if lit is None:
-                return fail(idx, "assumption needs a literal")
-            assumption = lit
-            known = add(known, lit)
-            contradicted = False
-        elif step.kind == STEP_PROPAGATE:
-            if assumption is None:
+            if not unit and not assumed:
                 return fail(idx, "propagation outside an assumption scope")
-            if lit is None or cited is None:
-                return fail(idx, "propagation needs a literal and a premise")
-            others = rest(cited, lit)
-            if others is None:
+            if not bit or cited is None:
+                what = "unit derivation" if unit else "propagation"
+                return fail(idx, f"{what} needs a literal and a premise")
+            positive, negative = cited
+            if not (negative if negated else positive) & bit:
                 return fail(idx, "derived literal does not occur in the cited clause")
-            if not falsified(others, known):
+            if negated:
+                negative ^= bit
+            else:
+                positive ^= bit
+            if positive & ~false or negative & ~true:
                 return fail(idx, "cited clause is not unit under established literals")
-            known = add(known, lit)
-        elif step.kind == STEP_EMPTY:
-            if assumption is None:
+            if negated:
+                false |= bit
+            else:
+                true |= bit
+            if unit:
+                units_true, units_false = true, false
+        elif kind == STEP_ASSUME:
+            if assumed:
+                return fail(idx, "nested assumption")
+            if not bit:
+                return fail(idx, "assumption needs a literal")
+            assumed, assumed_negated, contradicted = bit, negated, False
+            if negated:
+                false |= bit
+            else:
+                true |= bit
+        elif kind == STEP_EMPTY:
+            if not assumed:
                 return fail(idx, "empty-clause step outside an assumption scope")
             if cited is None:
                 return fail(idx, "empty-clause step needs a premise")
-            if not falsified(cited, known):
+            if cited[0] & ~false or cited[1] & ~true:
                 return fail(idx, "cited clause is not fully falsified")
             contradicted = True
-        elif step.kind == STEP_DISCHARGE:
-            if assumption is None or not contradicted:
+        elif kind == STEP_DISCHARGE:
+            if not assumed or not contradicted:
                 return fail(idx, "discharge without a refuted assumption")
-            if lit != -assumption:
+            if bit != assumed or negated == assumed_negated:
                 return fail(idx, "discharged literal must negate the assumption")
-            units = add(units, lit)
-            known = units
-            assumption = None
-            contradicted = False
+            if negated:
+                units_false |= bit
+            else:
+                units_true |= bit
+            true, false = units_true, units_false
+            assumed, contradicted = 0, False
         else:
-            return fail(idx, f"unknown step kind: {step.kind!r}")
+            return fail(idx, f"unknown step kind: {kind!r}")
 
-    if assumption is not None:
+    if assumed:
         return fail(len(trace.steps) - 1, "assumption left undischarged")
-    return ReplayResult(True, None, None, established())
+    symbols = premises.signature.symbols + tuple(extra)
+    return ReplayResult(True, None, None, (units_true, units_false), symbols)

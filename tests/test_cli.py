@@ -576,6 +576,73 @@ class TestVerify:
         assert code == EXIT_VERIFICATION
         assert out.splitlines()[-2:] == [message, "verification FAILED"]
 
+    # How verify reads recorded literal texts. A clause text must parse and
+    # name a listed symbol; a conclusion text must parse. Then the comparison
+    # names what differs.
+    @pytest.mark.parametrize(
+        "value, clause, conclusion",
+        [
+            ("!a", (2, '"!a"'), (2, '"!a"')),
+            (" ~a ", (2, '" ~a "'), (2, '" ~a "')),
+            ("¬a", (2, '"\\u00aca"'), (2, '"\\u00aca"')),
+            ("~~a", (2, '"~~a"'), (2, '"~~a"')),
+            (["a"], (1, "literal must be a string, got list"),
+             (1, "literal must be a string, got list")),
+            (7, (1, "literal must be a string, got int"),
+             (1, "literal must be a string, got int")),
+            ("zz", (1, "unbound symbol: 'zz'"), (2, '"zz"')),
+            ("~zz", (1, "unbound symbol: 'zz'"), (2, '"~zz"')),
+        ],
+        ids=["bang", "padded", "not-sign", "double-negation", "list", "number",
+             "unknown", "unknown-negated"],
+    )
+    def test_recorded_literal_texts(self, capsys, tmp_path, value, clause, conclusion):
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        genuine = target.read_text()
+        checks = (
+            (("clauses", 0, 0), clause, "clauses: clauses[0][0]", ""),
+            (("theorems", 1, "conclusion", 0), conclusion,
+             "theorems: theorems[1].conclusion[0]",
+             "unsatisfiable: True\nminimal (every deletion satisfiable): True\n"
+             "theorem 1: verified\ntheorem 2: failed\ntheorem 3: verified\n"
+             "theorem 4: verified\n"),
+        )
+        for path, (code, message), where, lines in checks:
+            data = json.loads(genuine)
+            _at(data, path[:-1])[path[-1]] = value
+            target.write_text(json.dumps(data))
+            if code == EXIT_VALIDATION:
+                expected = (EXIT_VALIDATION, "", f"error: {message}\n")
+            else:
+                out = f'{lines}{where} recorded {message}, regenerated "a"\n'
+                expected = (EXIT_VERIFICATION, out + "verification FAILED\n", "")
+            assert run(capsys, "verify", str(target)) == expected
+
+    def test_clause_text_seen_in_a_conclusion_still_checked(self, capsys, tmp_path):
+        # A conclusion text need not name a listed symbol, so passing there
+        # does not let the same text pass in a clause.
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        data = json.loads(target.read_text())
+        data["theorems"][0]["conclusion"][0] = "zz"
+        data["clauses"][2][0] = "zz"
+        target.write_text(json.dumps(data))
+        expected = (EXIT_VALIDATION, "", "error: unbound symbol: 'zz'\n")
+        assert run(capsys, "verify", str(target)) == expected
+
+    @pytest.mark.parametrize("symbol", ["!b", " b", "~b", ""])
+    def test_listed_symbol_that_does_not_read_as_itself(self, capsys, tmp_path, symbol):
+        # A clause text equal to such a listed symbol is parsed as any other.
+        target = tmp_path / "report.json"
+        run(capsys, "generate", "a", "b", "c", "--output", str(target))
+        data = json.loads(target.read_text())
+        data["signature"][1]["symbol"] = symbol
+        data["clauses"][1][1] = symbol
+        target.write_text(json.dumps(data))
+        message = "empty literal" if not symbol else "unbound symbol: 'b'"
+        assert run(capsys, "verify", str(target)) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
     def test_explain_report_narrative_not_audited(self, capsys, tmp_path, scenario_dir):
         target = tmp_path / "report.json"
         run(capsys, "explain", str(scenario_dir / "medical.yaml"), "--output", str(target))

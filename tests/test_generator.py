@@ -3,13 +3,16 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contragen import (
     Clause,
     ClauseSet,
     EnumerationCapExceededError,
+    Signature,
     build_ftsc,
     closure_counts,
     derive_theorems,
@@ -27,12 +30,16 @@ from contragen.generator import (
     STEP_PROPAGATE,
     STEP_UNIT,
     OpCounter,
+    ProofTrace,
+    TraceStep,
     build_proof_trace,
     permutation_by_rank,
     recover_permutation,
     total_literals,
     trace_length,
 )
+
+from contragen.core import Literal
 
 from oracles import brute_force_entails, plain_clauses
 
@@ -127,6 +134,32 @@ class TestEnumeration:
         two_units = ClauseSet((Clause((pos("a"),)), Clause((pos("b"),))), signature)
         assert recover_permutation(two_units) is None
         assert recover_permutation(ClauseSet((), signature)) is None
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_recovery_agrees_with_set_recovery(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        signature = Signature(tuple(f"v{i}" for i in range(1, n + 1)))
+        if data.draw(st.booleans()):
+            # A permuted chain, its clauses shuffled, one possibly dropped
+            # or repeated.
+            rank = data.draw(st.integers(0, math.factorial(n) - 1))
+            clauses = list(build_ftsc(permutation_by_rank(signature, rank)).clause_set)
+            clauses = data.draw(st.permutations(clauses))
+            edit = data.draw(st.sampled_from(("none", "drop", "repeat")))
+            if edit == "drop":
+                del clauses[data.draw(st.integers(0, n))]
+            elif edit == "repeat":
+                clauses.append(data.draw(st.sampled_from(clauses)))
+        else:
+            # Arbitrary clauses, with repeated literals and tautologies.
+            literal = st.builds(Literal, st.sampled_from(signature.symbols), st.booleans())
+            clauses = data.draw(
+                st.lists(st.lists(literal, max_size=n + 1).map(tuple).map(Clause),
+                         max_size=n + 2)
+            )
+        clause_set = ClauseSet(tuple(clauses), signature)
+        assert recover_permutation(clause_set) == set_recover_permutation(clause_set)
 
     def test_lexicographic_order(self):
         signature = signature_of(["a", "b", "c"])
@@ -243,7 +276,72 @@ class TestDeriveTheorems:
             assert set(theorem.conclusion) == {l.negate() for l in removed.literals}
 
 
+def set_recover_permutation(clause_set):
+    """``recover_permutation`` written plainly over each clause's literal set."""
+    n = clause_set.signature.size
+    order = [None] * n
+    for clause in clause_set.clauses:
+        literals = clause.as_set()
+        positives = [l.symbol for l in literals if not l.negated]
+        if len(positives) != 1:
+            continue
+        t = len(literals)
+        if not 1 <= t <= n or order[t - 1] not in (None, positives[0]):
+            return None
+        order[t - 1] = positives[0]
+    return None if None in order else tuple(order)
+
+
+def reference_trace(ftsc, removed_index):
+    """``build_proof_trace`` written one step at a time, each literal and
+    step built afresh."""
+    n, syms = ftsc.n, ftsc.permutation
+
+    def premise_pos(t):
+        return t - 1 if t < removed_index else t - 2
+
+    steps = []
+    for t in range(1, (removed_index - 1 if removed_index <= n else n) + 1):
+        steps.append(TraceStep(STEP_UNIT, Literal(syms[t - 1]), premise_pos(t)))
+    if removed_index <= n:
+        assumed = Literal(syms[removed_index - 1])
+        steps.append(TraceStep(STEP_ASSUME, assumed, None))
+        for t in range(removed_index + 1, n + 1):
+            steps.append(TraceStep(STEP_PROPAGATE, Literal(syms[t - 1]), premise_pos(t)))
+        steps.append(TraceStep(STEP_EMPTY, None, premise_pos(n + 1)))
+        steps.append(TraceStep(STEP_DISCHARGE, assumed.negate(), None))
+    return ProofTrace(tuple(steps))
+
+
 class TestProofTraces:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_shared_steps_match_reference(self, n):
+        signature = signature_of([f"x{i}" for i in range(1, n + 1)])
+        ftsc = build_ftsc(permutation_by_rank(signature, math.factorial(n) // 3))
+        for theorem in derive_theorems(ftsc):
+            i = theorem.removed_index
+            assert build_proof_trace(ftsc, i) == reference_trace(ftsc, i)
+            assert theorem.trace == reference_trace(ftsc, i)
+            removed = ftsc.clause(i).literals
+            assert theorem.conclusion == tuple(l.negate() for l in removed)
+
+    def test_shuffled_replay_gives_the_same_results(self):
+        # Every trace of one construction against every premise list, so
+        # some replays pass and some fail, in order and then shuffled.
+        ftsc = build_ftsc(signature_of([f"x{i}" for i in range(1, 7)]))
+        pairs = [(i, j) for i in range(1, 8) for j in range(1, 8)]
+
+        def replay(i, j):
+            result = replay_trace(build_proof_trace(ftsc, i), ftsc.premises_without(j))
+            return result.ok, result.failed_step, result.reason, result.established
+
+        expected = {pair: replay(*pair) for pair in pairs}
+        assert sum(ok for ok, *_ in expected.values()) == 7
+        shuffled = pairs * 2
+        random.Random(13).shuffle(shuffled)
+        for pair in shuffled:
+            assert replay(*pair) == expected[pair]
+
     def test_medical_i4_structure(self):
         ftsc = build_ftsc(signature_of(MEDICAL))
         trace = build_proof_trace(ftsc, 4)

@@ -532,6 +532,44 @@ class TestCheckTheorem:
         assert [str(l) for l in theorem.conclusion] == ["x1"]
         assert check_theorem(theorem).certified == CERT_VERIFIED
 
+    @pytest.mark.parametrize(
+        "edit, verified",
+        [
+            (lambda c: c + (pos("ghost"),), False),
+            (lambda c: (neg("ghost"),) + c[1:], False),
+            (lambda c: c + c[:1], True),
+            (lambda c: c[:1] + c, True),
+            (lambda c: c[:-1] + (c[-1].negate(),), False),
+            (lambda c: (c[0].negate(),) + c[1:], False),
+        ],
+        ids=["outside-added", "outside-replacing", "duplicate-last", "duplicate-first",
+             "flipped-last", "flipped-first"],
+    )
+    @pytest.mark.parametrize("i", [1, 3, 5])
+    def test_conclusion_edits(self, edit, verified, i):
+        theorem = derive_theorems(chain(["a", "b", "c", "d"]))[i - 1]
+        edited = replace(theorem, conclusion=edit(theorem.conclusion))
+        assert oracle_certifies(edited) is verified
+        assert (check_theorem(edited).certified == CERT_VERIFIED) is verified
+
+    @pytest.mark.parametrize(
+        "clauses, conclusion, verified",
+        [
+            # The empty clause alone is unsatisfiable; the unit left is not.
+            ([[], [pos("v1")]], (), True),
+            ([[], [pos("v1")]], (pos("v1"),), False),
+            # With two empty clauses, removing one leaves the set unsatisfiable.
+            ([[], []], (), False),
+        ],
+        ids=["empty-conclusion", "nonempty-conclusion", "remainder-unsatisfiable"],
+    )
+    def test_empty_removed_clause(self, clauses, conclusion, verified):
+        symbols = ("v1",)
+        source = Ftsc(ClauseSet.build(clauses, Signature(symbols)), symbols, 1)
+        theorem = Theorem(source, 1, conclusion)
+        assert oracle_certifies(theorem) is verified
+        assert (check_theorem(theorem).certified == CERT_VERIFIED) is verified
+
 
 def set_replay(trace, premises):
     """Reference replay over sets of (symbol, negated) literals: the rules
