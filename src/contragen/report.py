@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import SchemaViolationError, Signature, parse_literal, require
+from .core import Literal, SchemaViolationError, Signature, parse_literal, require
 from .explain import Explanation, RankedEntry, RankedReport
 from .generator import Ftsc, Theorem, trace_length
 
@@ -217,10 +217,13 @@ def build_report(
     timestamp: Optional[str] = None,
 ) -> Report:
     sig = ftsc.signature
+    # Each literal's text, indexed as ``int_clauses`` encodes it.
+    names = [""] + list(sig.symbols) + ["~" + s for s in reversed(sig.symbols)]
     records = [
         TheoremRecord(
             removed_index=theorem.removed_index,
-            conclusion=tuple(str(l) for l in theorem.conclusion),
+            # Not the name table: a failed theorem may name an unlisted symbol.
+            conclusion=tuple(map(Literal.__str__, theorem.conclusion)),
             certified=theorem.certified,
             trace_steps=trace_length(ftsc.n, theorem.removed_index),
             trace_replayed=None if replay_results is None else bool(replay_results[pos]),
@@ -232,8 +235,7 @@ def build_report(
         permutation=ftsc.permutation,
         signature=tuple(zip(sig.symbols, sig.arities)),
         clauses=tuple(
-            tuple(str(l) for l in clause.literals)
-            for clause in ftsc.clause_set.clauses
+            tuple(map(names.__getitem__, ints)) for ints in ftsc.clause_set.int_clauses()
         ),
         theorems=tuple(records),
         scenario=scenario,

@@ -22,9 +22,11 @@ as the other's cross-check.
 Minimality is certified from checked certificates before any search
 (McConnell, Mehlhorn, Naeher & Schweitzer 2011, "Certifying algorithms").
 Given one candidate model per deletion, ``check_mus`` accepts deletion i
-when its model satisfies every other clause, and counts the set as
-unsatisfiable when unit propagation alone reaches a conflict, a RUP
-refutation (Goldberg & Novikov 2003). Whatever no certificate settles is
+when its model satisfies every other clause. All candidates are checked
+at once by the truth table's kernel, with candidate i in place of
+assignment i. The set counts as unsatisfiable when unit propagation
+alone, run on the clause bitmasks, reaches a conflict, a RUP refutation
+(Goldberg & Novikov 2003). Whatever no certificate settles is
 searched as above, so a wrong or missing certificate costs time and never
 changes a verdict. The generator supplies the chain's models, so only
 DIMACS input and fallbacks search.
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import ClauseSet, Literal
 from .generator import (
@@ -130,29 +132,36 @@ class ReplayResult:
 
 
 @lru_cache(maxsize=None)
-def _bit_pattern(n: int, j: int) -> int:
-    """Bitmap over all 2^n assignment indices marking those with bit j set."""
-    space = 1 << n
-    width = 1 << (j + 1)
-    block = ((1 << (1 << j)) - 1) << (1 << j)
-    while width < space:
-        block |= block << width
-        width <<= 1
-    return block
+def _bit_patterns(n: int) -> tuple[int, ...]:
+    """Per symbol j, the bitmap over all 2^n assignment indices marking
+    those with bit j set: 2^j zeros then 2^j ones, repeated."""
+    full = (1 << (1 << n)) - 1
+    return tuple(
+        full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+        for j in range(n)
+    )
+
+
+def _violations(
+    int_clauses: Sequence[tuple[int, ...]], patterns: Sequence[int], full: int
+) -> Iterator[int]:
+    """Yield, per clause, the positions where all its literals are false;
+    position i makes symbol j true where bit i of ``patterns[j]`` is set."""
+    # Where each literal is false, indexed by the literal (``-v`` from the end).
+    false_at = [full, *(full ^ p for p in patterns), *reversed(patterns)]
+    for ints in int_clauses:
+        block = full
+        for lit in ints:
+            block &= false_at[lit]
+        yield block
 
 
 def _truth_table(clause_set: ClauseSet) -> SatResult:
     n = clause_set.signature.size
     full = (1 << (1 << n)) - 1
-    patterns = [_bit_pattern(n, j) for j in range(n)]
-    # Where each literal is false, indexed by the literal (``-v`` from the end).
-    false_at = [full] + [full ^ p for p in patterns] + patterns[::-1]
+    patterns = _bit_patterns(n)
     violated = 0
-    for ints in clause_set.int_clauses():
-        # A clause is violated exactly where all of its literals are false.
-        block = full
-        for lit in ints:
-            block &= false_at[lit]
+    for block in _violations(clause_set.int_clauses(), patterns, full):
         violated |= block
         if violated == full:
             return SatResult(False, None, METHOD_TRUTH_TABLE)
@@ -217,13 +226,6 @@ class DpllSolver:
             if value[lit] < 0 or (value[lit] == 0 and not self._imply(lit)):
                 self._ok = False
                 break
-
-    @property
-    def refuted(self) -> bool:
-        """True when the clauses hold the empty clause or unit propagation
-        alone, run at construction, reached a conflict: a proof that they
-        are unsatisfiable with no search."""
-        return not self._ok
 
     def _imply(self, lit: int) -> bool:
         """Make ``lit`` true and propagate to fixpoint; False on a conflict.
@@ -373,8 +375,7 @@ def check_mus(
         refuted = False
     else:
         certified = _checked_models(clause_set, witnesses)
-        size = clause_set.signature.size
-        refuted = DpllSolver(clause_set.int_clauses(), size).refuted
+        refuted = _propagation_refutes(clause_set.masks())
     if refuted:
         overall = SatResult(False, None, METHOD_CERTIFICATE)
     else:
@@ -398,26 +399,63 @@ def _checked_models(
     clause_set: ClauseSet, witnesses: Sequence[Optional[int]]
 ) -> list[Optional[SatResult]]:
     """Per deletion, a satisfiable result carrying its candidate model if
-    that model satisfies every other clause, and None otherwise."""
-    masks = clause_set.masks()
+    that model satisfies every other clause, and None otherwise. The
+    truth-table kernel evaluates all candidates at once, candidate i at bit i."""
     symbols = clause_set.signature.symbols
-    everything = (1 << len(symbols)) - 1
-    results: list[Optional[SatResult]] = []
-    for i in range(len(masks)):
-        model = witnesses[i] if i < len(witnesses) else None
-        result = None
-        if model is not None:
-            model &= everything  # bits beyond the signature name no symbol
-            other = everything ^ model
-            violated = [j for j, (positive, negative) in enumerate(masks)
-                        if not (positive & model or negative & other)]
-            if violated in ([], [i]):
-                # Bit j, lowest first, as symbol j's truth value.
-                bits = reversed(format(model, f"0{len(symbols)}b"))
-                witness = dict(zip(symbols, map("1".__eq__, bits)))
-                result = SatResult(True, witness, METHOD_CERTIFICATE)
-        results.append(result)
+    n = len(symbols)
+    everything = (1 << n) - 1
+    count = len(clause_set.clauses)
+    # Bits beyond the signature name no symbol.
+    models = [None if m is None else m & everything for m in witnesses[:count]]
+    results: list[Optional[SatResult]] = [None] * count
+    if not models:
+        return results
+    # One row of n bits per candidate, the whole reversed: symbol j's column
+    # then reads, as a binary number, with candidate i at bit i.
+    table = "".join([format(model or 0, f"0{n}b") for model in models])[::-1]
+    patterns = [int(table[j::n], 2) for j in range(n)]
+    blocks = _violations(clause_set.int_clauses(), patterns, (1 << len(models)) - 1)
+    # Candidate i is rejected when a clause other than clause i violates it.
+    rejected = 0
+    for k, block in enumerate(blocks):
+        rejected |= block & ~(1 << k)
+    all_true = dict.fromkeys(symbols, True)
+    for i, model in enumerate(models):
+        if model is not None and not rejected >> i & 1:
+            witness = all_true.copy()
+            zeros = everything ^ model
+            while zeros:
+                low = zeros & -zeros
+                witness[symbols[low.bit_length() - 1]] = False
+                zeros ^= low
+            results[i] = SatResult(True, witness, METHOD_CERTIFICATE)
     return results
+
+
+def _propagation_refutes(masks: Sequence[tuple[int, int]]) -> bool:
+    """True when unit propagation alone, over the clause masks, falsifies a
+    clause. Passes run in clause order until one assigns nothing, so a chain
+    in its own order takes one. A clause is a unit only when exactly one
+    literal is open across both polarities, so ``x | ~x`` never is."""
+    true = false = 0
+    free = -1  # unassigned symbols; in an unsatisfied clause only these are open
+    assigned = True
+    while assigned:
+        assigned = False
+        for positive, negative in masks:
+            if positive & true or negative & false:
+                continue  # satisfied
+            open_ = (positive | negative) & free
+            if not open_:
+                return True
+            if not (open_ & (open_ - 1) or positive & negative & open_):
+                if positive & open_:
+                    true |= open_
+                else:
+                    false |= open_
+                free ^= open_
+                assigned = True
+    return False
 
 
 def check_theorem(theorem: Theorem) -> Theorem:

@@ -46,3 +46,29 @@ def brute_force_is_mus(clauses, symbols):
         if not sat:
             return False
     return True
+
+
+def unit_propagation_refutes(clauses, symbols):
+    """True when unit propagation alone falsifies a clause. A clause is a
+    unit when every literal but one is false and none is true; its open
+    literal is then made true. ``x | ~x`` has two open literals, so it is
+    never a unit. Runs to a fixpoint; the order clauses are visited in does
+    not change whether a conflict is reached."""
+    symbols = set(symbols)
+    value = {}  # symbol -> truth value, for the symbols propagation has set
+    assigned = True
+    while assigned:
+        assigned = False
+        for clause in clauses:
+            literals = set(clause)
+            assert all(s in symbols for s, _ in literals), "symbol outside the signature"
+            if any(value.get(s) == (not negated) for s, negated in literals):
+                continue
+            open_literals = [(s, negated) for s, negated in literals if s not in value]
+            if not open_literals:
+                return True
+            if len(open_literals) == 1:
+                (s, negated), = open_literals
+                value[s] = not negated
+                assigned = True
+    return False

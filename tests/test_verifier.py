@@ -45,6 +45,7 @@ from oracles import (
     brute_force_is_mus,
     brute_force_satisfiable,
     plain_clauses,
+    unit_propagation_refutes,
 )
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
@@ -296,6 +297,38 @@ def model_of(mask, symbols):
     return {s: bool(mask >> j & 1) for j, s in enumerate(symbols)}
 
 
+@st.composite
+def certificate_cases(draw):
+    """Clauses over up to 6 symbols, kept as written (empty clauses,
+    tautologies and repeated literals included), and an arbitrary witness
+    list: None entries, too short or too long, bits beyond the signature.
+    A witness is a random mask or a true model of its deletion."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    symbols = tuple(f"v{i}" for i in range(n))
+    clauses = []
+    if n:
+        literal = st.builds(Literal, st.sampled_from(symbols), st.booleans())
+        # Shortest clause 0, 1 or 2 literals: without units, some
+        # unsatisfiable sets are ones propagation cannot refute.
+        smallest = draw(st.integers(min_value=0, max_value=2))
+        clause = st.lists(literal, min_size=smallest, max_size=3)
+        clauses = draw(st.lists(clause, max_size=10))
+    elif draw(st.booleans()):
+        clauses = [[]]
+    clause_set = ClauseSet(tuple(Clause(tuple(c)) for c in clauses), Signature(symbols))
+    plain = plain_clauses(clause_set)
+    witnesses = []
+    for i in range(draw(st.integers(min_value=0, max_value=len(clauses) + 2))):
+        kind = draw(st.sampled_from(("none", "random", "model")))
+        mask = draw(st.integers(min_value=0, max_value=(1 << (n + 3)) - 1))
+        if kind == "model" and i < len(clauses):
+            sat, model = brute_force_satisfiable(plain[:i] + plain[i + 1 :], symbols)
+            if sat:  # keep the random bits beyond the signature
+                mask = mask >> n << n | sum(model[s] << j for j, s in enumerate(symbols))
+        witnesses.append(None if kind == "none" else mask)
+    return clause_set, witnesses
+
+
 class TestCertificates:
     @given(permuted_chains())
     @settings(max_examples=60, deadline=None)
@@ -391,6 +424,62 @@ class TestCertificates:
         report = check_mus(ftsc.clause_set, "dpll")
         assert report.method == "dpll"
         assert report.searches == 5
+
+    @given(certificate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_certificates_agree_with_oracles(self, case):
+        clause_set, witnesses = case
+        symbols = clause_set.signature.symbols
+        report = check_mus(clause_set, witnesses=witnesses)
+        oracle = check_mus(clause_set, "truth-table")
+        refutes = unit_propagation_refutes(plain_clauses(clause_set), symbols)
+        assert (report.method == "certificate") == refutes
+        assert (report.is_unsatisfiable, report.is_mus) == (
+            oracle.is_unsatisfiable, oracle.is_mus
+        )
+        for i, (result, expected) in enumerate(
+            zip(report.deletion_results, oracle.deletion_results)
+        ):
+            mask = witnesses[i] if i < len(witnesses) else None
+            model = None if mask is None else model_of(mask, symbols)
+            if model is not None and evaluate_set(clause_set.without(i), model):
+                assert (result.method, result.witness) == ("certificate", model)
+            else:
+                assert result == expected
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_reordered_chain_is_refuted_without_search(self, order, n):
+        ftsc = chain([f"x{i}" for i in range(n)])
+        positions = list(range(n + 1))[::-1]
+        if order == "shuffled":
+            random.Random(n).shuffle(positions)
+        clauses = tuple(ftsc.clause_set.clauses[k] for k in positions)
+        models = [ftsc.deletion_models[k] for k in positions]
+        report = check_mus(ClauseSet(clauses, ftsc.signature), witnesses=models)
+        assert report.method == "certificate"
+        assert report.searches == 0
+        assert report.is_mus
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_tautology_is_never_a_unit(self, flip):
+        x, not_x = pos("x"), neg("x")
+        # x | ~x and ~x: satisfiable, so propagation must not refute it.
+        clauses, models = [[x, not_x], [not_x]], [0b0, 0b1]
+        if flip:
+            clauses.reverse()
+            models.reverse()
+        clause_set = ClauseSet.build(clauses, Signature(("x",)))
+        report = check_mus(clause_set, witnesses=models)
+        oracle = check_mus(clause_set, "truth-table")
+        assert report.method == "truth-table" and report.searches == 1
+        assert (report.is_unsatisfiable, report.is_mus) == (False, False)
+        assert [(r.satisfiable, r.witness) for r in report.deletion_results] == [
+            (r.satisfiable, r.witness) for r in oracle.deletion_results
+        ]
+        # Nor may it hide a conflict: adding x is refuted by propagation.
+        clause_set = ClauseSet.build(clauses + [[x]], Signature(("x",)))
+        assert check_mus(clause_set, witnesses=[]).method == "certificate"
 
 
 @st.composite
