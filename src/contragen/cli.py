@@ -8,6 +8,10 @@ Subcommands:
   explain    produce the ranked narrative report for a scenario
   export     emit DIMACS, TPTP, or JSON for a construction
 
+``verify`` compares a report's text with the regenerated report's first
+and reads the schema only when the two differ; what it regenerates stays
+bounded by the size of the report.
+
 Exit codes: 0 success, 1 validation or usage failure, 2 verification
 failure. Without an external model endpoint every invocation is fully
 deterministic; the report timestamp is the only field that varies.
@@ -146,13 +150,14 @@ def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
 
 def _certified_report(signature: Signature, scenario, *, replay=True, timestamp=None):
     """The report ``generate`` writes for the chain over the signature's
-    order, and its certified theorems. ``verify`` regenerates it unreplayed."""
+    order, and its certified theorems. ``verify`` regenerates it without
+    replaying, with every trace recorded as replayed."""
     ftsc = build_ftsc(signature)
     theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
     replays = [
         bool(replay_trace(t.trace, ftsc.premises_without(t.removed_index)))
         for t in theorems
-    ] if replay else None
+    ] if replay else [True] * len(theorems)
     report = build_report(
         ftsc, theorems, scenario=scenario, replay_results=replays, timestamp=timestamp
     )
@@ -243,50 +248,98 @@ def _show(value) -> str:
     return "(absent)" if value is _ABSENT else json.dumps(value)
 
 
-def _verify_report(data) -> bool:
-    """Regenerate the report from its permutation; one line per differing group."""
+def _regenerated(data, size: int):
+    """The report ``generate`` would write for the recorded metadata, and its
+    theorems; None when ``metadata.permutation`` is not a list of strings,
+    ``metadata.scenario`` not a string or null, ``metadata.timestamp`` not a
+    string, the permutation not admissible, or the chain over it longer in
+    literals than ``size``, the length of the recorded text. So the work
+    stays bounded by the size of the report."""
+    meta = data.get("metadata") if isinstance(data, dict) else None
+    if not isinstance(meta, dict):
+        return None
+    permutation = meta.get("permutation")
+    scenario, timestamp = meta.get("scenario"), meta.get("timestamp", "")
+    if not (
+        isinstance(permutation, list)
+        and (scenario is None or isinstance(scenario, str))
+        and isinstance(timestamp, str)
+    ):
+        return None
+    try:  # parsing refuses a literal that is not a string
+        signature = validate_input([parse_literal(s) for s in permutation])
+    except ValidationError:
+        return None
+    if total_literals(signature.size) > size:
+        return None
+    return _certified_report(signature, scenario, replay=False, timestamp=timestamp)
+
+
+def _verify_report(text: str) -> bool:
+    """Regenerate the report from its permutation; one line per differing group.
+
+    A text equal to the regenerated report's, as ``generate`` writes it,
+    passes with no more reading. Any other is read by the schema and
+    compared with the same regenerated report, group by group."""
+    data = json.loads(text)
+    regenerated = _regenerated(data, len(text))
+    if regenerated is not None and regenerated[0].to_json() == text:
+        return _print_verdict(*regenerated, {})
     recorded = Report.from_dict(data)
     try:
         signature = validate_input([parse_literal(s) for s in recorded.permutation])
     except ValidationError as exc:
         print(f"metadata: metadata.permutation is not admissible: {exc}")
         return False
-    # Checked first, so regenerating costs no more than the recorded size.
+    # Checked before regenerating, so that costs no more than the recorded size.
     size, chain = sum(map(len, recorded.clauses)), total_literals(signature.size)
     if size != chain:
         print(f"clauses: recorded {size} literals, the chain over {signature.size} "
               f"symbols has {chain}")
         return False
-    report, theorems = _certified_report(signature, recorded.scenario, replay=False,
-                                         timestamp=recorded.timestamp)
-    expected = report.to_dict()
-    # No trace is replayed here, so a recorded true or null stands.
-    for got, want in zip(data["theorems"], expected["theorems"]):
-        if got.get("trace_replayed") is not None:
-            want["trace_replayed"] = True
+    if regenerated is None:
+        regenerated = _certified_report(signature, recorded.scenario, replay=False,
+                                        timestamp=recorded.timestamp)
+    expected = regenerated[0].to_dict()
+    recorded_theorems = data["theorems"] + [_ABSENT] * len(expected["theorems"])
+    # No trace is replayed here, so a recorded true or null stands; a theorem
+    # with no record is regenerated unreplayed.
+    for got, want in zip(recorded_theorems, expected["theorems"]):
+        if got is _ABSENT or got.get("trace_replayed") is None:
+            want["trace_replayed"] = None
     # A v1 report does not record its scenario, so an explain report's narrative
     # cannot be regenerated: it is taken as recorded and reported unaudited.
     unaudited = bool(recorded.explanations and recorded.ranking)
     if unaudited:
         expected.update(explanations=data["explanations"], ranking=data["ranking"])
     differences = {}
-    if json.dumps(data) != json.dumps(expected):  # equal text is the common case
-        for key in {**expected, **data}:
-            found = _first_difference(data.get(key, _ABSENT), expected.get(key, _ABSENT), key)
-            if found:
-                differences[key] = found
+    for key in {**expected, **data}:
+        found = _first_difference(data.get(key, _ABSENT), expected.get(key, _ABSENT), key)
+        if found:
+            differences[key] = found
+    # A theorem whose record differs from the regenerated one reads failed.
+    failed = set()
+    if "theorems" in differences:
+        pairs = enumerate(zip(recorded_theorems, expected["theorems"]))
+        failed = {i for i, (got, want) in pairs if _first_difference(got, want, "")}
+    ok = _print_verdict(*regenerated, differences, failed)
+    if unaudited:
+        print("explanations, ranking: not audited; a v1 report does not record its scenario")
+    return ok
+
+
+def _print_verdict(report, theorems, differences, failed=frozenset()) -> bool:
+    """Print the clause set's and each theorem's verdict, then one line per
+    differing group; True when nothing differs and every theorem holds."""
     # These lines speak of the recorded clauses, so they need them to match.
     if "clauses" not in differences:
         source = theorems[0].source
         _verify_clause_set(source.clause_set, source.deletion_models)
-        recorded_theorems = data["theorems"] + [_ABSENT] * len(theorems)
-        for got, want in zip(recorded_theorems, expected["theorems"]):
-            same = "theorems" not in differences or _first_difference(got, want, "") is None
-            print(f"theorem {want['removed_index']}: {want['certified'] if same else CERT_FAILED}")
+        for i, record in enumerate(report.theorems):
+            print(f"theorem {record.removed_index}: "
+                  f"{CERT_FAILED if i in failed else record.certified}")
     for key, (path, got, want) in differences.items():
         print(f"{key}: {path} recorded {_show(got)}, regenerated {_show(want)}")
-    if unaudited:
-        print("explanations, ranking: not audited; a v1 report does not record its scenario")
     return not differences and all(t.certified == CERT_VERIFIED for t in theorems)
 
 
@@ -301,7 +354,7 @@ def _cmd_verify(args) -> int:
         # A report is a few levels deep, so only input nested about as deep
         # as the interpreter's recursion limit recurses this far.
         try:
-            ok = _verify_report(json.loads(text))
+            ok = _verify_report(text)
         except RecursionError:
             raise ValidationError(f"{args.input}: JSON nested too deeply to read") from None
     print("verification " + ("passed" if ok else "FAILED"))

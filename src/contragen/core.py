@@ -3,12 +3,12 @@
 Symbols are plain strings on the public surface. Internally a signature
 interns each symbol to a small integer index. A ``ClauseSet`` computes its
 signed-integer encoding (1-based, DIMACS style) once, at construction; that
-lookup is also its symbol-binding check. ``masks`` derives a second
-encoding from it on first use, one (positive, negative) bitmask pair per
-clause, for evaluating a model or a set of known literals against a clause
-in a few integer operations. ``without`` slices both stored encodings
-instead of re-validating. All types are immutable values: once built they
-can be shared freely between workers.
+lookup is also its symbol-binding check. The same pass over the literals
+writes a second encoding, ``masks``: one (positive, negative) bitmask pair
+per clause, for evaluating a model or a set of known literals against a
+clause in a few integer operations. ``without`` slices both stored
+encodings instead of re-validating. All types are immutable values: once
+built they can be shared freely between workers.
 
 Ground first-order atoms are handled as opaque propositional symbols of
 the shape ``Name(c1,c2)``; ``split_symbol`` is the one reader of that
@@ -18,7 +18,7 @@ shape, so a symbol's arity and its export agree everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 #: Truth assignment: maps symbol names to booleans. Partial during search,
 #: total (covering the whole signature) during truth-table enumeration.
@@ -269,16 +269,28 @@ class ClauseSet:
     signature: Signature
 
     def __post_init__(self):
-        # Encoding looks every symbol up, so it is also the binding check.
-        idx = self.signature.index_of
-        ints = tuple(
-            tuple(
-                -(idx(l.symbol) + 1) if l.negated else idx(l.symbol) + 1
-                for l in c.literals
-            )
-            for c in self.clauses
-        )
-        object.__setattr__(self, "_ints", ints)
+        # One pass over the literals writes both encodings. Encoding looks
+        # every symbol up, so it is also the binding check.
+        index = self.signature.index
+        ints, masks = [], []
+        try:
+            for clause in self.clauses:
+                row = []
+                positive = negative = 0
+                for lit in clause.literals:
+                    j = index[lit.symbol]
+                    if lit.negated:
+                        row.append(-1 - j)
+                        negative |= 1 << j
+                    else:
+                        row.append(j + 1)
+                        positive |= 1 << j
+                ints.append(tuple(row))
+                masks.append((positive, negative))
+        except KeyError as exc:
+            raise UnboundSymbolError(exc.args[0]) from None
+        object.__setattr__(self, "_ints", tuple(ints))
+        object.__setattr__(self, "_masks", tuple(masks))
 
     @classmethod
     def _trusted(
@@ -286,15 +298,14 @@ class ClauseSet:
         clauses: tuple[Clause, ...],
         signature: Signature,
         ints: tuple[tuple[int, ...], ...],
-        masks: Optional[tuple[tuple[int, int], ...]],
+        masks: tuple[tuple[int, int], ...],
     ) -> "ClauseSet":
         """Assemble from parts already encoded against ``signature``."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "clauses", clauses)
         object.__setattr__(obj, "signature", signature)
         object.__setattr__(obj, "_ints", ints)
-        if masks is not None:
-            object.__setattr__(obj, "_masks", masks)
+        object.__setattr__(obj, "_masks", masks)
         return obj
 
     @classmethod
@@ -310,12 +321,11 @@ class ClauseSet:
         """Copy with the clause at 0-based ``index`` removed."""
         if not 0 <= index < len(self.clauses):
             raise IndexError(f"clause index out of range: {index}")
-        masks = self.__dict__.get("_masks")
         return ClauseSet._trusted(
             self.clauses[:index] + self.clauses[index + 1 :],
             self.signature,
             self._ints[:index] + self._ints[index + 1 :],
-            None if masks is None else masks[:index] + masks[index + 1 :],
+            self._masks[:index] + self._masks[index + 1 :],
         )
 
     def as_sets(self) -> frozenset[frozenset[Literal]]:
@@ -332,21 +342,8 @@ class ClauseSet:
         """Per clause, the pair (positive, negative): bit j of the first is
         set when symbol j occurs unnegated, of the second when it occurs
         negated. A model ``m`` (bit j set: symbol j true) satisfies the
-        clause iff ``positive & m or negative & ~m``. Built on first use."""
-        masks = self.__dict__.get("_masks")
-        if masks is None:
-            pairs = []
-            for ints in self._ints:  # type: ignore[attr-defined]
-                positive = negative = 0
-                for lit in ints:
-                    if lit > 0:
-                        positive |= 1 << (lit - 1)
-                    else:
-                        negative |= 1 << (-lit - 1)
-                pairs.append((positive, negative))
-            masks = tuple(pairs)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        clause iff ``positive & m or negative & ~m``."""
+        return self._masks  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.clauses)

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from contragen import cli
 from contragen.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, run_cli
+from contragen.report import Report
 
 from conftest import SCENARIO_DIR, TWO_PATIENTS_SCENARIO
 
@@ -673,6 +675,126 @@ class TestVerify:
             assert code == EXIT_VERIFICATION
             assert out.endswith("verification FAILED\n")
 
+    # verify compares the text with the regenerated report's first and reads
+    # the schema only when they differ; both paths must give the same verdict.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_any_layout_of_a_genuine_report_verifies_alike(self, n):
+        rank = 7919 % math.factorial(n)
+        source = [f"s{i}" for i in range(n)] + ["--permutation", str(rank)]
+        with contextlib.redirect_stdout(io.StringIO()) as generated:
+            assert run_cli(["generate", *source]) == EXIT_OK
+        text = generated.getvalue()
+        data = json.loads(text)
+        unreplayed = json.loads(text)
+        for theorem in unreplayed["theorems"]:
+            theorem["trace_replayed"] = None
+        layouts = [
+            json.dumps(data),
+            json.dumps(data, indent=4),
+            json.dumps(data, indent=2, sort_keys=True) + "\n",
+            json.dumps(dict(reversed(data.items())), indent=2) + "\n",
+            json.dumps(unreplayed, indent=2) + "\n",
+        ]
+        out = "".join(f"theorem {i}: verified\n" for i in range(1, n + 2))
+        out = ("unsatisfiable: True\nminimal (every deletion satisfiable): True\n"
+               f"{out}verification passed\n")
+        for layout in [text, *layouts]:
+            assert _verify_text(layout) == (EXIT_OK, out, "")
+
+    def test_only_a_text_that_differs_is_read_by_the_schema(self, monkeypatch):
+        # Either way the chain is built once.
+        text = _genuine_report(2)
+        reads, builds = [], []
+        from_dict, build_ftsc = Report.from_dict.__func__, cli.build_ftsc
+
+        def counting_from_dict(cls, data):
+            reads.append(data)
+            return from_dict(cls, data)
+
+        def counting_build(signature):
+            builds.append(signature)
+            return build_ftsc(signature)
+
+        monkeypatch.setattr(Report, "from_dict", classmethod(counting_from_dict))
+        monkeypatch.setattr(cli, "build_ftsc", counting_build)
+        assert _verify_text(text)[0] == EXIT_OK
+        assert (len(reads), len(builds)) == (0, 1)
+        assert _verify_text(json.dumps(json.loads(text)))[0] == EXIT_OK
+        assert (len(reads), len(builds)) == (1, 2)
+        data = json.loads(text)
+        data["theorems"][1]["certified"] = "failed"
+        assert _verify_text(json.dumps(data, indent=2) + "\n")[0] == EXIT_VERIFICATION
+        assert (len(reads), len(builds)) == (2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_report_edits())
+    @example((1, ("theorems", 2, "certified"), "replace", "failed"))
+    @example((1, ("theorems", 0, "trace_replayed"), "replace", False))
+    @example((1, ("clauses",), "drop", 1))
+    @example((4, ("metadata", "timestamp"), "replace", 5))
+    @example((4, ("metadata", "scenario"), "replace", 5))
+    def test_an_edit_reads_alike_in_the_generate_layout(self, edit):
+        # The generate layout makes the text comparison as close as it gets
+        # before the schema and the group-by-group comparison take over.
+        source, path, kind, value = edit
+        data = json.loads(_genuine_report(source))
+        _apply_edit(data, path, kind, value)
+        compact = _verify_text(json.dumps(data))
+        assert _verify_text(json.dumps(data, indent=2) + "\n") == compact
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            # The timestamp is not regenerated and its type is not checked.
+            ("timestamp", 5, (EXIT_OK, "verification passed")),
+            ("timestamp", [1], (EXIT_OK, "verification passed")),
+            (
+                "scenario", 5,
+                (EXIT_VALIDATION, "error: report metadata: field 'scenario' must be str, got int"),
+            ),
+            (
+                "scenario", ["medical"],
+                (EXIT_VALIDATION, "error: report metadata: field 'scenario' must be str, got list"),
+            ),
+        ],
+    )
+    def test_metadata_of_another_type_reads_as_the_schema_does(self, field, value, expected):
+        data = json.loads(_genuine_report(4))
+        data["metadata"][field] = value
+        code, out, err = _verify_text(json.dumps(data, indent=2) + "\n")
+        assert (code, (out or err).splitlines()[-1]) == expected
+
+    def test_explain_report_with_a_malformed_explanation(self, capsys, tmp_path, scenario_dir):
+        target = tmp_path / "report.json"
+        run(capsys, "explain", str(scenario_dir / "medical.yaml"), "--output", str(target))
+        data = json.loads(target.read_text())
+        data["explanations"][1]["narrative"] = 7
+        target.write_text(json.dumps(data, indent=2) + "\n")
+        assert run(capsys, "verify", str(target)) == (
+            EXIT_VALIDATION, "",
+            "error: report explanations[1]: field 'narrative' must be str, got int\n",
+        )
+
+    def test_long_permutation_refused_before_building(self, capsys, tmp_path, monkeypatch):
+        # 5,000 symbols listed in a small file: the chain would hold
+        # 12,507,500 literals, far more than the text, so nothing is built.
+        def refuse(signature):
+            raise AssertionError("build_ftsc called")
+
+        data = json.loads(_genuine_report(1))
+        data["metadata"]["permutation"] = [f"q{i}" for i in range(5000)]
+        monkeypatch.setattr(cli, "build_ftsc", refuse)
+        target = tmp_path / "report.json"
+        for text in (json.dumps(data, indent=2) + "\n", json.dumps(data)):
+            target.write_text(text)
+            assert len(text) < 100_000
+            assert run(capsys, "verify", str(target)) == (
+                EXIT_VERIFICATION,
+                "clauses: recorded 9 literals, the chain over 5000 symbols has 12507500\n"
+                "verification FAILED\n",
+                "",
+            )
+
     def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
         def broken(args):
             raise KeyError("n")
@@ -857,6 +979,16 @@ class TestExplain:
             "scenario", "permutation", "removed_index", "role_label", "narrative",
             "remediation", "provenance", "declared_priority", "model_score", "warnings",
         ]
+
+
+    @pytest.mark.parametrize("command", ["explain", "generate"])
+    def test_fixture_reports_have_the_stdlib_layout(self, capsys, scenario_dir, command):
+        fixtures = sorted(scenario_dir.glob("*.yaml"))
+        assert len(fixtures) == 14
+        for fixture in fixtures:
+            code, out, _ = run(capsys, command, str(fixture))
+            assert code == EXIT_OK
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", fixture.name
 
 
 class TestExport:

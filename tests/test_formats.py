@@ -1,9 +1,10 @@
 """DIMACS round-trips, TPTP syntax, JSON report round-trips."""
 
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contragen import (
     Clause,
@@ -33,6 +34,7 @@ from contragen.formats import (
     MissingScenarioMetadataError,
     NonGroundClauseError,
 )
+from contragen.report import _indented
 
 from conftest import random_clause_set
 from tptp_check import TptpSyntaxError, check_tptp
@@ -277,3 +279,49 @@ class TestReportRoundTrip:
         ftsc = chain(["a", "b"])
         report = build_report(ftsc, derive_theorems(ftsc))
         assert Report.from_json(report.to_json()) == report
+
+
+# Any code point, surrogates and control characters included, with the
+# characters JSON escapes specially made likely.
+_CHARACTERS = st.integers(0, 0x10FFFF).map(chr) | st.sampled_from(
+    ["\x00", "\x1f", "\x7f", '"', "\\", "/", "\n", "\u2028", "\ud800", "\udfff", "é", "😀"]
+)
+_TEXT = st.text(_CHARACTERS, max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300, float("inf"), float("-inf"), float("nan")])
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestReportWriter:
+    """``Report.to_json`` writes the text ``json.dumps(..., indent=2)`` does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    @example(["a", 1, "b"])  # an all-string list broken after its first item
+    @example([True, 1, 0, False, None])
+    @example({"": [], "a": {}, "b": ((), [[]])})
+    @example([2**100, -(2**64), -0.0, 1e300, float("inf"), float("nan")])
+    @example(["\ud800", "\x00\x1f", "é\u2028😀"])
+    def test_writer_matches_the_stdlib(self, value):
+        assert _indented(value, "\n") == json.dumps(value, indent=2)
+
+    def test_unserializable_value_refused_alike(self):
+        for value in ([object()], {"a": {1, 2}}, ["a", b"b"]):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                _indented(value, "\n")
+
+    def test_full_report(self, scenario_dir):
+        report = TestReportRoundTrip()._full_report(scenario_dir)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
