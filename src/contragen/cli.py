@@ -58,7 +58,7 @@ from .generator import (
     total_literals,
 )
 from .report import Report, build_report
-from .verifier import check_mus, check_theorem, replay_trace
+from .verifier import check_mus, check_theorems, replay_trace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -153,7 +153,7 @@ def _certified_report(signature: Signature, scenario, *, replay=True, timestamp=
     order, and its certified theorems. ``verify`` regenerates it without
     replaying, with every trace recorded as replayed."""
     ftsc = build_ftsc(signature)
-    theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
+    theorems = check_theorems(derive_theorems(ftsc))
     replays = [
         bool(replay_trace(t.trace, ftsc.premises_without(t.removed_index)))
         for t in theorems
@@ -199,7 +199,7 @@ def _cmd_enumerate(args) -> int:
                 previous = key
         status = ""
         if not args.no_certify:
-            theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
+            theorems = check_theorems(derive_theorems(ftsc))
             good = all(t.certified == CERT_VERIFIED for t in theorems)
             certified += good
             status = " certified" if good else " FAILED"
@@ -259,7 +259,7 @@ def _regenerated(data, size: int):
     if not isinstance(meta, dict):
         return None
     permutation = meta.get("permutation")
-    scenario, timestamp = meta.get("scenario"), meta.get("timestamp", "")
+    scenario, timestamp = meta.get("scenario"), meta.get("timestamp")
     if not (
         isinstance(permutation, list)
         and (scenario is None or isinstance(scenario, str))

@@ -25,11 +25,14 @@ i <= n leaves "all true except xi" satisfied, and removing C(n+1) leaves
 "all true". ``Ftsc.deletion_models`` offers them to the verifier as
 certificates, which it checks rather than trusts.
 
-Each construction builds its n positive and n negative literals once
-(``Ftsc.literals``), and its conclusions are slices of them.
-Its traces share one tuple of unit steps, one of propagation steps and
-one empty-clause step (``Ftsc.trace_steps``); only a trace's assumption
-and discharge are built per theorem.
+Over its own order the chain's integer encoding depends on n alone, so
+``build_ftsc`` takes the clauses' integers and bitmasks, and the deletion
+models, from one closed form per n instead of encoding literal by literal.
+It builds the n positive and n negative literals once, and the clauses,
+the conclusions (``Ftsc.literals``) and the traces share them. The traces
+share one tuple of unit steps, one of propagation steps and one
+empty-clause step (``Ftsc.trace_steps``); only a trace's assumption and
+discharge are built per theorem.
 
 Everything here is deterministic. ``enumerate_ftscs`` streams one
 construction per permutation of the literals, in lexicographic order,
@@ -41,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .core import (
@@ -140,7 +143,8 @@ class Ftsc:
     @cached_property
     def literals(self) -> tuple[tuple[Literal, ...], tuple[Literal, ...]]:
         """(x1..xn, ~x1..~xn) over ``permutation``: every conclusion and
-        trace step of this construction shares these values."""
+        trace step of this construction shares these values. ``build_ftsc``
+        stores the very literals of its clauses here."""
         return (
             tuple(Literal(s, False) for s in self.permutation),
             tuple(Literal(s, True) for s in self.permutation),
@@ -158,15 +162,14 @@ class Ftsc:
         )
         return units, propagations, TraceStep(STEP_EMPTY, None, self.n - 1)
 
-    @cached_property
+    @property
     def deletion_models(self) -> tuple[int, ...]:
         """A candidate model of each single-clause deletion, in clause order,
         as a bitmask over the signature (bit j set: symbol j true): all true
         except xi for clause i <= n, all true for clause n+1. Each is the
         lexicographically first model of its deletion, the one a search
         returns, so accepting it changes no witness."""
-        everything = (1 << self.n) - 1
-        return tuple(everything ^ (1 << j) for j in range(self.n)) + (everything,)
+        return _chain_code(self.n)[2]
 
 
 @dataclass(frozen=True)
@@ -194,31 +197,43 @@ class Theorem:
         return build_proof_trace(self.source, self.removed_index)
 
 
+@lru_cache(maxsize=8)
+def _chain_code(n: int):
+    """(integer clauses, clause masks, deletion models) of the chain over
+    its own order of n symbols, as ``ClauseSet`` encodes them: clause t has
+    the integers -1..-(t-1), t and the masks (2^(t-1), 2^(t-1) - 1), and
+    C(n+1) has -1..-n and (0, 2^n - 1)."""
+    negatives = tuple(range(-1, -n - 1, -1))
+    ints = tuple(negatives[:t] + (t + 1,) for t in range(n)) + (negatives,)
+    masks = tuple((1 << t, (1 << t) - 1) for t in range(n)) + ((0, (1 << n) - 1),)
+    everything = (1 << n) - 1
+    models = tuple(everything ^ (1 << j) for j in range(n)) + (everything,)
+    return ints, masks, models
+
+
 def build_ftsc(signature: Signature, *, counter: Optional[OpCounter] = None) -> Ftsc:
     """Instantiate the triangular schema over the signature's symbol order.
 
     Deterministic: the same signature always yields the identical value.
-    Emits clauses already in canonical literal order.
+    Emits clauses already in canonical literal order, encoded by the
+    closed form for n.
     """
     n = signature.size
     if n == 0:
         raise EmptyInputError("cannot build over an empty signature")
     syms = signature.symbols
     # Each literal is built once and shared: clause t is ~x1..~x(t-1), xt.
+    positives = tuple(Literal(s, False) for s in syms)
     negatives = tuple(Literal(s, True) for s in syms)
-    clauses = []
-    for t in range(1, n + 1):
-        lits = negatives[: t - 1] + (Literal(syms[t - 1], False),)
-        clauses.append(Clause(lits))
-        if counter is not None:
-            counter.literal_emissions += len(lits)
-            counter.clauses_built += 1
-    clauses.append(Clause(negatives))
+    clauses = tuple(Clause(negatives[:t] + (x,)) for t, x in enumerate(positives))
     if counter is not None:
-        counter.literal_emissions += n
-        counter.clauses_built += 1
-    clause_set = ClauseSet(tuple(clauses), signature)
-    return Ftsc(clause_set, syms, n)
+        counter.literal_emissions += total_literals(n)
+        counter.clauses_built += n + 1
+    ints, masks, _ = _chain_code(n)
+    clause_set = ClauseSet._trusted(clauses + (Clause(negatives),), signature, ints, masks)
+    ftsc = Ftsc(clause_set, syms, n)
+    ftsc.__dict__["literals"] = (positives, negatives)  # the clauses' own, as the cached value
+    return ftsc
 
 
 def conclusion_for(ftsc: Ftsc, removed_index: int) -> tuple[Literal, ...]:

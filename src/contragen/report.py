@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .core import Literal, SchemaViolationError, Signature, parse_literal, require
 from .explain import Explanation, RankedEntry, RankedReport
-from .generator import Ftsc, Theorem, trace_length
+from .generator import Ftsc, Theorem, conclusion_for, trace_length
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "contragen"
@@ -178,7 +178,7 @@ class Report:
             scenario=require(meta, "scenario", str, "report metadata", default=None),
             explanations=tuple(explanations),
             ranking=ranking,
-            timestamp=meta.get("timestamp", ""),
+            timestamp=require(meta, "timestamp", str, "report metadata"),
             tool=meta.get("tool", TOOL_NAME),
             version=meta.get("version", __version__),
             schema_version=data.get("schema_version", SCHEMA_VERSION),
@@ -258,11 +258,21 @@ def build_report(
     sig = ftsc.signature
     # Each literal's text, indexed as ``int_clauses`` encodes it.
     names = [""] + list(sig.symbols) + ["~" + s for s in reversed(sig.symbols)]
+
+    def conclusion_text(theorem: Theorem) -> tuple[str, ...]:
+        # The construction's own conclusion x1..x(i-1), ~xi (x1..xn for i = n+1)
+        # is read from the name table; the comparison meets the very literals
+        # it shares with the theorem. Any other, such as a failed theorem's,
+        # may name an unlisted symbol, so it is written literal by literal.
+        i = theorem.removed_index
+        if 1 <= i <= ftsc.n + 1 and theorem.conclusion == conclusion_for(ftsc, i):
+            return sig.symbols[: i - 1] + (names[-i],) if i <= ftsc.n else sig.symbols
+        return tuple(map(Literal.__str__, theorem.conclusion))
+
     records = [
         TheoremRecord(
             removed_index=theorem.removed_index,
-            # Not the name table: a failed theorem may name an unlisted symbol.
-            conclusion=tuple(map(Literal.__str__, theorem.conclusion)),
+            conclusion=conclusion_text(theorem),
             certified=theorem.certified,
             trace_steps=trace_length(ftsc.n, theorem.removed_index),
             trace_replayed=None if replay_results is None else bool(replay_results[pos]),

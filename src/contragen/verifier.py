@@ -35,19 +35,22 @@ A theorem is certified from its source's deletion-based minimality check
 alone: the remainder R entails the negated removed clause l1 | ... | lk
 exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
 certification is "MUS at the removed index plus the conclusion equals the
-negated clause", and ``check_mus`` remembers its last report, so each
-construction is decided once for all of its theorems. The conclusion is
-compared by masks: its (positive, negative) bitmask pair over the
-signature must be the removed clause's pair swapped. Trace replay runs
-on the premises' clause bitmasks, with the known literals held as two
-masks, true and false.
+negated clause". ``check_theorems`` certifies a batch: it reads each
+distinct source's minimality check, clause masks and symbol index once,
+however the batch orders its theorems, and ``check_theorem`` is the batch
+of one. ``check_mus`` also remembers its last report, so one-by-one
+calls decide each construction once too. The conclusion is compared by
+masks: its (positive, negative) bitmask pair over the signature must be
+the removed clause's pair swapped. Trace replay runs on the premises'
+clause bitmasks, with the known literals held as two masks, true and
+false.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import ClauseSet, Literal
 from .generator import (
@@ -406,14 +409,11 @@ def _checked_models(
     everything = (1 << n) - 1
     count = len(clause_set.clauses)
     # Bits beyond the signature name no symbol.
-    models = [None if m is None else m & everything for m in witnesses[:count]]
+    models = tuple([None if m is None else m & everything for m in witnesses[:count]])
     results: list[Optional[SatResult]] = [None] * count
     if not models:
         return results
-    # One row of n bits per candidate, the whole reversed: symbol j's column
-    # then reads, as a binary number, with candidate i at bit i.
-    table = "".join([format(model or 0, f"0{n}b") for model in models])[::-1]
-    patterns = [int(table[j::n], 2) for j in range(n)]
+    patterns = _candidate_columns(models, n)
     blocks = _violations(clause_set.int_clauses(), patterns, (1 << len(models)) - 1)
     # Candidate i is rejected when a clause other than clause i violates it.
     rejected = 0
@@ -430,6 +430,16 @@ def _checked_models(
                 zeros ^= low
             results[i] = SatResult(True, witness, METHOD_CERTIFICATE)
     return results
+
+
+@lru_cache(maxsize=16)
+def _candidate_columns(models: tuple[Optional[int], ...], n: int) -> tuple[int, ...]:
+    """Per symbol j, the candidates that make it true: candidate i at bit i.
+    A pure function of the candidates, so the per-n chain models share one."""
+    # One row of n bits per candidate, the whole reversed: symbol j's column
+    # then reads, as a binary number, with candidate i at bit i.
+    table = "".join([format(model or 0, f"0{n}b") for model in models])[::-1]
+    return tuple([int(table[j::n], 2) for j in range(n)])
 
 
 def _propagation_refutes(masks: Sequence[tuple[int, int]]) -> bool:
@@ -458,8 +468,8 @@ def _propagation_refutes(masks: Sequence[tuple[int, int]]) -> bool:
     return False
 
 
-def check_theorem(theorem: Theorem) -> Theorem:
-    """Certify one entailment; returns a copy with ``certified`` set.
+def check_theorems(theorems: Iterable[Theorem]) -> list[Theorem]:
+    """Certify entailments; returns copies, in order, with ``certified`` set.
 
     Certification is the source's minimality check at the removed index
     plus a comparison: the full set is unsatisfiable, the remainder is
@@ -468,29 +478,52 @@ def check_theorem(theorem: Theorem) -> Theorem:
     the remainder entails every conclusion literal exactly when adding
     the removed clause back, the source, is unsatisfiable. The check is
     read from ``check_mus``, given the source's deletion models as
-    certificates, which decides each construction once. The conclusion is
-    compared as a set, by masks. Failure is reported in the certification
-    state, never raised.
+    certificates. Each distinct source (by identity) is checked, and its
+    masks and symbol index read, once per call, wherever its theorems sit
+    in the batch. The conclusion is compared as a set, by masks. Failure is
+    reported in the certification state, never raised.
     """
-    source = theorem.source
+    known: dict[int, list] = {}  # id(source) -> [source, index, masks, report]
+    checked = []
+    for theorem in theorems:
+        source = theorem.source
+        facts = known.get(id(source))
+        if facts is None:  # holding the source keeps its id unique
+            clause_set = source.clause_set
+            facts = [source, clause_set.signature.index, clause_set.masks(), None]
+            known[id(source)] = facts
+        state = CERT_VERIFIED if _certifies(theorem, facts) else CERT_FAILED
+        checked.append(Theorem(source, theorem.removed_index, theorem.conclusion, state))
+    return checked
+
+
+def _certifies(theorem: Theorem, facts: list) -> bool:
+    """Whether one theorem holds, given its source's [source, symbol index,
+    clause masks, minimality report]; the report is read on first need and
+    kept in ``facts``."""
+    source, index, masks, mus = facts
     i = theorem.removed_index
-    if not 1 <= i <= source.n + 1 or len(source.clause_set) < source.n + 1:
-        return replace(theorem, certified=CERT_FAILED)
-    index = source.signature.index
-    masks = [0, 0]  # the conclusion's positive and negative masks
+    if not 1 <= i <= source.n + 1 <= len(masks):
+        return False
+    found = [0, 0]  # the conclusion's positive and negative masks
     for literal in theorem.conclusion:
         j = index.get(literal.symbol)
         if j is None:  # a symbol outside the signature is in no clause
-            return replace(theorem, certified=CERT_FAILED)
-        masks[literal.negated] |= 1 << j
-    mus = check_mus(source.clause_set, witnesses=source.deletion_models)
-    positive, negative = source.clause_set.masks()[i - 1]
-    ok = (
+            return False
+        found[literal.negated] |= 1 << j
+    if mus is None:
+        mus = facts[3] = check_mus(source.clause_set, witnesses=source.deletion_models)
+    positive, negative = masks[i - 1]
+    return (
         mus.is_unsatisfiable
         and mus.deletion_results[i - 1].satisfiable
-        and masks == [negative, positive]
+        and found == [negative, positive]
     )
-    return replace(theorem, certified=CERT_VERIFIED if ok else CERT_FAILED)
+
+
+def check_theorem(theorem: Theorem) -> Theorem:
+    """Certify one entailment: ``check_theorems`` on a batch of one."""
+    return check_theorems([theorem])[0]
 
 
 def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:

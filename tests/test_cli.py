@@ -745,9 +745,15 @@ class TestVerify:
     @pytest.mark.parametrize(
         "field, value, expected",
         [
-            # The timestamp is not regenerated and its type is not checked.
-            ("timestamp", 5, (EXIT_OK, "verification passed")),
-            ("timestamp", [1], (EXIT_OK, "verification passed")),
+            # The timestamp is not regenerated, but it must be a string.
+            (
+                "timestamp", 5,
+                (EXIT_VALIDATION, "error: report metadata: field 'timestamp' must be str, got int"),
+            ),
+            (
+                "timestamp", [1],
+                (EXIT_VALIDATION, "error: report metadata: field 'timestamp' must be str, got list"),
+            ),
             (
                 "scenario", 5,
                 (EXIT_VALIDATION, "error: report metadata: field 'scenario' must be str, got int"),
@@ -755,6 +761,11 @@ class TestVerify:
             (
                 "scenario", ["medical"],
                 (EXIT_VALIDATION, "error: report metadata: field 'scenario' must be str, got list"),
+            ),
+            (
+                "timestamp", None,
+                (EXIT_VALIDATION,
+                 "error: report metadata: field 'timestamp' must be str, got NoneType"),
             ),
         ],
     )

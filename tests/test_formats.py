@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from contragen import (
     emit_dimacs,
     emit_tptp,
     load_scenario,
+    neg,
     parse_dimacs,
     pos,
     rank,
@@ -279,6 +281,25 @@ class TestReportRoundTrip:
         ftsc = chain(["a", "b"])
         report = build_report(ftsc, derive_theorems(ftsc))
         assert Report.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t,
+            lambda t: replace(t, conclusion=t.conclusion[::-1]),
+            lambda t: replace(t, conclusion=(t.conclusion[0].negate(),) + t.conclusion[1:]),
+            lambda t: replace(t, conclusion=t.conclusion + (neg("ghost"),)),
+            lambda t: replace(t, removed_index=t.removed_index + 1),
+        ],
+        ids=["exact", "reordered", "flipped", "foreign", "shifted"],
+    )
+    def test_conclusion_text_is_each_literal_written(self, edit):
+        ftsc = chain(["a", "b", "c", "d"])
+        theorems = [edit(t) for t in derive_theorems(ftsc)]
+        report = build_report(ftsc, theorems, timestamp="")
+        assert [r.conclusion for r in report.theorems] == [
+            tuple(str(l) for l in t.conclusion) for t in theorems
+        ]
 
 
 # Any code point, surrogates and control characters included, with the

@@ -41,7 +41,7 @@ from contragen.generator import (
 
 from contragen.core import Literal
 
-from oracles import brute_force_entails, plain_clauses
+from oracles import brute_force_entails, brute_force_satisfiable, plain_clauses
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
 
@@ -109,6 +109,44 @@ class TestBuildFtsc:
         build_ftsc(signature_of([f"x{i}" for i in range(1, 6)]), counter=counter)
         assert counter.literal_emissions == total_literals(5)
         assert counter.clauses_built == 6
+
+
+class TestClosedFormEncoding:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_literal_by_literal_encoding(self, n):
+        order = list(range(n))
+        random.Random(n).shuffle(order)
+        signature = signature_of([f"x{i}" for i in range(n)]).permuted(order)
+        ftsc = build_ftsc(signature)
+        reencoded = ClauseSet(ftsc.clause_set.clauses, signature)
+        assert ftsc.clause_set.int_clauses() == reencoded.int_clauses()
+        assert ftsc.clause_set.masks() == reencoded.masks()
+        # Each deletion model is the oracle's first model of its deletion.
+        plain = plain_clauses(ftsc.clause_set)
+        symbols = signature.symbols
+        for i, model in enumerate(ftsc.deletion_models):
+            sat, first = brute_force_satisfiable(plain[:i] + plain[i + 1 :], symbols)
+            assert sat and model == sum(first[s] << j for j, s in enumerate(symbols))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_literals_are_the_clauses_own(self, n):
+        ftsc = build_ftsc(signature_of([f"x{i}" for i in range(n)]))
+        positives, negatives = ftsc.literals
+        expected = [negatives[:t] + (x,) for t, x in enumerate(positives)] + [negatives]
+        # The very objects, compared by identity.
+        assert [list(map(id, c.literals)) for c in ftsc.clause_set.clauses] == [
+            list(map(id, literals)) for literals in expected
+        ]
+
+    def test_caches_are_bounded(self):
+        from contragen.generator import _chain_code
+        from contragen.verifier import _candidate_columns
+
+        for cache in (_chain_code, _candidate_columns):
+            assert 0 < cache.cache_info().maxsize <= 16
+        for n in range(1, 40):
+            build_ftsc(signature_of([f"x{i}" for i in range(n)]))
+        assert _chain_code.cache_info().currsize <= _chain_code.cache_info().maxsize
 
 
 class TestEnumeration:

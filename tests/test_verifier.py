@@ -36,8 +36,9 @@ from contragen.generator import (
     Theorem,
     TraceStep,
     build_proof_trace,
+    conclusion_for,
 )
-from contragen.verifier import DpllSolver
+from contragen.verifier import DpllSolver, check_theorems
 
 from conftest import random_clause_set
 from oracles import (
@@ -658,6 +659,64 @@ class TestCheckTheorem:
         theorem = Theorem(source, 1, conclusion)
         assert oracle_certifies(theorem) is verified
         assert (check_theorem(theorem).certified == CERT_VERIFIED) is verified
+
+
+@st.composite
+def theorem_batches(draw):
+    """Theorems of two chains and of one of them with a clause dropped, in
+    any order, each with a removed index in 0..n+2 and a conclusion that is
+    exact, flipped, reordered, shortened or names a foreign symbol."""
+    sources = []
+    for _ in range(2):
+        n = draw(st.integers(min_value=1, max_value=6))
+        order = draw(st.permutations(range(n)))
+        sources.append(build_ftsc(Signature(tuple(f"x{i}" for i in range(n))).permuted(order)))
+    first = sources[0]
+    dropped = first.clause_set.without(draw(st.integers(0, first.n)))
+    sources.append(replace(first, clause_set=dropped))
+    batch = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        source = draw(st.sampled_from(sources))
+        i = draw(st.integers(min_value=0, max_value=source.n + 2))
+        conclusion = list(conclusion_for(source, min(max(i, 1), source.n + 1)))
+        edit = draw(st.sampled_from(("exact", "flip", "reorder", "shorten", "foreign")))
+        k = draw(st.integers(0, len(conclusion) - 1))
+        if edit == "flip":
+            conclusion[k] = conclusion[k].negate()
+        elif edit == "reorder":
+            conclusion.append(conclusion.pop(k))
+        elif edit == "shorten":
+            del conclusion[k]
+        elif edit == "foreign":
+            conclusion[k] = Literal("ghost", conclusion[k].negated)
+        batch.append(Theorem(source, i, tuple(conclusion)))
+    return batch
+
+
+class TestCheckTheorems:
+    @given(theorem_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_one_by_one(self, batch):
+        checked = check_theorems(batch)
+        assert checked == [check_theorem(t) for t in batch]
+        assert all(c.source is t.source for c, t in zip(checked, batch))
+
+    def test_each_source_checked_once(self, monkeypatch):
+        import contragen.verifier as verifier
+
+        checked = []
+        check = verifier._checked_models
+
+        def counting_check(clause_set, witnesses):
+            checked.append(clause_set)
+            return check(clause_set, witnesses)
+
+        monkeypatch.setattr(verifier, "_checked_models", counting_check)
+        one, two = chain(["a", "b", "c"]), chain(["c", "a", "b", "d"])
+        interleaved = [t for pair in zip(derive_theorems(one), derive_theorems(two)) for t in pair]
+        checked_theorems = check_theorems(interleaved)
+        assert all(t.certified == CERT_VERIFIED for t in checked_theorems)
+        assert checked == [one.clause_set, two.clause_set]
 
 
 def set_replay(trace, premises):
