@@ -58,7 +58,7 @@ from .generator import (
     total_literals,
 )
 from .report import Report, build_report
-from .verifier import check_mus, check_theorems, replay_trace
+from .verifier import MusReport, check_mus, check_theorem, replay_trace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -153,7 +153,7 @@ def _certified_report(signature: Signature, scenario, *, replay=True, timestamp=
     order, and its certified theorems. ``verify`` regenerates it without
     replaying, with every trace recorded as replayed."""
     ftsc = build_ftsc(signature)
-    theorems = check_theorems(derive_theorems(ftsc))
+    theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
     replays = [
         bool(replay_trace(t.trace, ftsc.premises_without(t.removed_index)))
         for t in theorems
@@ -199,7 +199,7 @@ def _cmd_enumerate(args) -> int:
                 previous = key
         status = ""
         if not args.no_certify:
-            theorems = check_theorems(derive_theorems(ftsc))
+            theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
             good = all(t.certified == CERT_VERIFIED for t in theorems)
             certified += good
             status = " certified" if good else " FAILED"
@@ -216,8 +216,7 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _verify_clause_set(clause_set, witnesses=None) -> bool:
-    mus = check_mus(clause_set, witnesses=witnesses)
+def _print_mus(mus: MusReport) -> bool:
     print(f"unsatisfiable: {mus.is_unsatisfiable}")
     print(f"minimal (every deletion satisfiable): {mus.is_mus}")
     return mus.is_mus
@@ -249,30 +248,30 @@ def _show(value) -> str:
 
 
 def _regenerated(data, size: int):
-    """The report ``generate`` would write for the recorded metadata, and its
-    theorems; None when ``metadata.permutation`` is not a list of strings,
-    ``metadata.scenario`` not a string or null, ``metadata.timestamp`` not a
-    string, the permutation not admissible, or the chain over it longer in
-    literals than ``size``, the length of the recorded text. So the work
-    stays bounded by the size of the report."""
+    """(admission, regenerated). The admission is the signature over
+    ``metadata.permutation``, the ValidationError refusing it, or None when
+    it is not a list. The regenerated value is the report ``generate`` would
+    write for the recorded metadata, and its theorems; None when the
+    permutation is not admitted, ``metadata.scenario`` not a string or null,
+    ``metadata.timestamp`` not a string, or the chain longer in literals
+    than ``size``, the length of the recorded text. So the work stays
+    bounded by the size of the report."""
     meta = data.get("metadata") if isinstance(data, dict) else None
-    if not isinstance(meta, dict):
-        return None
-    permutation = meta.get("permutation")
-    scenario, timestamp = meta.get("scenario"), meta.get("timestamp")
-    if not (
-        isinstance(permutation, list)
-        and (scenario is None or isinstance(scenario, str))
-        and isinstance(timestamp, str)
-    ):
-        return None
+    permutation = meta.get("permutation") if isinstance(meta, dict) else None
+    if not isinstance(permutation, list):
+        return None, None
     try:  # parsing refuses a literal that is not a string
         signature = validate_input([parse_literal(s) for s in permutation])
-    except ValidationError:
-        return None
-    if total_literals(signature.size) > size:
-        return None
-    return _certified_report(signature, scenario, replay=False, timestamp=timestamp)
+    except ValidationError as exc:
+        return exc, None
+    scenario, timestamp = meta.get("scenario"), meta.get("timestamp")
+    if not (
+        (scenario is None or isinstance(scenario, str))
+        and isinstance(timestamp, str)
+        and total_literals(signature.size) <= size
+    ):
+        return signature, None
+    return signature, _certified_report(signature, scenario, replay=False, timestamp=timestamp)
 
 
 def _verify_report(text: str) -> bool:
@@ -282,24 +281,21 @@ def _verify_report(text: str) -> bool:
     passes with no more reading. Any other is read by the schema and
     compared with the same regenerated report, group by group."""
     data = json.loads(text)
-    regenerated = _regenerated(data, len(text))
+    signature, regenerated = _regenerated(data, len(text))
     if regenerated is not None and regenerated[0].to_json() == text:
         return _print_verdict(*regenerated, {})
     recorded = Report.from_dict(data)
-    try:
-        signature = validate_input([parse_literal(s) for s in recorded.permutation])
-    except ValidationError as exc:
-        print(f"metadata: metadata.permutation is not admissible: {exc}")
+    # The schema holds, so the permutation is a list of strings.
+    if isinstance(signature, ValidationError):
+        print(f"metadata: metadata.permutation is not admissible: {signature}")
         return False
-    # Checked before regenerating, so that costs no more than the recorded size.
+    # Every recorded literal takes at least 3 characters of text, so a chain
+    # of the recorded size fits in it and was regenerated.
     size, chain = sum(map(len, recorded.clauses)), total_literals(signature.size)
     if size != chain:
         print(f"clauses: recorded {size} literals, the chain over {signature.size} "
               f"symbols has {chain}")
         return False
-    if regenerated is None:
-        regenerated = _certified_report(signature, recorded.scenario, replay=False,
-                                        timestamp=recorded.timestamp)
     expected = regenerated[0].to_dict()
     recorded_theorems = data["theorems"] + [_ABSENT] * len(expected["theorems"])
     # No trace is replayed here, so a recorded true or null stands; a theorem
@@ -333,8 +329,7 @@ def _print_verdict(report, theorems, differences, failed=frozenset()) -> bool:
     differing group; True when nothing differs and every theorem holds."""
     # These lines speak of the recorded clauses, so they need them to match.
     if "clauses" not in differences:
-        source = theorems[0].source
-        _verify_clause_set(source.clause_set, source.deletion_models)
+        _print_mus(theorems[0].source.mus)
         for i, record in enumerate(report.theorems):
             print(f"theorem {record.removed_index}: "
                   f"{CERT_FAILED if i in failed else record.certified}")
@@ -349,7 +344,7 @@ def _cmd_verify(args) -> int:
         raise ValidationError(f"no such file: {args.input}")
     text = path.read_text(encoding="utf-8")
     if path.suffix != ".json":
-        ok = _verify_clause_set(parse_dimacs(text))
+        ok = _print_mus(check_mus(parse_dimacs(text)))
     else:
         # A report is a few levels deep, so only input nested about as deep
         # as the interpreter's recursion limit recurses this far.

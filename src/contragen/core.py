@@ -180,12 +180,6 @@ class Signature:
         except KeyError:
             raise UnboundSymbolError(symbol) from None
 
-    def permuted(self, order: Sequence[int]) -> "Signature":
-        """Reorder the symbols; ``order`` must be a permutation of 0..size-1."""
-        if sorted(order) != list(range(self.size)):
-            raise ValueError("order must be a permutation of the signature indices")
-        return Signature(tuple(self.symbols[i] for i in order))
-
 
 def validate_input(literals: Sequence[Literal]) -> Signature:
     """Check the two admission constraints and build the signature.

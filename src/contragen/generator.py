@@ -23,7 +23,8 @@ directly, with no search:
 The models of the deletions are known in advance too: removing Ci with
 i <= n leaves "all true except xi" satisfied, and removing C(n+1) leaves
 "all true". ``Ftsc.deletion_models`` offers them to the verifier as
-certificates, which it checks rather than trusts.
+certificates, which it checks rather than trusts; ``Ftsc.mus`` holds that
+check, made once per construction.
 
 Over its own order the chain's integer encoding depends on n alone, so
 ``build_ftsc`` takes the clauses' integers and bitmasks, and the deletion
@@ -45,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .core import (
     Clause,
@@ -54,6 +55,9 @@ from .core import (
     Literal,
     Signature,
 )
+
+if TYPE_CHECKING:
+    from .verifier import MusReport
 
 # Trace step kinds.
 STEP_UNIT = "unit-derivation"
@@ -73,14 +77,6 @@ DEFAULT_ENUMERATION_CAP = 10
 
 class EnumerationCapExceededError(ValueError):
     """Enumeration refused: the permutation space is larger than the cap allows."""
-
-
-@dataclass
-class OpCounter:
-    """Counts elementary construction work, for cost-shape measurements."""
-
-    literal_emissions: int = 0
-    clauses_built: int = 0
 
 
 @dataclass(frozen=True)
@@ -171,6 +167,15 @@ class Ftsc:
         returns, so accepting it changes no witness."""
         return _chain_code(self.n)[2]
 
+    @cached_property
+    def mus(self) -> MusReport:
+        """This construction's deletion-based minimality check, decided once:
+        ``check_mus`` over the clause set, given ``deletion_models`` as
+        certificates. Every theorem of the construction is certified from it."""
+        from .verifier import check_mus  # the verifier imports this module
+
+        return check_mus(self.clause_set, witnesses=self.deletion_models)
+
 
 @dataclass(frozen=True)
 class Theorem:
@@ -211,7 +216,7 @@ def _chain_code(n: int):
     return ints, masks, models
 
 
-def build_ftsc(signature: Signature, *, counter: Optional[OpCounter] = None) -> Ftsc:
+def build_ftsc(signature: Signature) -> Ftsc:
     """Instantiate the triangular schema over the signature's symbol order.
 
     Deterministic: the same signature always yields the identical value.
@@ -226,9 +231,6 @@ def build_ftsc(signature: Signature, *, counter: Optional[OpCounter] = None) -> 
     positives = tuple(Literal(s, False) for s in syms)
     negatives = tuple(Literal(s, True) for s in syms)
     clauses = tuple(Clause(negatives[:t] + (x,)) for t, x in enumerate(positives))
-    if counter is not None:
-        counter.literal_emissions += total_literals(n)
-        counter.clauses_built += n + 1
     ints, masks, _ = _chain_code(n)
     clause_set = ClauseSet._trusted(clauses + (Clause(negatives),), signature, ints, masks)
     ftsc = Ftsc(clause_set, syms, n)
@@ -281,7 +283,6 @@ def enumerate_ftscs(
     signature: Signature,
     *,
     cap: Optional[int] = DEFAULT_ENUMERATION_CAP,
-    counter: Optional[OpCounter] = None,
 ) -> Iterator[Ftsc]:
     """Stream one construction per permutation, in lexicographic order.
 
@@ -297,8 +298,8 @@ def enumerate_ftscs(
         )
 
     def generate() -> Iterator[Ftsc]:
-        for order in itertools.permutations(range(n)):
-            yield build_ftsc(signature.permuted(order), counter=counter)
+        for order in itertools.permutations(signature.symbols):
+            yield build_ftsc(Signature(order))
 
     return generate()
 
@@ -334,14 +335,14 @@ def permutation_by_rank(signature: Signature, rank: int) -> Signature:
     total = math.factorial(n)
     if not 0 <= rank < total:
         raise IndexError(f"permutation rank out of range: {rank} (n!={total})")
-    available = list(range(n))
+    available = list(signature.symbols)
     order = []
     remainder = rank
     for k in range(n, 0, -1):
         step = math.factorial(k - 1)
         idx, remainder = divmod(remainder, step)
         order.append(available.pop(idx))
-    return signature.permuted(order)
+    return Signature(tuple(order))
 
 
 def closure_counts(n: int) -> tuple[int, int]:

@@ -35,22 +35,20 @@ A theorem is certified from its source's deletion-based minimality check
 alone: the remainder R entails the negated removed clause l1 | ... | lk
 exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
 certification is "MUS at the removed index plus the conclusion equals the
-negated clause". ``check_theorems`` certifies a batch: it reads each
-distinct source's minimality check, clause masks and symbol index once,
-however the batch orders its theorems, and ``check_theorem`` is the batch
-of one. ``check_mus`` also remembers its last report, so one-by-one
-calls decide each construction once too. The conclusion is compared by
-masks: its (positive, negative) bitmask pair over the signature must be
-the removed clause's pair swapped. Trace replay runs on the premises'
-clause bitmasks, with the known literals held as two masks, true and
-false.
+negated clause". Each construction holds its one check (``Ftsc.mus``), so
+``check_theorem`` decides a construction once however its theorems are
+ordered, and ``check_mus`` keeps no state between calls. The conclusion
+is compared by masks: its (positive, negative) bitmask pair over the
+signature must be the removed clause's pair swapped. Trace replay runs on
+the premises' clause bitmasks, with the known literals held as two masks,
+true and false.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import ClauseSet, Literal
 from .generator import (
@@ -340,11 +338,6 @@ def is_satisfiable(clause_set: ClauseSet, method: str = "auto") -> SatResult:
     return _dpll(clause_set)
 
 
-# (clause set, method, witnesses, report) of the last check_mus call.
-# Holding the clause set keeps its identity from being reused.
-_last_mus: tuple = (None, None, None, None)
-
-
 def check_mus(
     clause_set: ClauseSet,
     method: str = "auto",
@@ -362,15 +355,7 @@ def check_mus(
     when unit propagation alone refutes it. The rest is searched as
     without ``witnesses``, so a wrong certificate never changes the
     verdict.
-
-    The last report is remembered, keyed on the clause-set and witnesses
-    objects and ``method``, so the theorems of one construction share one
-    check.
     """
-    global _last_mus
-    cached, cached_method, cached_witnesses, report = _last_mus
-    if cached is clause_set and cached_method == method and cached_witnesses is witnesses:
-        return report
     # Checked up front, so a bad method fails even where nothing is searched.
     _resolve_method(clause_set, method)
     if witnesses is None:
@@ -388,14 +373,12 @@ def check_mus(
         for i, result in enumerate(certified)
     )
     is_unsat = not overall.satisfiable
-    report = MusReport(
+    return MusReport(
         is_unsatisfiable=is_unsat,
         deletion_results=deletions,
         is_mus=is_unsat and all(r.satisfiable for r in deletions),
         method=overall.method,
     )
-    _last_mus = (clause_set, method, witnesses, report)
-    return report
 
 
 def _checked_models(
@@ -468,8 +451,8 @@ def _propagation_refutes(masks: Sequence[tuple[int, int]]) -> bool:
     return False
 
 
-def check_theorems(theorems: Iterable[Theorem]) -> list[Theorem]:
-    """Certify entailments; returns copies, in order, with ``certified`` set.
+def check_theorem(theorem: Theorem) -> Theorem:
+    """Certify one entailment; returns a copy with ``certified`` set.
 
     Certification is the source's minimality check at the removed index
     plus a comparison: the full set is unsatisfiable, the remainder is
@@ -477,53 +460,35 @@ def check_theorems(theorems: Iterable[Theorem]) -> list[Theorem]:
     negation of the removed clause. Entailment needs no solve of its own:
     the remainder entails every conclusion literal exactly when adding
     the removed clause back, the source, is unsatisfiable. The check is
-    read from ``check_mus``, given the source's deletion models as
-    certificates. Each distinct source (by identity) is checked, and its
-    masks and symbol index read, once per call, wherever its theorems sit
-    in the batch. The conclusion is compared as a set, by masks. Failure is
-    reported in the certification state, never raised.
+    the source's ``mus``, decided once per construction. The conclusion
+    is compared as a set, by masks. Failure is reported in the
+    certification state, never raised.
     """
-    known: dict[int, list] = {}  # id(source) -> [source, index, masks, report]
-    checked = []
-    for theorem in theorems:
-        source = theorem.source
-        facts = known.get(id(source))
-        if facts is None:  # holding the source keeps its id unique
-            clause_set = source.clause_set
-            facts = [source, clause_set.signature.index, clause_set.masks(), None]
-            known[id(source)] = facts
-        state = CERT_VERIFIED if _certifies(theorem, facts) else CERT_FAILED
-        checked.append(Theorem(source, theorem.removed_index, theorem.conclusion, state))
-    return checked
+    state = CERT_VERIFIED if _certifies(theorem) else CERT_FAILED
+    return Theorem(theorem.source, theorem.removed_index, theorem.conclusion, state)
 
 
-def _certifies(theorem: Theorem, facts: list) -> bool:
-    """Whether one theorem holds, given its source's [source, symbol index,
-    clause masks, minimality report]; the report is read on first need and
-    kept in ``facts``."""
-    source, index, masks, mus = facts
+def _certifies(theorem: Theorem) -> bool:
+    source = theorem.source
+    clause_set = source.clause_set
+    masks = clause_set.masks()
     i = theorem.removed_index
     if not 1 <= i <= source.n + 1 <= len(masks):
         return False
+    index = clause_set.signature.index
     found = [0, 0]  # the conclusion's positive and negative masks
     for literal in theorem.conclusion:
         j = index.get(literal.symbol)
         if j is None:  # a symbol outside the signature is in no clause
             return False
         found[literal.negated] |= 1 << j
-    if mus is None:
-        mus = facts[3] = check_mus(source.clause_set, witnesses=source.deletion_models)
+    mus = source.mus
     positive, negative = masks[i - 1]
     return (
         mus.is_unsatisfiable
         and mus.deletion_results[i - 1].satisfiable
         and found == [negative, positive]
     )
-
-
-def check_theorem(theorem: Theorem) -> Theorem:
-    """Certify one entailment: ``check_theorems`` on a batch of one."""
-    return check_theorems([theorem])[0]
 
 
 def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:

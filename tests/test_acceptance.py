@@ -34,7 +34,7 @@ from contragen import (
     verbalize,
 )
 from contragen.cli import EXIT_OK, run_cli
-from contragen.generator import CERT_VERIFIED, OpCounter
+from contragen.generator import CERT_VERIFIED
 
 from conftest import SCENARIO_DIR, random_clause_set
 from tptp_check import check_tptp
@@ -169,9 +169,8 @@ def test_criterion_5_cost_shape():
     sizes = range(2, 13)
     counts = []
     for n in sizes:
-        counter = OpCounter()
-        build_ftsc(chain_signature(n), counter=counter)
-        counts.append(counter.literal_emissions)
+        ftsc = build_ftsc(chain_signature(n))
+        counts.append(sum(map(len, ftsc.clause_set.clauses)))
     fit = statistics.linear_regression(
         [math.log(n) for n in sizes], [math.log(c) for c in counts]
     )
@@ -179,10 +178,10 @@ def test_criterion_5_cost_shape():
 
     # full enumeration cost, desk-checkable only at small n
     for n in range(1, 7):
-        counter = OpCounter()
-        produced = sum(1 for _ in enumerate_ftscs(chain_signature(n), counter=counter))
-        assert produced == math.factorial(n)
-        assert counter.literal_emissions == math.factorial(n) * n * (n + 3) // 2
+        ftscs = list(enumerate_ftscs(chain_signature(n)))
+        assert len(ftscs) == math.factorial(n)
+        literals = sum(sum(map(len, f.clause_set.clauses)) for f in ftscs)
+        assert literals == math.factorial(n) * n * (n + 3) // 2
 
 
 @criterion(6, "oracle cross-validation: DPLL vs truth table, zero disagreements")

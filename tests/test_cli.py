@@ -466,6 +466,30 @@ class TestVerify:
         assert "verification passed" in out
         assert (len(checked), len(searched)) == (1, 0)
 
+    def test_verify_checks_minimality_once(self, capsys, tmp_path, monkeypatch):
+        import contragen.verifier as verifier
+
+        calls = []
+        check_mus = verifier.check_mus
+
+        def counting_check_mus(clause_set, *args, **kwargs):
+            calls.append(clause_set)
+            return check_mus(clause_set, *args, **kwargs)
+
+        target = tmp_path / "report.json"
+        symbols = [f"s{i}" for i in range(1, 65)]
+        code, _, _ = run(capsys, "generate", *symbols, "--output", str(target))
+        assert code == EXIT_OK
+        monkeypatch.setattr(verifier, "check_mus", counting_check_mus)
+        monkeypatch.setattr(cli, "check_mus", counting_check_mus)
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == EXIT_OK
+        assert out.splitlines()[:2] == [
+            "unsatisfiable: True", "minimal (every deletion satisfiable): True"
+        ]
+        # Certifying the theorems and printing the verdict read one check.
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "tamper, message",
         [

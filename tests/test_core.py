@@ -133,8 +133,7 @@ class TestValidateInput:
         assert [f.name for f in dataclasses.fields(Signature)] == ["symbols"]
         with pytest.raises(TypeError):
             Signature(("a", "P(x,y)"), (5, 0))
-        permuted = Signature(("a", "P(x,y)", "Q(z)")).permuted([2, 0, 1])
-        assert permuted.arities == (1, 0, 2)
+        assert Signature(("Q(z)", "a", "P(x,y)")).arities == (1, 0, 2)
 
 
 class TestClause:

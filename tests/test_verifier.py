@@ -38,7 +38,7 @@ from contragen.generator import (
     build_proof_trace,
     conclusion_for,
 )
-from contragen.verifier import DpllSolver, check_theorems
+from contragen.verifier import DpllSolver
 
 from conftest import random_clause_set
 from oracles import (
@@ -285,8 +285,8 @@ class TestCheckMus:
 def permuted_chains(draw, max_n=16):
     """A chain over up to ``max_n`` symbols in a random order."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    order = draw(st.permutations(range(n)))
-    return build_ftsc(Signature(tuple(f"x{i}" for i in range(n))).permuted(order))
+    order = draw(st.permutations([f"x{i}" for i in range(n)]))
+    return build_ftsc(Signature(tuple(order)))
 
 
 def search_reports(clause_set):
@@ -669,8 +669,8 @@ def theorem_batches(draw):
     sources = []
     for _ in range(2):
         n = draw(st.integers(min_value=1, max_value=6))
-        order = draw(st.permutations(range(n)))
-        sources.append(build_ftsc(Signature(tuple(f"x{i}" for i in range(n))).permuted(order)))
+        order = draw(st.permutations([f"x{i}" for i in range(n)]))
+        sources.append(build_ftsc(Signature(tuple(order))))
     first = sources[0]
     dropped = first.clause_set.without(draw(st.integers(0, first.n)))
     sources.append(replace(first, clause_set=dropped))
@@ -693,13 +693,18 @@ def theorem_batches(draw):
     return batch
 
 
-class TestCheckTheorems:
+class TestOneCheckPerConstruction:
     @given(theorem_batches())
     @settings(max_examples=200, deadline=None)
-    def test_batch_equals_one_by_one(self, batch):
-        checked = check_theorems(batch)
-        assert checked == [check_theorem(t) for t in batch]
-        assert all(c.source is t.source for c, t in zip(checked, batch))
+    def test_cached_check_equals_fresh(self, batch):
+        for theorem in batch:
+            source = theorem.source
+            held = source.mus  # decided once, before any of its theorems
+            fresh = Ftsc(source.clause_set, source.permutation, source.n)
+            assert "mus" not in fresh.__dict__
+            checked = check_theorem(theorem)
+            assert checked.certified == check_theorem(replace(theorem, source=fresh)).certified
+            assert checked.source is source and source.mus is held
 
     def test_each_source_checked_once(self, monkeypatch):
         import contragen.verifier as verifier
@@ -714,8 +719,7 @@ class TestCheckTheorems:
         monkeypatch.setattr(verifier, "_checked_models", counting_check)
         one, two = chain(["a", "b", "c"]), chain(["c", "a", "b", "d"])
         interleaved = [t for pair in zip(derive_theorems(one), derive_theorems(two)) for t in pair]
-        checked_theorems = check_theorems(interleaved)
-        assert all(t.certified == CERT_VERIFIED for t in checked_theorems)
+        assert all(check_theorem(t).certified == CERT_VERIFIED for t in interleaved)
         assert checked == [one.clause_set, two.clause_set]
 
 
