@@ -58,7 +58,7 @@ from .generator import (
     total_literals,
 )
 from .report import Report, build_report
-from .verifier import MusReport, check_mus, check_theorem, replay_trace
+from .verifier import MusReport, check_mus, check_theorem, replay_theorems
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -140,6 +140,10 @@ def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
             )
         signature = signatures[args.instance]
     elif inputs:
+        if args.instance:
+            raise ValidationError(
+                f"instance {args.instance} needs a scenario file; literal input has one instance"
+            )
         signature = validate_input([parse_literal(t) for t in inputs])
     else:
         raise ValidationError("no input literals and no scenario file given")
@@ -150,14 +154,17 @@ def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
 
 def _certified_report(signature: Signature, scenario, *, replay=True, timestamp=None):
     """The report ``generate`` writes for the chain over the signature's
-    order, and its certified theorems. ``verify`` regenerates it without
-    replaying, with every trace recorded as replayed."""
+    order, and its certified theorems. A trace that fails replay is named on
+    stderr with its first invalid step. ``verify`` regenerates the report
+    without replaying, with every trace recorded as replayed."""
     ftsc = build_ftsc(signature)
     theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
-    replays = [
-        bool(replay_trace(t.trace, ftsc.premises_without(t.removed_index)))
-        for t in theorems
-    ] if replay else [True] * len(theorems)
+    failures = replay_theorems(theorems) if replay else {}
+    for position, result in failures.items():
+        where = "" if result.failed_step is None else f"trace step {result.failed_step}: "
+        print(f"theorem {theorems[position].removed_index}: {where}{result.reason}",
+              file=sys.stderr)
+    replays = [position not in failures for position in range(len(theorems))]
     report = build_report(
         ftsc, theorems, scenario=scenario, replay_results=replays, timestamp=timestamp
     )

@@ -41,7 +41,8 @@ ordered, and ``check_mus`` keeps no state between calls. The conclusion
 is compared by masks: its (positive, negative) bitmask pair over the
 signature must be the removed clause's pair swapped. Trace replay runs on
 the premises' clause bitmasks, with the known literals held as two masks,
-true and false.
+true and false. ``replay_theorems`` replays a construction's shared steps
+once, and then only each trace's own steps.
 """
 
 from __future__ import annotations
@@ -603,3 +604,106 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
         return fail(len(trace.steps) - 1, "assumption left undischarged")
     symbols = premises.signature.symbols + tuple(extra)
     return ReplayResult(True, None, None, (units_true, units_false), symbols)
+
+
+def replay_theorems(theorems: Sequence[Theorem]) -> dict[int, ReplayResult]:
+    """Replay each theorem's trace against its remainder, with
+    ``replay_trace``'s verdicts; the failed results, by position in
+    ``theorems``.
+
+    A construction's traces are slices of its shared steps
+    (``Ftsc.trace_steps``), so those are replayed once, on the source's
+    clause masks: the units from the empty state, and the propagations
+    from x1 assumed, citing clauses as remainder 1 does. Trace i is accepted
+    from these runs when it is ``units[:i-1]``, an assumption that enters
+    ``propagations[i-1:]`` in the run's state there, an empty-clause step
+    falsified where the run ends, and the assumption's discharge. Replay
+    is a function of state, steps and cited clauses, so that is the verdict
+    ``replay_trace`` gives. The construction is the first theorem's source.
+    Every trace not accepted from its runs is replayed by ``replay_trace``,
+    which also says why a trace fails.
+    """
+    failures: dict[int, ReplayResult] = {}
+    if not theorems:
+        return failures
+    ftsc = theorems[0].source
+    masks, index = ftsc.clause_set.masks(), ftsc.signature.index
+    units, propagations, _ = ftsc.trace_steps
+    runs = (
+        _shared_run(units, STEP_UNIT, masks[:-1], index, 0),
+        _shared_run(propagations, STEP_PROPAGATE, masks[1:], index, 1),
+    )
+    for position, theorem in enumerate(theorems):
+        i = theorem.removed_index
+        if theorem.source is not ftsc or not _accepted(ftsc, i, theorem.trace.steps, *runs):
+            result = replay_trace(theorem.trace, theorem.source.premises_without(i))
+            if not result:
+                failures[position] = result
+    return failures
+
+
+def _shared_run(steps, kind, masks, index, true) -> list[tuple[int, int]]:
+    """The (true, false) masks before each of ``steps`` and after the last
+    valid one, from ``true`` known; each is a step of ``kind`` checked as
+    ``replay_trace`` checks it. Step t must cite position t, which is
+    ``masks[t]``; the run stops at the first step that does not."""
+    false = 0
+    states = [(true, false)]
+    for t, step in enumerate(steps):
+        literal = step.literal
+        j = None if literal is None else index.get(literal.symbol)
+        if step.kind != kind or j is None or step.premise_index != t or t >= len(masks):
+            break
+        bit, (positive, negative) = 1 << j, masks[t]
+        if not (negative if literal.negated else positive) & bit:
+            break
+        if literal.negated:
+            negative ^= bit
+        else:
+            positive ^= bit
+        if positive & ~false or negative & ~true:
+            break
+        if literal.negated:
+            false |= bit
+        else:
+            true |= bit
+        states.append((true, false))
+    return states
+
+
+def _accepted(ftsc, i, steps, unit_states, prop_states) -> bool:
+    """Whether trace i of ``ftsc`` replays, read from the shared runs."""
+    n, masks = ftsc.n, ftsc.clause_set.masks()
+    units, propagations, _ = ftsc.trace_steps
+    if i == n + 1:
+        return bool(steps) and steps == units and len(unit_states) > len(units)
+    if not (
+        1 <= i <= n and len(steps) == n + 2 and i <= len(unit_states)
+        and len(prop_states) == n == len(propagations) + 1  # every propagation valid
+        and steps[: i - 1] == units[: i - 1] and steps[i:n] == propagations[i - 1 :]
+    ):
+        return False
+    assume, empty, discharge = steps[i - 1], steps[n], steps[n + 1]
+    literal = assume.literal
+    j = None if literal is None else ftsc.signature.index.get(literal.symbol)
+    if assume.kind != STEP_ASSUME or assume.premise_index is not None or j is None:
+        return False
+    true, false = unit_states[i - 1]
+    if literal.negated:
+        false |= 1 << j
+    else:
+        true |= 1 << j
+    if prop_states[i - 1] != (true, false):
+        return False
+    true, false = prop_states[-1]
+    p = empty.premise_index
+    if empty.kind != STEP_EMPTY or p is None or not 0 <= p < len(masks) - 1:
+        return False
+    positive, negative = masks[p + (p >= i - 1)]  # the remainder skips clause i
+    closing = discharge.literal
+    return (
+        not (positive & ~false or negative & ~true)
+        and discharge.kind == STEP_DISCHARGE and discharge.premise_index is None
+        and closing is not None and closing.symbol == literal.symbol
+        and closing.negated != literal.negated
+    )

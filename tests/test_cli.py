@@ -76,6 +76,32 @@ class TestGenerate:
         _, second, _ = run(capsys, "generate", *MEDICAL)
         assert strip_timestamp(first) == strip_timestamp(second)
 
+    def test_failed_replay_named_on_stderr(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        import contragen.generator as generator
+
+        genuine = generator.build_proof_trace
+
+        def tampered(ftsc, removed_index):
+            trace = genuine(ftsc, removed_index)
+            if removed_index != 3:
+                return trace
+            # Premise 2 of the remainder is clause 4, which has no HighWBC.
+            steps = list(trace.steps)
+            steps[1] = replace(steps[1], premise_index=2)
+            return generator.ProofTrace(tuple(steps))
+
+        monkeypatch.setattr(generator, "build_proof_trace", tampered)
+        code, out, err = run(capsys, "generate", *MEDICAL)
+        assert code == EXIT_VERIFICATION
+        assert err == (
+            "theorem 3: trace step 1: derived literal does not occur in the cited clause\n"
+        )
+        theorems = json.loads(out)["theorems"]
+        assert [t["trace_replayed"] for t in theorems] == [True, True, False, True, True]
+        assert all(t["certified"] == "verified" for t in theorems)
+
 
 class TestEnumerate:
     def test_three_literals(self, capsys):
@@ -1203,3 +1229,14 @@ class TestUsageErrors:
     def test_missing_format(self, capsys):
         code, _, err = run(capsys, "export", "a")
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "command", [["generate"], ["enumerate"], ["export", "--format", "dimacs"]],
+        ids=["generate", "enumerate", "export"],
+    )
+    def test_instance_needs_a_scenario(self, capsys, command):
+        code, out, err = run(capsys, *command, "a", "b", "--instance", "3")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "error: instance 3 needs a scenario file; literal input has one instance\n"
+        code, _, err = run(capsys, *command, "a", "b", "--instance", "0")
+        assert (code, err) == (EXIT_OK, "")

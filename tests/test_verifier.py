@@ -1,5 +1,6 @@
 """Satisfiability oracles, minimality reports, certification, trace replay."""
 
+import json
 import random
 import sys
 from dataclasses import replace
@@ -38,7 +39,7 @@ from contragen.generator import (
     build_proof_trace,
     conclusion_for,
 )
-from contragen.verifier import DpllSolver
+from contragen.verifier import DpllSolver, replay_theorems
 
 from conftest import random_clause_set
 from oracles import (
@@ -996,6 +997,110 @@ class TestReplayTrace:
         expected = set_replay(trace, premises)
         assert (result.ok, result.failed_step, result.reason) == expected[:3]
         assert result.established == expected[3]
+
+
+def assert_agrees_with_replay_trace(ftsc, theorems):
+    """``replay_theorems`` fails exactly the traces ``replay_trace`` fails,
+    with its results."""
+    failed = replay_theorems(theorems)
+    for position, theorem in enumerate(theorems):
+        expected = replay_trace(theorem.trace, ftsc.premises_without(theorem.removed_index))
+        assert failed.get(position) == (None if expected else expected), theorem.removed_index
+
+
+TAMPERS = ("delete", "swap", "insert", "flip", "kind", "premise_index")
+
+
+def tamper_once(data, steps, n, pool):
+    """``steps`` with one step deleted, swapped, inserted from ``pool``, or
+    given a flipped literal, another kind or another premise index."""
+    steps = list(steps)
+    tamper = data.draw(st.sampled_from(TAMPERS if steps else ("insert",)))
+    k = data.draw(st.integers(min_value=0, max_value=max(len(steps) - 1, 0)))
+    if tamper == "delete":
+        del steps[k]
+    elif tamper == "swap":
+        other = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
+        steps[k], steps[other] = steps[other], steps[k]
+    elif tamper == "insert":
+        steps.insert(k, data.draw(st.sampled_from(pool)))
+    elif tamper == "flip":
+        literal = steps[k].literal
+        steps[k] = replace(steps[k], literal=pos("x1") if literal is None else literal.negate())
+    elif tamper == "kind":
+        kind = st.sampled_from((STEP_UNIT, STEP_ASSUME, STEP_PROPAGATE, STEP_EMPTY,
+                                STEP_DISCHARGE))
+        steps[k] = replace(steps[k], kind=data.draw(kind))
+    else:  # none, before the first clause, past the last, or another clause
+        index = st.sampled_from((None, -1, n)) | st.integers(min_value=0, max_value=n - 1)
+        steps[k] = replace(steps[k], premise_index=data.draw(index))
+    return tuple(steps)
+
+
+class TestReplayTheorems:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_replay_trace_after_tampers(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=10), label="n")
+        ftsc = chain([f"x{k}" for k in range(1, n + 1)])
+        pool = [step for t in derive_theorems(ftsc) for step in t.trace.steps]
+        if data.draw(st.booleans(), label="tamper a shared step"):
+            # The shared steps are generator data too, and are not trusted.
+            units, propagations, empty = ftsc.trace_steps
+            if propagations and data.draw(st.booleans()):
+                propagations = tamper_once(data, propagations, n, pool)
+            else:
+                units = tamper_once(data, units, n, pool)
+            ftsc.__dict__["trace_steps"] = units, propagations, empty
+        theorems = derive_theorems(ftsc)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            theorem = data.draw(st.sampled_from(theorems))
+            theorem.__dict__["trace"] = ProofTrace(tamper_once(data, theorem.trace.steps, n, pool))
+        assert_agrees_with_replay_trace(ftsc, theorems)
+
+    def test_shared_unit_that_is_not_unit(self):
+        # ~x1 occurs in clause 2, x2 | ~x1, but x2 is not known false.
+        ftsc = chain(["x1", "x2"])
+        units, propagations, empty = ftsc.trace_steps
+        ftsc.__dict__["trace_steps"] = (
+            (units[0], TraceStep(STEP_UNIT, neg("x1"), 1)), propagations, empty
+        )
+        theorems = derive_theorems(ftsc)
+        assert_agrees_with_replay_trace(ftsc, theorems)
+        assert replay_theorems(theorems)[2].reason == (
+            "cited clause is not unit under established literals"
+        )
+
+    @pytest.mark.parametrize("premise_index", [0, 3, 4, -1])
+    @pytest.mark.parametrize("step", [1, -1], ids=["assumption", "discharge"])
+    def test_premise_index_on_assumption_or_discharge(self, step, premise_index):
+        # replay_trace range-checks any cited index, and an assumption or a
+        # discharge ignores a clause in range.
+        ftsc = chain(MEDICAL)
+        theorems = derive_theorems(ftsc)
+        steps = list(theorems[1].trace.steps)
+        steps[step] = replace(steps[step], premise_index=premise_index)
+        theorems[1].__dict__["trace"] = ProofTrace(tuple(steps))
+        assert_agrees_with_replay_trace(ftsc, theorems)
+        assert (1 in replay_theorems(theorems)) == (premise_index not in (0, 3))
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_generate_replays_a_genuine_construction_from_the_shared_runs(
+        self, n, monkeypatch, capsys
+    ):
+        from contragen import verifier
+        from contragen.cli import run_cli
+
+        def refuse(trace, premises):
+            raise AssertionError("a genuine trace fell back to replay_trace")
+
+        monkeypatch.setattr(verifier, "replay_trace", refuse)
+        assert run_cli(["generate", *(f"s{k}" for k in range(n))]) == 0
+        out, err = capsys.readouterr()
+        theorems = json.loads(out)["theorems"]
+        assert len(theorems) == n + 1
+        assert all(t["trace_replayed"] is True for t in theorems)
+        assert err == ""
 
 
 class TestWitnessValidity:
