@@ -381,6 +381,8 @@ def _cmd_explain(args) -> int:
     if not all(t.certified == CERT_VERIFIED for t in theorems):
         print("certification failed; refusing to explain", file=sys.stderr)
         return EXIT_VERIFICATION
+    if not all(t.trace_replayed for t in report.theorems):
+        return EXIT_VERIFICATION  # each failed trace is named on stderr
     client = HttpModelClient(endpoint=args.model_endpoint)
     if client.endpoint:
         explanations = [explain_via_model(t, scenario, client) for t in theorems]

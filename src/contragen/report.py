@@ -5,8 +5,9 @@ every theorem with its conclusion and certification status, and (when the
 interpretation stage ran) explanations and the ranked summary. Reports
 round-trip losslessly through JSON; the timestamp is the only field that
 varies between otherwise identical runs and is excluded from golden-file
-comparisons. ``Report.to_json`` writes the text of
-``json.dumps(..., indent=2)`` byte for byte, with a writer of its own, and
+comparisons. ``Report.to_json`` writes the text of ``json.dumps(...,
+indent=2)`` byte for byte: one template per signature entry and theorem
+record, literal texts encoded once per call, ``_indented`` for the rest.
 ``verify`` compares that text before it reads the schema. See
 docs/report_schema.md.
 """
@@ -14,7 +15,7 @@ docs/report_schema.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -94,7 +95,36 @@ class Report:
         return data
 
     def to_json(self) -> str:
-        return _indented(self.to_dict(), "\n") + "\n"
+        """``json.dumps(self.to_dict(), indent=2)`` and a line break. A literal text not
+        listed, or an int field of another type, sends the report through ``_indented``."""
+        deep = "\n      "  # a record's fields; an f-string expression holds no backslash
+        try:
+            encoded = {t: _string(t) for s, _ in self.signature for t in (s, "~" + s)}
+            written = {
+                "signature": _block([
+                    f'{{\n      "symbol": {encoded[s]},\n      "arity": {_int(a)}\n    }}'
+                    for s, a in self.signature
+                ], "\n  "),
+                "clauses": _block(
+                    [_block([encoded[t] for t in c], "\n    ") for c in self.clauses], "\n  "
+                ),
+                "theorems": _block([
+                    f'{{\n      "removed_index": {_int(t.removed_index)},\n      "conclusion": '
+                    f'{_block([encoded[c] for c in t.conclusion], deep)},\n      "certified": '
+                    f'{_string(t.certified)},\n      "trace_steps": {_int(t.trace_steps)},'
+                    f'\n      "trace_replayed": {_indented(t.trace_replayed, deep)}\n    }}'
+                    for t in self.theorems
+                ], "\n  "),
+            }
+        except (KeyError, TypeError):  # a text not listed, or a field not of its type
+            return _indented(self.to_dict(), "\n") + "\n"
+        # The report without records gives the rest and the key order; one join copies it.
+        pieces = ["{"]
+        for k, v in replace(self, signature=(), clauses=(), theorems=()).to_dict().items():
+            text = written[k] if k in written else _indented(v, "\n  ")
+            pieces += ("\n  ", _string(k), ": ", text, ",")
+        pieces[-1] = "\n}\n"
+        return "".join(pieces)
 
     @classmethod
     def from_dict(cls, data) -> "Report":
@@ -193,6 +223,20 @@ class Report:
 # serves only ``indent=None``); this writer gives the same text faster.
 _string = json.encoder.encode_basestring_ascii
 _CONSTANTS = {True: "true", False: "false", None: "null"}
+_INT = {int: int.__repr__}
+
+
+def _int(value) -> str:
+    """An int as json writes it; a bool or any other type raises KeyError."""
+    return _INT[type(value)](value)
+
+
+def _block(items: list, newline: str, brackets: str = "[]") -> str:
+    """Items written one level below ``newline``, in ``brackets``, laid out as ``indent=2``."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return f'{brackets[0]}{inner}{("," + inner).join(items)}{newline}{brackets[1]}'
 
 
 def _indented(value, newline: str) -> str:
@@ -205,23 +249,12 @@ def _indented(value, newline: str) -> str:
         return _CONSTANTS[value]
     if isinstance(value, int):
         return int.__repr__(value)
+    inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        try:  # most lists in a report hold only literal texts
-            items = ("," + inner).join(map(_string, value))
-        except TypeError:
-            items = ("," + inner).join([_indented(v, inner) for v in value])
-        return "[" + inner + items + newline + "]"
+        return _block([_indented(v, inner) for v in value], newline)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = ("," + inner).join(
-            [_string(k) + ": " + _indented(v, inner) for k, v in value.items()]
-        )
-        return "{" + inner + items + newline + "}"
+        items = [_string(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        return _block(items, newline, "{}")
     return json.dumps(value)  # a float, or a value the stdlib refuses alike
 
 

@@ -501,8 +501,9 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
     propagation is a unit derivation that may additionally use the
     assumption and earlier propagations; the empty-clause step cites a
     premise falsified outright; a discharge requires a reached
-    contradiction and concludes the assumption's negation. A valid trace
-    must be nonempty and must leave no assumption open.
+    contradiction and concludes the assumption's negation. Assumptions and
+    discharges cite no clause, and the empty-clause step carries no literal.
+    A valid trace must be nonempty and must leave no assumption open.
 
     Replay runs on the premises' clause bitmasks. Known literals are two
     masks, those known true and those known false, so a cited clause with
@@ -534,6 +535,8 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
         if step.premise_index is not None:
             if not 0 <= step.premise_index < len(clauses):
                 return fail(idx, f"premise index out of range: {step.premise_index}")
+            if step.kind in (STEP_ASSUME, STEP_DISCHARGE):
+                return fail(idx, f"{step.kind} step cites a premise")
             cited = clauses[step.premise_index]
         literal = step.literal
         bit, negated = 0, False  # bit 0: no literal
@@ -583,6 +586,8 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
                 return fail(idx, "empty-clause step outside an assumption scope")
             if cited is None:
                 return fail(idx, "empty-clause step needs a premise")
+            if bit:
+                return fail(idx, "empty-clause step carries a literal")
             if cited[0] & ~false or cited[1] & ~true:
                 return fail(idx, "cited clause is not fully falsified")
             contradicted = True
@@ -702,7 +707,7 @@ def _accepted(ftsc, i, steps, unit_states, prop_states) -> bool:
     positive, negative = masks[p + (p >= i - 1)]  # the remainder skips clause i
     closing = discharge.literal
     return (
-        not (positive & ~false or negative & ~true)
+        not (positive & ~false or negative & ~true) and empty.literal is None
         and discharge.kind == STEP_DISCHARGE and discharge.premise_index is None
         and closing is not None and closing.symbol == literal.symbol
         and closing.negated != literal.negated

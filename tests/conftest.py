@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -29,6 +30,15 @@ atoms:
 grounding:
   p: [alice, bob]
 """
+
+
+# Symbols a chain admits, made of characters JSON escapes or writes as
+# they are: no whitespace, and no negation sign in front.
+ESCAPED_SYMBOLS = st.lists(
+    st.text(st.sampled_from(['"', "\\", "/", "é", "😀", "\x7f", "\x00", "a", "~"]), min_size=1,
+            max_size=3).filter(lambda s: s[0] != "~"),
+    min_size=1, max_size=6, unique=True,
+)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from contragen import cli
 from contragen.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, run_cli
 from contragen.report import Report
 
-from conftest import SCENARIO_DIR, TWO_PATIENTS_SCENARIO
+from conftest import ESCAPED_SYMBOLS, SCENARIO_DIR, TWO_PATIENTS_SCENARIO
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
 
@@ -268,6 +268,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_OK
         assert "verification passed" in out
+
+    @settings(max_examples=50, deadline=None)
+    @given(ESCAPED_SYMBOLS)
+    def test_generated_report_of_escaped_symbols(self, symbols):
+        with tempfile.TemporaryDirectory() as work:
+            target = str(Path(work) / "report.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(["generate", *symbols, "--output", target]) == EXIT_OK
+            text = Path(target).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert run_cli(["verify", target]) == EXIT_OK
+        assert out.getvalue().splitlines()[-1] == "verification passed"
 
     def test_tampered_conclusion(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -1027,6 +1040,27 @@ class TestExplain:
             "High", "High", "Medium", "Low", "Low",
         ]
 
+    def test_failed_replay_refused(self, capsys, scenario_dir, monkeypatch):
+        from dataclasses import replace
+
+        import contragen.generator as generator
+
+        genuine = generator.build_proof_trace
+
+        def tampered(ftsc, removed_index):
+            trace = genuine(ftsc, removed_index)
+            if removed_index != 2:
+                return trace
+            *steps, discharge = trace.steps
+            return generator.ProofTrace((*steps, replace(discharge, premise_index=-1)))
+
+        monkeypatch.setattr(generator, "build_proof_trace", tampered)
+        path = str(scenario_dir / "medical.yaml")
+        for table in ([], ["--table"]):
+            code, out, err = run(capsys, "explain", path, *table)
+            assert (code, out) == (EXIT_VERIFICATION, "")
+            assert err == "theorem 2: trace step 5: premise index out of range: -1\n"
+
     def test_record_key_order(self, capsys, scenario_dir):
         # Report records are written from their dataclass fields; a
         # reordered field would silently change report bytes.
@@ -1050,6 +1084,9 @@ class TestExplain:
             code, out, _ = run(capsys, command, str(fixture))
             assert code == EXIT_OK
             assert out == json.dumps(json.loads(out), indent=2) + "\n", fixture.name
+            # The report as read back is written alike, from its records.
+            report = Report.from_json(out)
+            assert report.to_json() == out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 class TestExport:

@@ -38,7 +38,7 @@ from contragen.formats import (
 )
 from contragen.report import _indented
 
-from conftest import random_clause_set
+from conftest import ESCAPED_SYMBOLS, random_clause_set
 from tptp_check import TptpSyntaxError, check_tptp
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
@@ -346,3 +346,27 @@ class TestReportWriter:
     def test_full_report(self, scenario_dir):
         report = TestReportRoundTrip()._full_report(scenario_dir)
         assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(ESCAPED_SYMBOLS, st.data())
+    def test_report_of_escaped_symbols(self, symbols, data):
+        ftsc = chain(symbols)
+        theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
+        count = len(theorems)
+        replays = data.draw(st.none() | st.lists(st.booleans(), min_size=count, max_size=count))
+        report = build_report(ftsc, theorems, scenario=data.draw(st.none() | _TEXT),
+                              replay_results=replays, timestamp=data.draw(_TEXT))
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+        # Read back with what the templates do not cover.
+        recorded = json.loads(report.to_json())
+        record = data.draw(st.sampled_from(recorded["theorems"]))
+        if data.draw(st.booleans(), label="a conclusion text outside the signature"):
+            record["conclusion"].append(data.draw(st.sampled_from(["ghost\\é", "~ghost\\é"])))
+        if data.draw(st.booleans(), label="an empty clause"):
+            recorded["clauses"][data.draw(st.integers(0, len(recorded["clauses"]) - 1))] = []
+        if data.draw(st.booleans(), label="any JSON in trace_replayed"):
+            record["trace_replayed"] = data.draw(_JSON_VALUES)
+        if data.draw(st.booleans(), label="any JSON in schema_version"):
+            recorded["schema_version"] = data.draw(_JSON_VALUES)
+        again = Report.from_dict(recorded)
+        assert again.to_json() == json.dumps(again.to_dict(), indent=2) + "\n"

@@ -744,6 +744,8 @@ def set_replay(trace, premises):
         if step.premise_index is not None:
             if not 0 <= step.premise_index < len(clauses):
                 return fail(idx, f"premise index out of range: {step.premise_index}")
+            if step.kind in (STEP_ASSUME, STEP_DISCHARGE):
+                return fail(idx, f"{step.kind} step cites a premise")
             cited = clauses[step.premise_index]
         lit = None if step.literal is None else (step.literal.symbol, step.literal.negated)
         if step.kind in (STEP_UNIT, STEP_PROPAGATE):
@@ -778,6 +780,8 @@ def set_replay(trace, premises):
                 return fail(idx, "empty-clause step outside an assumption scope")
             if cited is None:
                 return fail(idx, "empty-clause step needs a premise")
+            if lit is not None:
+                return fail(idx, "empty-clause step carries a literal")
             if not unit_under(cited, None, known):
                 return fail(idx, "cited clause is not fully falsified")
             contradicted = True
@@ -957,6 +961,12 @@ class TestReplayTrace:
              "derived literal does not occur in the cited clause"),
             ([(STEP_ASSUME, neg("ghost"), None), (STEP_PROPAGATE, pos("ghost"), 1)], 1,
              "derived literal does not occur in the cited clause"),
+            # An assumption or a discharge cites no clause; an empty clause derives nothing.
+            ([(STEP_ASSUME, neg("a"), 0)], 0, "assumption step cites a premise"),
+            ([(STEP_ASSUME, neg("a"), None), (STEP_EMPTY, pos("a"), 0)], 1,
+             "empty-clause step carries a literal"),
+            ([(STEP_ASSUME, neg("a"), None), (STEP_EMPTY, None, 0),
+              (STEP_DISCHARGE, pos("a"), 0)], 2, "discharge step cites a premise"),
         ],
     )
     def test_malformed_step_rejected(self, steps, failed_step, reason):
@@ -1074,15 +1084,29 @@ class TestReplayTheorems:
     @pytest.mark.parametrize("premise_index", [0, 3, 4, -1])
     @pytest.mark.parametrize("step", [1, -1], ids=["assumption", "discharge"])
     def test_premise_index_on_assumption_or_discharge(self, step, premise_index):
-        # replay_trace range-checks any cited index, and an assumption or a
-        # discharge ignores a clause in range.
+        # An assumption or a discharge cites no clause: an index out of range
+        # is named as such, and one in range is refused too.
         ftsc = chain(MEDICAL)
         theorems = derive_theorems(ftsc)
         steps = list(theorems[1].trace.steps)
         steps[step] = replace(steps[step], premise_index=premise_index)
         theorems[1].__dict__["trace"] = ProofTrace(tuple(steps))
         assert_agrees_with_replay_trace(ftsc, theorems)
-        assert (1 in replay_theorems(theorems)) == (premise_index not in (0, 3))
+        reason = (f"{steps[step].kind} step cites a premise" if premise_index in (0, 3)
+                  else f"premise index out of range: {premise_index}")
+        assert replay_theorems(theorems)[1].reason == reason
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_literal_on_the_empty_clause_step(self, i):
+        ftsc = chain(["a", "b", "c"])
+        theorems = derive_theorems(ftsc)
+        steps = list(theorems[i - 1].trace.steps)
+        k = next(k for k, s in enumerate(steps) if s.kind == STEP_EMPTY)
+        steps[k] = replace(steps[k], literal=pos("a"))
+        theorems[i - 1].__dict__["trace"] = ProofTrace(tuple(steps))
+        assert_agrees_with_replay_trace(ftsc, theorems)
+        result = replay_theorems(theorems)[i - 1]
+        assert (result.failed_step, result.reason) == (k, "empty-clause step carries a literal")
 
     @pytest.mark.parametrize("n", [1, 7, 64, 256])
     def test_generate_replays_a_genuine_construction_from_the_shared_runs(
