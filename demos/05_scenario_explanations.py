@@ -8,6 +8,7 @@
 from pathlib import Path
 
 from contragen import (
+    build_ftsc,
     check_theorem,
     derive_theorems,
     load_scenario,
@@ -19,7 +20,7 @@ scenario_path = Path(__file__).parent.parent / "scenarios" / "healthcare_data_sh
 scenario = load_scenario(scenario_path)
 print(f"scenario: {scenario.name} ({scenario.domain_label}), {scenario.n} atoms")
 
-ftsc = scenario.ftscs()[0]
+ftsc = build_ftsc(scenario.signatures()[0])
 print("ground symbols:", ftsc.permutation)
 
 theorems = [check_theorem(t) for t in derive_theorems(ftsc)]

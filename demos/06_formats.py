@@ -31,7 +31,7 @@ print(emit_tptp(ftsc, theorems, mode="cnf"))
 
 # fof mode quantifies over the scenario's variables.
 scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "finance_capital.yaml")
-fol = scenario.ftscs()[0]
+fol = build_ftsc(scenario.signatures()[0])
 print(emit_tptp(fol, derive_theorems(fol)[:2], mode="fof", scenario=scenario))
 
 # JSON reports round-trip losslessly; the timestamp is the only field that

@@ -33,7 +33,7 @@ from .core import (
     validate_input,
 )
 from .fol import GroundingDomain, PredicateAtom, const, ground_atoms, var
-from .generator import CERT_VERIFIED, Ftsc, Theorem, build_ftsc
+from .generator import CERT_VERIFIED, Theorem
 
 # ``yaml`` and ``urllib`` are imported inside the two functions that use
 # them: they were about 40% of ``import contragen.cli``, and most commands
@@ -112,8 +112,8 @@ class Scenario:
 
     Construction grounds the atoms over ``grounding`` once and admits each
     ground instance as a signature (a duplicate or complementary atom
-    raises a ``ValidationError`` here, not mid-pipeline). ``signatures``,
-    ``ftscs`` and ``atoms_for`` read those stored instances.
+    raises a ``ValidationError`` here, not mid-pipeline). ``signatures``
+    and ``atoms_for`` read those stored instances.
     """
 
     name: str
@@ -138,10 +138,6 @@ class Scenario:
     def signatures(self) -> list[Signature]:
         """One admitted signature per ground instance, in grounding order."""
         return list(self._signatures)
-
-    def ftscs(self) -> list[Ftsc]:
-        """One triangular construction per ground instance, identity order."""
-        return [build_ftsc(sig) for sig in self._signatures]
 
     def rule_text_for(self, index: int) -> Optional[str]:
         for i, text in self.rule_texts:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .core import Literal, SchemaViolationError, Signature, parse_literal, require
-from .explain import Explanation, RankedEntry, RankedReport
+from .explain import PRIORITIES, Explanation, RankedEntry, RankedReport
 from .generator import Ftsc, Theorem, conclusion_for, trace_length
 
 SCHEMA_VERSION = 1
@@ -137,6 +137,11 @@ class Report:
         raw = require(data, "explanations", list, "report", dict, default=())
         for i, e in enumerate(raw):
             where = f"report explanations[{i}]"
+            priority = require(e, "declared_priority", str, where, default=None)
+            if priority not in (None, *PRIORITIES):
+                raise SchemaViolationError(
+                    f"{where}: field 'declared_priority' must be one of {PRIORITIES}"
+                )
             exp = Explanation(
                 scenario=require(e, "scenario", str, where),
                 permutation=tuple(require(e, "permutation", list, where, str)),
@@ -145,8 +150,8 @@ class Report:
                 narrative=require(e, "narrative", str, where),
                 remediation=require(e, "remediation", str, where),
                 provenance=require(e, "provenance", str, where),
-                declared_priority=e.get("declared_priority"),
-                model_score=e.get("model_score"),
+                declared_priority=priority,
+                model_score=require(e, "model_score", (int, float), where, default=None),
                 warnings=tuple(require(e, "warnings", list, where, str, default=())),
             )
             explanations.append(exp)

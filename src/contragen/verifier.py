@@ -8,11 +8,14 @@ recomputed from the clause lists. Satisfiability is decided two ways:
     is false, the AND of one cached bit pattern (or its complement) per
     literal; ``is_satisfiable`` and ``check_mus`` choose it for signatures
     up to TRUTH_TABLE_MAX_VARS symbols;
-  * a deterministic, iterative DPLL search (``DpllSolver``): counter-based
-    unit propagation over the integer encoding, in time linear in the
-    occurrences it touches, and chronological backtracking that branches
-    on the lowest unassigned signature index, true first. It serves
-    larger signatures.
+  * a deterministic, iterative DPLL search (``_dpll``) on the clause
+    bitmasks. The assignment is two masks, the symbols known true and
+    those known false, and a trail of the symbols set. Unit propagation
+    takes clauses off a FIFO queue: every clause at the root, then, per
+    symbol set, the clauses holding its other literal. Search backtracks
+    chronologically, clearing the trail's bits from the flipped
+    decision's mark, and branches on the lowest unassigned signature
+    index, true first. It serves larger signatures.
 
 Both methods return the same witness when one exists: the model that is
 lexicographically first under "lower signature index decided first, true
@@ -47,6 +50,7 @@ once, and then only each trace's own steps.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
@@ -182,135 +186,80 @@ def _truth_table(clause_set: ClauseSet) -> SatResult:
     return SatResult(True, witness, METHOD_TRUTH_TABLE)
 
 
-class DpllSolver:
-    """Iterative DPLL over signed 1-based integer clauses.
-
-    Unit propagation is counter based (Dowling & Gallier 1984): each clause
-    keeps a count of its true literals and of its literals not yet false,
-    and occurrence lists say which counts one assignment touches, so
-    propagating costs time linear in the occurrences of the literals it
-    sets. Search backtracks chronologically and branches on the lowest
-    unassigned variable, true first, so the model found is the
-    lexicographically first one. Unit clauses are propagated once, at
-    construction.
-    """
-
-    def __init__(self, clauses, num_vars: int):
-        self.num_vars = num_vars
-        # Literal-indexed lists: index ``lit`` for lit > 0 and, by Python's
-        # negative indexing, the upper half for lit < 0.
-        size = 2 * num_vars + 1
-        self._value = [0] * size  # 1 true, -1 false, 0 unassigned
-        self._occurs: list[list[int]] = [[] for _ in range(size)]
-        self._clauses: list[tuple[int, ...]] = []
-        self._trail: list[int] = []
-        self._ok = True
-        units = []
-        occurs = self._occurs
-        for clause in clauses:
-            lits = tuple(dict.fromkeys(clause))
-            if not lits:
-                self._ok = False
-            elif min(lits) < -num_vars or max(lits) > num_vars or 0 in lits:
-                raise ValueError(f"literal out of range in clause {clause}")
-            elif len(set(map(abs, lits))) < len(lits):
-                continue  # a tautology constrains nothing
-            elif len(lits) == 1:
-                units.append(lits[0])
-            c = len(self._clauses)
-            for lit in lits:
-                occurs[lit].append(c)
-            self._clauses.append(lits)
-        self._free = [len(c) for c in self._clauses]
-        self._true = [0] * len(self._clauses)
-        value = self._value
-        for lit in units:
-            if value[lit] < 0 or (value[lit] == 0 and not self._imply(lit)):
-                self._ok = False
-                break
-
-    def _imply(self, lit: int) -> bool:
-        """Make ``lit`` true and propagate to fixpoint; False on a conflict.
-
-        Every assignment lands on the trail with its counts updated, so
-        ``_undo`` reverts a conflict exactly as it reverts a success.
-        """
-        value, occurs, free, true = self._value, self._occurs, self._free, self._true
-        clauses, trail = self._clauses, self._trail
-        pending: list[int] = []
-        while True:
-            value[lit] = 1
-            value[-lit] = -1
-            trail.append(lit)
-            for c in occurs[lit]:
-                true[c] += 1
-            conflict = False
-            for c in occurs[-lit]:
-                left = free[c] - 1
-                free[c] = left
-                if not true[c]:
-                    if left == 0:
-                        conflict = True
-                    elif left == 1:
-                        pending.append(c)
-            if conflict:
-                return False
-            lit = 0
-            while pending:
-                c = pending.pop()
-                if not true[c]:
-                    lit = next(l for l in clauses[c] if not value[l])
-                    break
-            if not lit:
-                return True
-
-    def _undo(self, mark: int) -> None:
-        value, occurs, free, true, trail = (
-            self._value, self._occurs, self._free, self._true, self._trail
-        )
-        while len(trail) > mark:
-            lit = trail.pop()
-            value[lit] = value[-lit] = 0
-            for c in occurs[lit]:
-                true[c] -= 1
-            for c in occurs[-lit]:
-                free[c] += 1
-
-    def solve(self) -> Optional[list[bool]]:
-        """A model (index v-1 holds variable v), or None if there is none."""
-        if not self._ok:
-            return None
-        value = self._value
-        # One entry per open decision: (trail mark, variable, flipped yet).
-        decisions: list[tuple[int, int, bool]] = []
-        var = 1
-        while True:
-            while var <= self.num_vars and value[var]:
-                var += 1
-            if var > self.num_vars:
-                return [value[v] > 0 for v in range(1, self.num_vars + 1)]
-            decisions.append((len(self._trail), var, False))
-            if self._imply(var):
-                continue
-            # Conflict: flip the most recent decision not yet flipped.
-            while True:
-                mark, var, flipped = decisions.pop()
-                self._undo(mark)
-                if not flipped:
-                    decisions.append((mark, var, True))
-                    if self._imply(-var):
-                        break
-                elif not decisions:
-                    return None
-            var += 1
-
-
 def _dpll(clause_set: ClauseSet) -> SatResult:
-    model = DpllSolver(clause_set.int_clauses(), clause_set.signature.size).solve()
-    if model is None:
-        return SatResult(False, None, METHOD_DPLL)
-    witness = dict(zip(clause_set.signature.symbols, model))
-    return SatResult(True, witness, METHOD_DPLL)
+    """Chronological DPLL on the clause masks, as the module docstring says.
+    A decision keeps only its trail mark and symbol, never a copy of the
+    assignment, so memory stays linear in the signature."""
+    masks = clause_set.masks()
+    symbols = clause_set.signature.symbols
+    n = len(symbols)
+    # recheck[v][j]: the clauses that setting symbol j to v can make unit or
+    # falsify, those holding its other literal.
+    recheck = ([[] for _ in range(n)], [[] for _ in range(n)])
+    for c, ints in enumerate(clause_set.int_clauses()):
+        for lit in ints:
+            recheck[lit < 0][abs(lit) - 1].append(c)
+    true = false = 0
+    free = (1 << n) - 1  # unassigned symbols
+    trail: list[int] = []
+    # One entry per open decision: (trail mark, symbol, flipped yet).
+    decisions: list[tuple[int, int, bool]] = []
+    queue = deque(range(len(masks)))  # at the root every clause is checked
+    while True:
+        conflict = False
+        while queue:
+            positive, negative = masks[queue.popleft()]
+            if positive & true or negative & false:
+                continue  # satisfied
+            open_ = (positive | negative) & free
+            if not open_:
+                conflict = True
+                break
+            # A unit has one open literal; ``x | ~x`` has two on one symbol.
+            if open_ & (open_ - 1) or positive & negative & open_:
+                continue
+            value = bool(positive & open_)
+            if value:
+                true |= open_
+            else:
+                false |= open_
+            free ^= open_
+            j = open_.bit_length() - 1
+            trail.append(j)
+            queue.extend(recheck[value][j])
+        if conflict:
+            # Flip the latest decision not yet flipped.
+            queue.clear()
+            while decisions and decisions[-1][2]:
+                decisions.pop()
+            if not decisions:
+                return SatResult(False, None, METHOD_DPLL)
+            mark, j, _ = decisions.pop()
+            cleared = 0
+            for k in trail[mark:]:
+                cleared |= 1 << k
+            del trail[mark:]
+            true &= ~cleared
+            false &= ~cleared
+            free |= cleared
+            value = False
+        elif free:
+            # Branch on the lowest unassigned symbol, true first.
+            mark, j = len(trail), (free & -free).bit_length() - 1
+            value = True
+        else:
+            model = reversed(format(true, f"0{n}b"))
+            witness = {s: b == "1" for s, b in zip(symbols, model)}
+            return SatResult(True, witness, METHOD_DPLL)
+        decisions.append((mark, j, not value))  # true is tried first
+        bit = 1 << j
+        if value:
+            true |= bit
+        else:
+            false |= bit
+        free ^= bit
+        trail.append(j)
+        queue.extend(recheck[value][j])
 
 
 def _resolve_method(clause_set: ClauseSet, method: str) -> str:

@@ -147,7 +147,7 @@ def test_criterion_4_worked_examples(tmp_path, capsys):
 
     # contract case: six theorems over the five contract predicates
     scenario = load_scenario(SCENARIO_DIR / "contract_terms.yaml")
-    ftsc = scenario.ftscs()[0]
+    ftsc = build_ftsc(scenario.signatures()[0])
     theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
     assert len(theorems) == 6
     assert all(t.certified == CERT_VERIFIED for t in theorems)
@@ -236,7 +236,7 @@ def test_criterion_7_scenario_fixtures():
     flagged_explanations = {}
     for filename, (index, priority) in _APPENDIX_SCENARIOS.items():
         scenario = load_scenario(SCENARIO_DIR / filename)
-        ftscs = scenario.ftscs()
+        ftscs = [build_ftsc(s) for s in scenario.signatures()]
         assert len(ftscs) == 1, filename
         theorems = [check_theorem(t) for t in derive_theorems(ftscs[0])]
         assert all(t.certified == CERT_VERIFIED for t in theorems), filename
@@ -283,7 +283,7 @@ def test_criterion_8_format_roundtrips():
     assert check_tptp(emit_tptp(medical, theorems, mode="cnf")) == 10
 
     scenario = load_scenario(SCENARIO_DIR / "healthcare_data_sharing.yaml")
-    ftsc = scenario.ftscs()[0]
+    ftsc = build_ftsc(scenario.signatures()[0])
     fol_theorems = derive_theorems(ftsc)
     assert check_tptp(emit_tptp(ftsc, fol_theorems, mode="fof", scenario=scenario)) == 12
     assert parse_dimacs(emit_dimacs(ftsc.clause_set)) == ftsc.clause_set

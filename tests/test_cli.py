@@ -849,6 +849,42 @@ class TestVerify:
             "error: report explanations[1]: field 'narrative' must be str, got int\n",
         )
 
+    @pytest.mark.parametrize(
+        "position, field, value, message",
+        [
+            (0, "model_score", "very high", "field 'model_score' must be int or float, got str"),
+            (0, "model_score", True, "field 'model_score' must be int or float, got bool"),
+            (1, "declared_priority", [1, 2], "field 'declared_priority' must be str, got list"),
+            (
+                1, "declared_priority", "Urgent",
+                "field 'declared_priority' must be one of ('High', 'Medium', 'Low')",
+            ),
+        ],
+        ids=["score-string", "score-bool", "priority-list", "priority-unknown"],
+    )
+    def test_explain_report_with_a_mistyped_rank_field(
+        self, capsys, tmp_path, scenario_dir, position, field, value, message
+    ):
+        target = tmp_path / "report.json"
+        run(capsys, "explain", str(scenario_dir / "medical.yaml"), "--output", str(target))
+        assert run(capsys, "verify", str(target))[0] == EXIT_OK
+        data = json.loads(target.read_text())
+        data["explanations"][position][field] = value
+        target.write_text(json.dumps(data, indent=2) + "\n")
+        assert run(capsys, "verify", str(target)) == (
+            EXIT_VALIDATION, "", f"error: report explanations[{position}]: {message}\n",
+        )
+
+    def test_explain_report_rank_fields_read_back(self, capsys, tmp_path, scenario_dir):
+        target = tmp_path / "report.json"
+        run(capsys, "explain", str(scenario_dir / "medical.yaml"), "--output", str(target))
+        data = json.loads(target.read_text())
+        data["explanations"][0]["model_score"] = 0.5
+        data["explanations"][1]["declared_priority"] = "Low"
+        report = Report.from_dict(data)
+        assert report.explanations[0].model_score == 0.5
+        assert report.explanations[1].declared_priority == "Low"
+
     def test_long_permutation_refused_before_building(self, capsys, tmp_path, monkeypatch):
         # 5,000 symbols listed in a small file: the chain would hold
         # 12,507,500 literals, far more than the text, so nothing is built.

@@ -48,7 +48,7 @@ atoms:
 
 
 def certified_theorems(scenario):
-    ftsc = scenario.ftscs()[0]
+    ftsc = build_ftsc(scenario.signatures()[0])
     return ftsc, [check_theorem(t) for t in derive_theorems(ftsc)]
 
 
@@ -267,7 +267,7 @@ class TestVerbalize:
 
     def test_uncertified_rejected(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "medical.yaml")
-        ftsc = scenario.ftscs()[0]
+        ftsc = build_ftsc(scenario.signatures()[0])
         with pytest.raises(UncertifiedTheoremError):
             verbalize(derive_theorems(ftsc)[0], scenario)
 
@@ -412,7 +412,7 @@ class TestExplainViaModel:
 
     def test_uncertified_still_rejected(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "medical.yaml")
-        ftsc = scenario.ftscs()[0]
+        ftsc = build_ftsc(scenario.signatures()[0])
         client = StaticModelClient({"narrative": "x", "score": 0.5})
         with pytest.raises(UncertifiedTheoremError):
             explain_via_model(derive_theorems(ftsc)[0], scenario, client=client)

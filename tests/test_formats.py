@@ -219,7 +219,7 @@ class TestEmitTptp:
 
     def test_fof_mode_healthcare(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "healthcare_data_sharing.yaml")
-        ftsc = scenario.ftscs()[0]
+        ftsc = build_ftsc(scenario.signatures()[0])
         theorems = derive_theorems(ftsc)
         text = emit_tptp(ftsc, theorems, mode="fof", scenario=scenario)
         assert check_tptp(text) == 12
@@ -228,7 +228,7 @@ class TestEmitTptp:
 
     def test_fof_quantifies_variables_not_constants(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "regulatory_export.yaml")
-        ftsc = scenario.ftscs()[0]
+        ftsc = build_ftsc(scenario.signatures()[0])
         text = emit_tptp(ftsc, derive_theorems(ftsc), mode="fof", scenario=scenario)
         check_tptp(text)
         assert "complies(O,r1)" in text
@@ -254,7 +254,7 @@ class TestEmitTptp:
 class TestReportRoundTrip:
     def _full_report(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "medical.yaml")
-        ftsc = scenario.ftscs()[0]
+        ftsc = build_ftsc(scenario.signatures()[0])
         theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
         explanations = [verbalize(t, scenario) for t in theorems]
         ranking = rank(explanations)

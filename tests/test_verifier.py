@@ -39,7 +39,7 @@ from contragen.generator import (
     build_proof_trace,
     conclusion_for,
 )
-from contragen.verifier import DpllSolver, replay_theorems
+from contragen.verifier import replay_theorems
 
 from conftest import random_clause_set
 from oracles import (
@@ -195,6 +195,25 @@ def plain_int(clauses):
     return [[(f"v{abs(l)}", l < 0) for l in clause] for clause in clauses]
 
 
+def int_clause_set(clauses, n):
+    """The clauses as written, over v1..vn: not canonicalized, so repeated
+    literals, tautologies and empty clauses reach the solver."""
+    rows = plain_int(clauses)
+    return ClauseSet(
+        tuple(Clause(tuple(Literal(s, negated) for s, negated in row)) for row in rows),
+        Signature(tuple(f"v{v}" for v in range(1, n + 1))),
+    )
+
+
+def dpll_model(clauses, n):
+    """DPLL's witness as a list, or None when it finds the set unsatisfiable."""
+    result = is_satisfiable(int_clause_set(clauses, n), "dpll")
+    assert result.method == "dpll"
+    if not result.satisfiable:
+        return None
+    return [result.witness[f"v{v}"] for v in range(1, n + 1)]
+
+
 def oracle_model(clauses, n):
     """The lexicographically first model, true preferred, as a list."""
     symbols = [f"v{v}" for v in range(1, n + 1)]
@@ -202,27 +221,35 @@ def oracle_model(clauses, n):
     return [env[s] for s in symbols] if sat else None
 
 
+def pigeonhole(p):
+    """PHP(p, p - 1): every pigeon in a hole, no hole shared; a MUS."""
+    pigeons, holes = range(p), range(p - 1)
+    signature = Signature(tuple(f"p{i}h{h}" for i in pigeons for h in holes))
+    clauses = [[pos(f"p{i}h{h}") for h in holes] for i in pigeons]
+    clauses += [
+        [neg(f"p{i}h{h}"), neg(f"p{j}h{h}")]
+        for h in holes for i in pigeons for j in pigeons if i < j
+    ]
+    return ClauseSet.build(clauses, signature)
+
+
 class TestDpllSolver:
     @given(int_cnf())
     @settings(max_examples=300)
     def test_solve_agrees_with_brute_force(self, case):
         n, clauses, units = case
-        assert DpllSolver(clauses + units, n).solve() == oracle_model(clauses + units, n)
+        assert dpll_model(clauses + units, n) == oracle_model(clauses + units, n)
         symbols = [f"v{v}" for v in range(1, n + 1)]
         for var in range(1, n + 1):
             for lit in (var, -var):
                 entailed = brute_force_entails(
                     plain_int(clauses), symbols, (f"v{var}", lit < 0)
                 )
-                assert (DpllSolver(clauses + [[-lit]], n).solve() is None) == entailed
+                assert (dpll_model(clauses + [[-lit]], n) is None) == entailed
 
     def test_contradictory_assumptions(self):
-        assert DpllSolver([[1, 2], [1], [-1]], 2).solve() is None
-        assert DpllSolver([[1, 2]], 2).solve() == [True, True]
-
-    def test_literal_out_of_range(self):
-        with pytest.raises(ValueError):
-            DpllSolver([[3]], 2)
+        assert dpll_model([[1, 2], [1], [-1]], 2) is None
+        assert dpll_model([[1, 2]], 2) == [True, True]
 
     def test_decisions_deeper_than_recursion_limit(self):
         # One all-negative clause: every variable but the last is decided
@@ -235,6 +262,18 @@ class TestDpllSolver:
         result = is_satisfiable(clause_set, "dpll")
         assert result.satisfiable
         assert [result.witness[s] for s in signature.symbols] == [True] * (n - 1) + [False]
+
+    def test_pigeonhole_is_a_mus_by_search(self):
+        # PHP(5) has 20 symbols, above the truth table's limit, so "auto"
+        # searches the set and each of its 45 deletions.
+        clause_set = pigeonhole(5)
+        assert clause_set.signature.size == 20
+        report = check_mus(clause_set)
+        assert report.is_unsatisfiable and report.is_mus
+        assert report.method == "dpll"
+        assert report.searches == 46
+        for i, result in enumerate(report.deletion_results):
+            assert evaluate_set(clause_set.without(i), result.witness)
 
 
 class TestCheckMus:
