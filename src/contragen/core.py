@@ -61,14 +61,14 @@ _REQUIRED = object()
 
 
 def require(
-    mapping: Mapping, key: str, kind, where: str, items=None, default=_REQUIRED
+    mapping: Mapping, key: str, kind, where: str, items=None, default=_REQUIRED, choices=None
 ):
     """Return ``mapping[key]``, checked to be a ``kind`` (a type or a tuple).
 
     With ``items`` the value is a list and each item must be an ``items``.
     With ``default`` the field is optional: absent or null gives ``default``.
-    A bool never passes for a number. Raises SchemaViolationError naming
-    ``where`` and the field.
+    With ``choices`` the value must be one of them. A bool never passes for
+    a number. Raises SchemaViolationError naming ``where`` and the field.
     """
     if default is not _REQUIRED and mapping.get(key) is None:
         return default
@@ -79,6 +79,8 @@ def require(
     if items is not None:
         for i, item in enumerate(value):
             _check_kind(item, items, f"{where}: field {key!r} item {i}")
+    if choices is not None and value not in choices:
+        raise SchemaViolationError(f"{where}: field {key!r} must be one of {choices}")
     return value
 
 

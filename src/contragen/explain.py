@@ -54,6 +54,9 @@ PRIORITIES = ("High", "Medium", "Low")
 
 PROVENANCE_TEMPLATE = "template"
 PROVENANCE_MODEL = "external-model"
+PROVENANCES = (PROVENANCE_TEMPLATE, PROVENANCE_MODEL)
+#: A ranking's policy, "external-model" when an explanation has a model score.
+POLICIES = ("default", PROVENANCE_MODEL)
 
 ENDPOINT_ENV = "CONTRAGEN_MODEL_ENDPOINT"
 API_KEY_ENV = "CONTRAGEN_MODEL_KEY"
@@ -589,6 +592,7 @@ class HttpModelClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -596,7 +600,7 @@ class HttpModelClient:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = resp.read()
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
             raise ModelClientError(f"model request failed: {exc}") from exc
         try:
             decoded = json.loads(payload.decode("utf-8"))

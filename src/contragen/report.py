@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .core import Literal, SchemaViolationError, Signature, parse_literal, require
-from .explain import PRIORITIES, Explanation, RankedEntry, RankedReport
+from .explain import POLICIES, PRIORITIES, PROVENANCES, Explanation, RankedEntry, RankedReport
 from .generator import Ftsc, Theorem, conclusion_for, trace_length
 
 SCHEMA_VERSION = 1
@@ -137,11 +137,9 @@ class Report:
         raw = require(data, "explanations", list, "report", dict, default=())
         for i, e in enumerate(raw):
             where = f"report explanations[{i}]"
-            priority = require(e, "declared_priority", str, where, default=None)
-            if priority not in (None, *PRIORITIES):
-                raise SchemaViolationError(
-                    f"{where}: field 'declared_priority' must be one of {PRIORITIES}"
-                )
+            for key in ("declared_priority", "model_score", "warnings"):
+                if key not in e:  # null is valid, absence is not
+                    raise SchemaViolationError(f"{where}: missing required field {key!r}")
             exp = Explanation(
                 scenario=require(e, "scenario", str, where),
                 permutation=tuple(require(e, "permutation", list, where, str)),
@@ -149,8 +147,10 @@ class Report:
                 role_label=require(e, "role_label", str, where),
                 narrative=require(e, "narrative", str, where),
                 remediation=require(e, "remediation", str, where),
-                provenance=require(e, "provenance", str, where),
-                declared_priority=priority,
+                provenance=require(e, "provenance", str, where, choices=PROVENANCES),
+                declared_priority=require(
+                    e, "declared_priority", str, where, default=None, choices=PRIORITIES
+                ),
                 model_score=require(e, "model_score", (int, float), where, default=None),
                 warnings=tuple(require(e, "warnings", list, where, str, default=())),
             )
@@ -170,10 +170,11 @@ class Report:
                 exp = explanation_by_key.get(key)
                 if exp is None:
                     raise ValueError(f"ranking references unknown explanation {key}")
-                priority = require(entry, "priority", str, where)
+                priority = require(entry, "priority", str, where, choices=PRIORITIES)
                 score = require(entry, "score", (int, float), where)
+                require(entry, "remediation", str, where)
                 entries.append(RankedEntry(exp, priority, score))
-            policy = require(raw, "policy", str, "report ranking")
+            policy = require(raw, "policy", str, "report ranking", choices=POLICIES)
             ranking = RankedReport(tuple(entries), policy)
         signature = []
         for i, s in enumerate(require(data, "signature", list, "report", dict)):

@@ -7,7 +7,7 @@ recomputed from the clause lists. Satisfiability is decided two ways:
     is one bit of a big integer; a clause is violated where every literal
     is false, the AND of one cached bit pattern (or its complement) per
     literal; ``is_satisfiable`` and ``check_mus`` choose it for signatures
-    up to TRUTH_TABLE_MAX_VARS symbols;
+    up to TRUTH_TABLE_MAX_VARS (13) symbols, where it is the faster search;
   * a deterministic, iterative DPLL search (``_dpll``) on the clause
     bitmasks. The assignment is two masks, the symbols known true and
     those known false, and a trail of the symbols set. Unit propagation
@@ -68,7 +68,9 @@ from .generator import (
     Theorem,
 )
 
-TRUTH_TABLE_MAX_VARS = 16
+# The largest signature at which the truth table's minimality check still
+# beat DPLL's, on random 3-SAT at 4.26 clauses per symbol and on the chain.
+TRUTH_TABLE_MAX_VARS = 13
 
 METHOD_TRUTH_TABLE = "truth-table"
 METHOD_DPLL = "dpll"
@@ -262,36 +264,16 @@ def _dpll(clause_set: ClauseSet) -> SatResult:
         queue.extend(recheck[value][j])
 
 
-def _resolve_method(clause_set: ClauseSet, method: str) -> str:
-    small = clause_set.signature.size <= TRUTH_TABLE_MAX_VARS
-    if method == "auto":
-        return METHOD_TRUTH_TABLE if small else METHOD_DPLL
-    if method == METHOD_TRUTH_TABLE and not small:
-        # The table takes 2^n bits per clause; refuse before allocating.
-        raise ValueError(
-            f"truth table limited to {TRUTH_TABLE_MAX_VARS} symbols, "
-            f"signature has {clause_set.signature.size}"
-        )
-    if method in (METHOD_TRUTH_TABLE, METHOD_DPLL):
-        return method
-    raise ValueError(f"unknown method: {method!r}")
-
-
-def is_satisfiable(clause_set: ClauseSet, method: str = "auto") -> SatResult:
-    """Decide satisfiability; ``method`` is "auto", "truth-table" or "dpll".
-
-    An explicit "truth-table" over more than TRUTH_TABLE_MAX_VARS symbols
-    raises ValueError.
-    """
-    if _resolve_method(clause_set, method) == METHOD_TRUTH_TABLE:
+def is_satisfiable(clause_set: ClauseSet) -> SatResult:
+    """Decide satisfiability: by truth table up to TRUTH_TABLE_MAX_VARS
+    symbols, where it is the faster search, and by DPLL above."""
+    if clause_set.signature.size <= TRUTH_TABLE_MAX_VARS:
         return _truth_table(clause_set)
     return _dpll(clause_set)
 
 
 def check_mus(
-    clause_set: ClauseSet,
-    method: str = "auto",
-    witnesses: Optional[Sequence[Optional[int]]] = None,
+    clause_set: ClauseSet, *, witnesses: Optional[Sequence[Optional[int]]] = None
 ) -> MusReport:
     """Full deletion-based minimality check: the set must be unsatisfiable
     and each single-clause deletion satisfiable.
@@ -306,8 +288,6 @@ def check_mus(
     without ``witnesses``, so a wrong certificate never changes the
     verdict.
     """
-    # Checked up front, so a bad method fails even where nothing is searched.
-    _resolve_method(clause_set, method)
     if witnesses is None:
         certified: list[Optional[SatResult]] = [None] * len(clause_set.clauses)
         refuted = False
@@ -317,9 +297,9 @@ def check_mus(
     if refuted:
         overall = SatResult(False, None, METHOD_CERTIFICATE)
     else:
-        overall = is_satisfiable(clause_set, method)
+        overall = is_satisfiable(clause_set)
     deletions = tuple(
-        result or is_satisfiable(clause_set.without(i), method)
+        result or is_satisfiable(clause_set.without(i))
         for i, result in enumerate(certified)
     )
     is_unsat = not overall.satisfiable

@@ -33,6 +33,7 @@ from contragen import (
     validate_input,
     verbalize,
 )
+from contragen import verifier
 from contragen.cli import EXIT_OK, run_cli
 from contragen.generator import CERT_VERIFIED
 
@@ -67,9 +68,9 @@ def test_criterion_1_construction_sweep():
     started = time.perf_counter()
     for n in range(1, 9):
         clause_set = build_ftsc(chain_signature(n)).clause_set
-        sat = is_satisfiable(clause_set, "truth-table")
+        sat = is_satisfiable(clause_set)
         assert not sat.satisfiable, f"n={n} not unsatisfiable"
-        report = check_mus(clause_set, "truth-table")
+        report = check_mus(clause_set)
         assert report.is_mus, f"n={n} not minimal"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"sweep took {elapsed:.2f}s"
@@ -190,8 +191,8 @@ def test_criterion_6_oracle_agreement():
     disagreements = 0
     for _ in range(1000):
         clause_set = random_clause_set(rng, max_vars=12)
-        tt = is_satisfiable(clause_set, "truth-table")
-        dp = is_satisfiable(clause_set, "dpll")
+        tt = verifier._truth_table(clause_set)
+        dp = verifier._dpll(clause_set)
         if tt.satisfiable != dp.satisfiable:
             disagreements += 1
     assert disagreements == 0
@@ -200,8 +201,8 @@ def test_criterion_6_oracle_agreement():
         clause_set = build_ftsc(chain_signature(n)).clause_set
         for i in range(len(clause_set.clauses)):
             reduced = clause_set.without(i)
-            tt = is_satisfiable(reduced, "truth-table")
-            dp = is_satisfiable(reduced, "dpll")
+            tt = verifier._truth_table(reduced)
+            dp = verifier._dpll(reduced)
             assert tt.satisfiable == dp.satisfiable == True  # noqa: E712
 
 

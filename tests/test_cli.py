@@ -159,7 +159,8 @@ def _no_symbols(data):
 
 _EXPLANATION = {
     "scenario": "s", "permutation": ["a"], "removed_index": 1, "role_label": "r",
-    "narrative": "n", "remediation": "m", "provenance": "p",
+    "narrative": "n", "remediation": "m", "provenance": "template",
+    "declared_priority": None, "model_score": None, "warnings": [],
 }
 
 # Inputs of the genuine reports the edit test starts from: n <= 6, a
@@ -484,9 +485,9 @@ class TestVerify:
         searched, checked = [], []
         search, check = verifier.is_satisfiable, verifier._checked_models
 
-        def counting_search(clause_set, method="auto"):
+        def counting_search(clause_set):
             searched.append(clause_set)
-            return search(clause_set, method)
+            return search(clause_set)
 
         def counting_check(clause_set, witnesses):
             checked.append(clause_set)
@@ -874,6 +875,62 @@ class TestVerify:
         assert run(capsys, "verify", str(target)) == (
             EXIT_VALIDATION, "", f"error: report explanations[{position}]: {message}\n",
         )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda data: data["explanations"][0].update(provenance="anything"),
+                "report explanations[0]: field 'provenance' must be one of "
+                "('template', 'external-model')",
+            ),
+            (
+                lambda data: data["ranking"]["entries"][0].update(priority="Whatever", score=-5),
+                "report ranking entries[0]: field 'priority' must be one of "
+                "('High', 'Medium', 'Low')",
+            ),
+            (
+                lambda data: data["ranking"].update(policy="nonsense"),
+                "report ranking: field 'policy' must be one of ('default', 'external-model')",
+            ),
+            (
+                lambda data: data["ranking"]["entries"][0].update(remediation=[1, 2]),
+                "report ranking entries[0]: field 'remediation' must be str, got list",
+            ),
+            (
+                lambda data: data["ranking"]["entries"][0].pop("remediation"),
+                "report ranking entries[0]: missing required field 'remediation'",
+            ),
+            *[
+                (
+                    lambda data, key=key: data["explanations"][0].pop(key),
+                    f"report explanations[0]: missing required field {key!r}",
+                )
+                for key in ("declared_priority", "model_score", "warnings")
+            ],
+        ],
+        ids=["provenance", "priority", "policy", "remediation-list", "remediation-missing",
+             "declared-priority-missing", "model-score-missing", "warnings-missing"],
+    )
+    def test_explain_report_outside_the_schema(
+        self, capsys, tmp_path, scenario_dir, edit, message
+    ):
+        target = tmp_path / "report.json"
+        run(capsys, "explain", str(scenario_dir / "medical.yaml"), "--output", str(target))
+        data = json.loads(target.read_text())
+        edit(data)
+        target.write_text(json.dumps(data, indent=2) + "\n")
+        assert run(capsys, "verify", str(target)) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+    def test_every_fixture_explain_report_verifies(self, capsys, tmp_path, scenario_dir):
+        target = tmp_path / "report.json"
+        for fixture in sorted(scenario_dir.glob("*.yaml")):
+            assert run(capsys, "explain", str(fixture), "--output", str(target))[0] == EXIT_OK
+            code, out, err = run(capsys, "verify", str(target))
+            assert (code, out.splitlines()[-2:], err) == (EXIT_OK, [
+                "explanations, ranking: not audited; a v1 report does not record its scenario",
+                "verification passed",
+            ], ""), fixture.name
 
     def test_explain_report_rank_fields_read_back(self, capsys, tmp_path, scenario_dir):
         target = tmp_path / "report.json"

@@ -410,6 +410,40 @@ class TestExplainViaModel:
         assert explanation.provenance == PROVENANCE_TEMPLATE
         assert explanation.warnings
 
+    def test_bad_status_line_degrades(self, scenario_dir, monkeypatch):
+        import socket
+        from threading import Thread
+
+        for proxy in ("http_proxy", "HTTP_PROXY"):  # the server is on loopback
+            monkeypatch.delenv(proxy, raising=False)
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def answer(connections):
+            # Not HTTP, so http.client reads the reply as a bad status line.
+            for _ in range(connections):
+                connection, _ = listener.accept()
+                with connection:
+                    connection.recv(65536)
+                    connection.sendall(b"HELLO THERE\r\n")
+
+        thread = Thread(target=answer, args=(2,), daemon=True)
+        thread.start()
+        try:
+            endpoint = f"http://127.0.0.1:{listener.getsockname()[1]}/"
+            client = HttpModelClient(endpoint=endpoint, timeout=5)
+            with pytest.raises(ModelClientError, match="model request failed"):
+                client.complete({"removed_index": 1})
+            scenario = load_scenario(scenario_dir / "medical.yaml")
+            _, theorems = certified_theorems(scenario)
+            explanation = explain_via_model(theorems[2], scenario, client=client)
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+        assert explanation.provenance == PROVENANCE_TEMPLATE
+        assert "model request failed" in explanation.warnings[0]
+
     def test_uncertified_still_rejected(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "medical.yaml")
         ftsc = build_ftsc(scenario.signatures()[0])

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import contragen.verifier as verifier
 from contragen import (
     Clause,
     ClauseSet,
@@ -82,16 +83,15 @@ class TestIsSatisfiable:
 
     def test_empty_clause_unsatisfiable(self):
         clause_set = ClauseSet.build([Clause(())], Signature(("x1",)))
-        for method in ("truth-table", "dpll"):
-            assert not is_satisfiable(clause_set, method).satisfiable
+        for search in (verifier._truth_table, verifier._dpll):
+            assert not search(clause_set).satisfiable
 
     def test_tautology_constrains_nothing(self):
         clause_set = ClauseSet.build(
             [Clause((pos("x1"),)), Clause((pos("x1"), neg("x1")))], Signature(("x1",))
         )
-        for method in ("truth-table", "dpll"):
-            result = is_satisfiable(clause_set, method)
-            assert result.witness == {"x1": True}
+        for search in (verifier._truth_table, verifier._dpll):
+            assert search(clause_set).witness == {"x1": True}
 
     def test_no_clauses_satisfiable(self):
         clause_set = ClauseSet((), Signature(("x1", "x2")))
@@ -105,21 +105,30 @@ class TestIsSatisfiable:
         big = chain([f"x{i}" for i in range(1, 19)]).clause_set
         assert is_satisfiable(big).method == "dpll"
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            is_satisfiable(chain(["a"]).clause_set, "cdcl")
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_either_side_of_the_limit(self, above):
+        # Random 3-SAT at 4.26 clauses per symbol, as the limit was measured on.
+        n = verifier.TRUTH_TABLE_MAX_VARS + above
+        rng = random.Random(n)
+        signature = Signature(tuple(f"v{i}" for i in range(n)))
+        clauses = [
+            [Literal(s, rng.random() < 0.5) for s in rng.sample(signature.symbols, 3)]
+            for _ in range(round(4.26 * n))
+        ]
+        clause_set = ClauseSet.build(clauses, signature)
+        result = is_satisfiable(clause_set)
+        assert result.method == ("dpll" if above else "truth-table")
+        sat, model = brute_force_satisfiable(plain_clauses(clause_set), signature.symbols)
+        assert (result.satisfiable, result.witness) == (sat, model)
+        tt, dp = search_reports(clause_set)
+        assert [r.witness for r in tt.deletion_results] == [
+            r.witness for r in dp.deletion_results
+        ]
 
     @pytest.mark.parametrize("check", [is_satisfiable, check_mus])
-    def test_truth_table_refuses_large_signature(self, check, monkeypatch):
-        import contragen.verifier as verifier
-
-        def allocating(clause_set):
-            pytest.fail("the truth table was built over 64 symbols")
-
-        monkeypatch.setattr(verifier, "_truth_table", allocating)
-        clause_set = ClauseSet((), Signature(tuple(f"v{i}" for i in range(64))))
-        with pytest.raises(ValueError, match="truth table limited to 16 symbols"):
-            check(clause_set, "truth-table")
+    def test_no_method_argument(self, check):
+        with pytest.raises(TypeError):
+            check(chain(["a", "b"]).clause_set, "dpll")
 
     def test_status_field(self):
         result = is_satisfiable(ClauseSet((), Signature(("a",))))
@@ -150,8 +159,8 @@ class TestOracleAgreement:
     @given(small_clause_sets())
     @settings(max_examples=150)
     def test_verdicts_agree_property(self, clause_set):
-        tt = is_satisfiable(clause_set, "truth-table")
-        dp = is_satisfiable(clause_set, "dpll")
+        tt = verifier._truth_table(clause_set)
+        dp = verifier._dpll(clause_set)
         assert tt.satisfiable == dp.satisfiable
 
     def test_random_sets_agree_with_brute_force(self):
@@ -161,8 +170,8 @@ class TestOracleAgreement:
             expected, _ = brute_force_satisfiable(
                 plain_clauses(clause_set), clause_set.signature.symbols
             )
-            tt = is_satisfiable(clause_set, "truth-table")
-            dp = is_satisfiable(clause_set, "dpll")
+            tt = verifier._truth_table(clause_set)
+            dp = verifier._dpll(clause_set)
             assert tt.satisfiable == dp.satisfiable == expected
             for result in (tt, dp):
                 if result.satisfiable:
@@ -172,8 +181,8 @@ class TestOracleAgreement:
         rng = random.Random(99)
         for _ in range(100):
             clause_set = random_clause_set(rng, max_vars=7)
-            tt = is_satisfiable(clause_set, "truth-table")
-            dp = is_satisfiable(clause_set, "dpll")
+            tt = verifier._truth_table(clause_set)
+            dp = verifier._dpll(clause_set)
             assert tt.witness == dp.witness
 
 
@@ -207,8 +216,7 @@ def int_clause_set(clauses, n):
 
 def dpll_model(clauses, n):
     """DPLL's witness as a list, or None when it finds the set unsatisfiable."""
-    result = is_satisfiable(int_clause_set(clauses, n), "dpll")
-    assert result.method == "dpll"
+    result = verifier._dpll(int_clause_set(clauses, n))
     if not result.satisfiable:
         return None
     return [result.witness[f"v{v}"] for v in range(1, n + 1)]
@@ -259,12 +267,12 @@ class TestDpllSolver:
         clause_set = ClauseSet.build(
             [Clause(tuple(neg(s) for s in signature.symbols))], signature
         )
-        result = is_satisfiable(clause_set, "dpll")
+        result = verifier._dpll(clause_set)
         assert result.satisfiable
         assert [result.witness[s] for s in signature.symbols] == [True] * (n - 1) + [False]
 
     def test_pigeonhole_is_a_mus_by_search(self):
-        # PHP(5) has 20 symbols, above the truth table's limit, so "auto"
+        # PHP(5) has 20 symbols, above the truth table's limit, so DPLL
         # searches the set and each of its 45 deletions.
         clause_set = pigeonhole(5)
         assert clause_set.signature.size == 20
@@ -330,8 +338,14 @@ def permuted_chains(draw, max_n=16):
 
 
 def search_reports(clause_set):
-    """The minimality report of each search method: truth table and DPLL."""
-    return [check_mus(clause_set, method) for method in ("truth-table", "dpll")]
+    """The minimality report of each search, truth table and DPLL, chosen
+    by moving the size limit ``is_satisfiable`` reads at each call."""
+    reports = []
+    for limit in (clause_set.signature.size, -1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verifier, "TRUTH_TABLE_MAX_VARS", limit)
+            reports.append(check_mus(clause_set))
+    return reports
 
 
 def model_of(mask, symbols):
@@ -397,7 +411,7 @@ class TestCertificates:
             models = [(1 << n) - 1 if corruption == "all true" else 0] * (n + 1)
         clause_set = ftsc.clause_set
         report = check_mus(clause_set, witnesses=models)
-        oracle = check_mus(clause_set, "truth-table")
+        oracle = check_mus(clause_set)
         assert (report.is_unsatisfiable, report.is_mus) == (True, True)
         symbols = clause_set.signature.symbols
         for i, (result, expected) in enumerate(
@@ -423,7 +437,7 @@ class TestCertificates:
             del clauses[k]
         clause_set = ClauseSet(tuple(clauses), ftsc.signature)
         report = check_mus(clause_set, witnesses=ftsc.deletion_models)
-        oracle = check_mus(clause_set, "truth-table")
+        oracle = check_mus(clause_set)
         assert not report.is_mus
         assert (report.is_unsatisfiable, report.is_mus) == (
             oracle.is_unsatisfiable, oracle.is_mus
@@ -453,16 +467,17 @@ class TestCertificates:
             "truth-table", "certificate", "truth-table", "truth-table"
         ]
         assert report.searches == 3
-        oracle = check_mus(ftsc.clause_set, "truth-table")
+        oracle = check_mus(ftsc.clause_set)
         assert [r.witness for r in report.deletion_results] == [
             r.witness for r in oracle.deletion_results
         ]
 
-    def test_without_witnesses_every_question_is_searched(self):
+    def test_without_witnesses_every_question_is_searched(self, monkeypatch):
+        monkeypatch.setattr(verifier, "TRUTH_TABLE_MAX_VARS", 2)
         ftsc = chain(["a", "b", "c"])
-        assert check_mus(ftsc.clause_set, "dpll", ftsc.deletion_models).searches == 0
+        assert check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models).searches == 0
         # Not served from the remembered certified report of the same set.
-        report = check_mus(ftsc.clause_set, "dpll")
+        report = check_mus(ftsc.clause_set)
         assert report.method == "dpll"
         assert report.searches == 5
 
@@ -472,7 +487,7 @@ class TestCertificates:
         clause_set, witnesses = case
         symbols = clause_set.signature.symbols
         report = check_mus(clause_set, witnesses=witnesses)
-        oracle = check_mus(clause_set, "truth-table")
+        oracle = check_mus(clause_set)
         refutes = unit_propagation_refutes(plain_clauses(clause_set), symbols)
         assert (report.method == "certificate") == refutes
         assert (report.is_unsatisfiable, report.is_mus) == (
@@ -512,7 +527,7 @@ class TestCertificates:
             models.reverse()
         clause_set = ClauseSet.build(clauses, Signature(("x",)))
         report = check_mus(clause_set, witnesses=models)
-        oracle = check_mus(clause_set, "truth-table")
+        oracle = check_mus(clause_set)
         assert report.method == "truth-table" and report.searches == 1
         assert (report.is_unsatisfiable, report.is_mus) == (False, False)
         assert [(r.satisfiable, r.witness) for r in report.deletion_results] == [
@@ -618,14 +633,12 @@ class TestCheckTheorem:
 
     @pytest.mark.parametrize("n", [4, 20])
     def test_source_decided_once_per_construction(self, n, monkeypatch):
-        import contragen.verifier as verifier
-
         searched, checked = [], []
         search, check = verifier.is_satisfiable, verifier._checked_models
 
-        def counting_search(clause_set, method="auto"):
+        def counting_search(clause_set):
             searched.append(clause_set)
-            return search(clause_set, method)
+            return search(clause_set)
 
         def counting_check(clause_set, witnesses):
             checked.append(clause_set)
@@ -747,8 +760,6 @@ class TestOneCheckPerConstruction:
             assert checked.source is source and source.mus is held
 
     def test_each_source_checked_once(self, monkeypatch):
-        import contragen.verifier as verifier
-
         checked = []
         check = verifier._checked_models
 
