@@ -3,7 +3,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 from contragen import (
     Clause,
@@ -19,6 +18,7 @@ from contragen import (
     pos,
     validate_input,
 )
+from contragen.core import replace
 
 # The search is chosen by size: the truth table up to 13 variables, DPLL
 # beyond. Its verdict agrees with trying every assignment.

@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from itertools import starmap, zip_longest
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,6 +33,7 @@ from .core import (
     UnboundSymbolError,
     ValidationError,
     parse_literal,
+    replace,
     validate_input,
 )
 from .explain import (
@@ -286,23 +286,38 @@ def _verify_report(text: str) -> bool:
 
     A text equal to the regenerated report's, as ``generate`` writes it,
     passes with no more reading. Any other is read by the schema and
-    compared with the same regenerated report, group by group."""
+    compared with the same regenerated report, group by group. Either way
+    a recorded scenario name, which a v1 report cannot be regenerated from,
+    is named as not audited."""
     data = json.loads(text)
     signature, regenerated = _regenerated(data, len(text))
     if regenerated is not None and regenerated[0].to_json() == text:
-        return _print_verdict(*regenerated, {})
+        ok, unaudited = _print_verdict(*regenerated, {}), False
+    else:
+        ok, unaudited = _compare_report(data, signature, regenerated)
+    # The schema holds by now, so the name is a string or null.
+    if data["metadata"].get("scenario") is not None:
+        print("metadata.scenario: not audited; a v1 report does not record its scenario")
+    if unaudited:
+        print("explanations, ranking: not audited; a v1 report does not record its scenario")
+    return ok
+
+
+def _compare_report(data, signature, regenerated) -> tuple[bool, bool]:
+    """Read ``data`` by the schema and compare it with the regenerated report:
+    (passed, whether the explanations and ranking were taken as recorded)."""
     recorded = Report.from_dict(data)
     # The schema holds, so the permutation is a list of strings.
     if isinstance(signature, ValidationError):
         print(f"metadata: metadata.permutation is not admissible: {signature}")
-        return False
+        return False, False
     # Every recorded literal takes at least 3 characters of text, so a chain
     # of the recorded size fits in it and was regenerated.
     size, chain = sum(map(len, recorded.clauses)), total_literals(signature.size)
     if size != chain:
         print(f"clauses: recorded {size} literals, the chain over {signature.size} "
               f"symbols has {chain}")
-        return False
+        return False, False
     expected = regenerated[0].to_dict()
     recorded_theorems = data["theorems"] + [_ABSENT] * len(expected["theorems"])
     # No trace is replayed here, so a recorded true or null stands; a theorem
@@ -325,10 +340,7 @@ def _verify_report(text: str) -> bool:
     if "theorems" in differences:
         pairs = enumerate(zip(recorded_theorems, expected["theorems"]))
         failed = {i for i, (got, want) in pairs if _first_difference(got, want, "")}
-    ok = _print_verdict(*regenerated, differences, failed)
-    if unaudited:
-        print("explanations, ranking: not audited; a v1 report does not record its scenario")
-    return ok
+    return _print_verdict(*regenerated, differences, failed), unaudited
 
 
 def _print_verdict(report, theorems, differences, failed=frozenset()) -> bool:

@@ -8,7 +8,9 @@ writes a second encoding, ``masks``: one (positive, negative) bitmask pair
 per clause, for evaluating a model or a set of known literals against a
 clause in a few integer operations. ``without`` slices both stored
 encodings instead of re-validating. All types are immutable values: once
-built they can be shared freely between workers.
+built they can be shared freely between workers. ``Record`` is the base
+of every record type in the package, and ``replace`` copies one with
+changed fields.
 
 Ground first-order atoms are handled as opaque propositional symbols of
 the shape ``Name(c1,c2)``; ``split_symbol`` is the one reader of that
@@ -17,7 +19,6 @@ shape, so a symbol's arity and its export agree everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 #: Truth assignment: maps symbol names to booleans. Partial during search,
@@ -91,12 +92,90 @@ def _check_kind(value, kind, what: str) -> None:
         raise SchemaViolationError(f"{what} must be {names}, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Literal:
+_setattr = object.__setattr__
+
+
+class FrozenInstanceError(AttributeError):
+    """A record's attribute was assigned or deleted: records are immutable."""
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A record names its fields, in order, in ``_fields`` and keeps them in
+    ``__slots__``. Its ``__init__`` sets them with ``object.__setattr__``:
+    assigning or deleting an attribute raises ``FrozenInstanceError``.
+    Records of one type are equal when their fields are, the hash is that
+    of the field tuple, and the repr reads ``Name(field=value, ...)``. Any
+    other slot holds state derived from the fields and takes part in none.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, values: Mapping) -> None:
+        """Set each field from ``values``, an ``__init__``'s ``locals()``."""
+        for name in self._fields:
+            _setattr(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return self._repr(self._fields)
+
+    def _repr(self, names: Sequence[str]) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def fields(record) -> tuple[str, ...]:
+    """The field names of a record or record type, in order."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes`` to its fields, built through its
+    ``__init__``: its checks run again, no cached value is copied, and a
+    name that is not a field raises ``TypeError``."""
+    values = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**values, **changes})
+
+
+class Literal(Record):
     """An atom or its negation. ``negate`` is an involution."""
 
-    symbol: str
-    negated: bool = False
+    __slots__ = _fields = ("symbol", "negated")
+
+    def __init__(self, symbol: str, negated: bool = False):
+        _setattr(self, "symbol", symbol)
+        _setattr(self, "negated", negated)
+
+    # Its own comparison and hash: literals fill every set and dict.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbol == other.symbol and self.negated == other.negated
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.negated))
 
     def negate(self) -> "Literal":
         return Literal(self.symbol, not self.negated)
@@ -141,23 +220,24 @@ def split_symbol(symbol: str) -> tuple[str, tuple[str, ...]]:
     return symbol, ()
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Ordered universe of distinct atom symbols.
 
     Order is significant: clause canonicalization and the triangular
     construction both key off the position of a symbol in the signature.
     """
 
-    symbols: tuple[str, ...]
+    _fields = ("symbols",)
+    __slots__ = _fields + ("_index",)
 
-    def __post_init__(self):
+    def __init__(self, symbols: tuple[str, ...]):
         index = {}
-        for i, sym in enumerate(self.symbols):
+        for i, sym in enumerate(symbols):
             if sym in index:
                 raise DuplicateSymbolError(sym)
             index[sym] = i
-        object.__setattr__(self, "_index", index)
+        _setattr(self, "symbols", symbols)
+        _setattr(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -171,14 +251,14 @@ class Signature:
     @property
     def index(self) -> Mapping[str, int]:
         """Each symbol's position in ``symbols``, keyed by symbol."""
-        return self._index  # type: ignore[attr-defined]
+        return self._index
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index  # type: ignore[attr-defined]
+        return symbol in self._index
 
     def index_of(self, symbol: str) -> int:
         try:
-            return self._index[symbol]  # type: ignore[attr-defined]
+            return self._index[symbol]
         except KeyError:
             raise UnboundSymbolError(symbol) from None
 
@@ -211,11 +291,13 @@ def validate_input(literals: Sequence[Literal]) -> Signature:
     return Signature(tuple(lit.symbol for lit in literals))
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """Disjunction of literals. The empty clause evaluates to false everywhere."""
 
-    literals: tuple[Literal, ...] = ()
+    __slots__ = _fields = ("literals",)
+
+    def __init__(self, literals: tuple[Literal, ...] = ()):
+        _setattr(self, "literals", literals)
 
     def is_empty(self) -> bool:
         return not self.literals
@@ -253,24 +335,23 @@ def canonicalize(clause: Clause, signature: Signature) -> Clause:
 ClauseLike = Union[Clause, Iterable[Literal]]
 
 
-@dataclass(frozen=True)
-class ClauseSet:
+class ClauseSet(Record):
     """Ordered conjunction of clauses over a signature.
 
     Clause order is significant (theorem indexing relies on it) but
     ``set_equal`` compares two sets ignoring clause order and literal order.
     """
 
-    clauses: tuple[Clause, ...]
-    signature: Signature
+    _fields = ("clauses", "signature")
+    __slots__ = _fields + ("_ints", "_masks")
 
-    def __post_init__(self):
+    def __init__(self, clauses: tuple[Clause, ...], signature: Signature):
         # One pass over the literals writes both encodings. Encoding looks
         # every symbol up, so it is also the binding check.
-        index = self.signature.index
+        index = signature.index
         ints, masks = [], []
         try:
-            for clause in self.clauses:
+            for clause in clauses:
                 row = []
                 positive = negative = 0
                 for lit in clause.literals:
@@ -285,8 +366,10 @@ class ClauseSet:
                 masks.append((positive, negative))
         except KeyError as exc:
             raise UnboundSymbolError(exc.args[0]) from None
-        object.__setattr__(self, "_ints", tuple(ints))
-        object.__setattr__(self, "_masks", tuple(masks))
+        _setattr(self, "clauses", clauses)
+        _setattr(self, "signature", signature)
+        _setattr(self, "_ints", tuple(ints))
+        _setattr(self, "_masks", tuple(masks))
 
     @classmethod
     def _trusted(
@@ -298,10 +381,10 @@ class ClauseSet:
     ) -> "ClauseSet":
         """Assemble from parts already encoded against ``signature``."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "clauses", clauses)
-        object.__setattr__(obj, "signature", signature)
-        object.__setattr__(obj, "_ints", ints)
-        object.__setattr__(obj, "_masks", masks)
+        _setattr(obj, "clauses", clauses)
+        _setattr(obj, "signature", signature)
+        _setattr(obj, "_ints", ints)
+        _setattr(obj, "_masks", masks)
         return obj
 
     @classmethod
@@ -332,14 +415,14 @@ class ClauseSet:
 
     def int_clauses(self) -> tuple[tuple[int, ...], ...]:
         """Signed 1-based integer encoding, for solver loops."""
-        return self._ints  # type: ignore[attr-defined]
+        return self._ints
 
     def masks(self) -> tuple[tuple[int, int], ...]:
         """Per clause, the pair (positive, negative): bit j of the first is
         set when symbol j occurs unnegated, of the second when it occurs
         negated. A model ``m`` (bit j set: symbol j true) satisfies the
         clause iff ``positive & m or negative & ~m``."""
-        return self._masks  # type: ignore[attr-defined]
+        return self._masks
 
     def __len__(self) -> int:
         return len(self.clauses)

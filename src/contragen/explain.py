@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
     EmptyInputError,
     Literal,
+    Record,
     SchemaViolationError,
     Signature,
+    replace,
     require,
     validate_input,
 )
@@ -92,25 +93,27 @@ class ModelClientError(RuntimeError):
     """The external model could not produce a usable response."""
 
 
-@dataclass(frozen=True)
-class ScenarioAtom:
-    predicate: PredicateAtom
-    gloss: str
+class ScenarioAtom(Record):
+    __slots__ = _fields = ("predicate", "gloss")
+
+    def __init__(self, predicate: PredicateAtom, gloss: str):
+        self._assign(locals())
 
     @property
     def symbol(self) -> str:
         return self.predicate.name
 
 
-@dataclass(frozen=True)
-class RemediationRule:
-    clause_index: int
-    suggestion_text: str
-    formal_annotation: Optional[str] = None
+class RemediationRule(Record):
+    __slots__ = _fields = ("clause_index", "suggestion_text", "formal_annotation")
+
+    def __init__(
+        self, clause_index: int, suggestion_text: str, formal_annotation: Optional[str] = None
+    ):
+        self._assign(locals())
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named registry binding abstract literals to domain meanings.
 
     Construction grounds the atoms over ``grounding`` once and admits each
@@ -119,18 +122,20 @@ class Scenario:
     and ``atoms_for`` read those stored instances.
     """
 
-    name: str
-    domain_label: str
-    atoms: tuple[ScenarioAtom, ...]
-    grounding: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    rule_texts: tuple[tuple[int, str], ...] = ()
-    remediations: tuple[RemediationRule, ...] = ()
-    priorities: tuple[tuple[int, str], ...] = ()
+    _fields = (
+        "name", "domain_label", "atoms", "grounding", "rule_texts", "remediations", "priorities"
+    )
+    __slots__ = _fields + ("_signatures",)
 
-    def __post_init__(self):
-        instances = ground_atoms(
-            [a.predicate for a in self.atoms], GroundingDomain(self.grounding)
-        )
+    def __init__(
+        self, name: str, domain_label: str, atoms: tuple[ScenarioAtom, ...],
+        grounding: tuple[tuple[str, tuple[str, ...]], ...] = (),
+        rule_texts: tuple[tuple[int, str], ...] = (),
+        remediations: tuple[RemediationRule, ...] = (),
+        priorities: tuple[tuple[int, str], ...] = (),
+    ):
+        self._assign(locals())
+        instances = ground_atoms([a.predicate for a in atoms], GroundingDomain(grounding))
         signatures = tuple(validate_input(lits) for lits in instances)
         object.__setattr__(self, "_signatures", signatures)
 
@@ -358,20 +363,20 @@ _ROLE_SENTENCES = {
 }
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(Record):
     """A rendered reading of one certified theorem."""
 
-    scenario: str
-    permutation: tuple[str, ...]
-    removed_index: int
-    role_label: str
-    narrative: str
-    remediation: str
-    provenance: str
-    declared_priority: Optional[str] = None
-    model_score: Optional[float] = None
-    warnings: tuple[str, ...] = ()
+    __slots__ = _fields = (
+        "scenario", "permutation", "removed_index", "role_label", "narrative", "remediation",
+        "provenance", "declared_priority", "model_score", "warnings",
+    )
+
+    def __init__(
+        self, scenario: str, permutation: tuple[str, ...], removed_index: int, role_label: str,
+        narrative: str, remediation: str, provenance: str, declared_priority: Optional[str] = None,
+        model_score: Optional[float] = None, warnings: tuple[str, ...] = (),
+    ):
+        self._assign(locals())
 
     @property
     def n(self) -> int:
@@ -448,17 +453,18 @@ _HIGH_THRESHOLD = 0.75
 _MEDIUM_THRESHOLD = 0.45
 
 
-@dataclass(frozen=True)
-class RankedEntry:
-    explanation: Explanation
-    priority: str
-    score: float
+class RankedEntry(Record):
+    __slots__ = _fields = ("explanation", "priority", "score")
+
+    def __init__(self, explanation: Explanation, priority: str, score: float):
+        self._assign(locals())
 
 
-@dataclass(frozen=True)
-class RankedReport:
-    entries: tuple[RankedEntry, ...]
-    policy: str
+class RankedReport(Record):
+    __slots__ = _fields = ("entries", "policy")
+
+    def __init__(self, entries: tuple[RankedEntry, ...], policy: str):
+        self._assign(locals())
 
 
 def rank(explanations: Sequence[Explanation]) -> RankedReport:

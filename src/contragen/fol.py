@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import EmptyInputError, Literal, ValidationError, validate_input
+from .core import EmptyInputError, Literal, Record, ValidationError, validate_input
 from .generator import Ftsc, build_ftsc
 
 VARIABLE = "variable"
@@ -51,15 +50,14 @@ def _check_name(name: str, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Term:
-    name: str
-    kind: str = CONSTANT
+class Term(Record):
+    __slots__ = _fields = ("name", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (VARIABLE, CONSTANT):
-            raise ValueError(f"unknown term kind: {self.kind!r}")
-        _check_name(self.name, "term")
+    def __init__(self, name: str, kind: str = CONSTANT):
+        self._assign(locals())
+        if kind not in (VARIABLE, CONSTANT):
+            raise ValueError(f"unknown term kind: {kind!r}")
+        _check_name(name, "term")
 
     @property
     def is_variable(self) -> bool:
@@ -77,15 +75,14 @@ def const(name: str) -> Term:
     return Term(name, CONSTANT)
 
 
-@dataclass(frozen=True)
-class PredicateAtom:
+class PredicateAtom(Record):
     """A predicate applied to terms; arity is the argument count."""
 
-    name: str
-    args: tuple[Term, ...] = ()
+    __slots__ = _fields = ("name", "args")
 
-    def __post_init__(self):
-        _check_name(self.name, "predicate")
+    def __init__(self, name: str, args: tuple[Term, ...] = ()):
+        self._assign(locals())
+        _check_name(name, "predicate")
 
     @property
     def arity(self) -> int:
@@ -126,14 +123,14 @@ def atom_literal(atom: PredicateAtom, negated: bool = False) -> Literal:
     return Literal(atom.symbol(), negated)
 
 
-@dataclass(frozen=True)
-class GroundingDomain:
+class GroundingDomain(Record):
     """Finite, nonempty constant lists per variable, in declaration order."""
 
-    bindings: tuple[tuple[str, tuple[str, ...]], ...]
+    __slots__ = _fields = ("bindings",)
 
-    def __post_init__(self):
-        for name, constants in self.bindings:
+    def __init__(self, bindings: tuple[tuple[str, tuple[str, ...]], ...]):
+        self._assign(locals())
+        for name, constants in bindings:
             if not constants:
                 raise EmptyDomainError(name)
 

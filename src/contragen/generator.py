@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -55,7 +54,9 @@ from .core import (
     ClauseSet,
     EmptyInputError,
     Literal,
+    Record,
     Signature,
+    _setattr,
 )
 
 if TYPE_CHECKING:
@@ -81,8 +82,7 @@ class EnumerationCapExceededError(ValueError):
     """Enumeration refused: the permutation space is larger than the cap allows."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One replayable inference step.
 
     ``premise_index`` is the 0-based position of the cited clause in the
@@ -92,14 +92,19 @@ class TraceStep:
     for the empty-clause step.
     """
 
-    kind: str
-    literal: Optional[Literal]
-    premise_index: Optional[int]
+    __slots__ = _fields = ("kind", "literal", "premise_index")
+
+    def __init__(self, kind: str, literal: Optional[Literal], premise_index: Optional[int]):
+        _setattr(self, "kind", kind)
+        _setattr(self, "literal", literal)
+        _setattr(self, "premise_index", premise_index)
 
 
-@dataclass(frozen=True)
-class ProofTrace:
-    steps: tuple[TraceStep, ...]
+class ProofTrace(Record):
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]):
+        _setattr(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -108,8 +113,7 @@ class ProofTrace:
         return iter(self.steps)
 
 
-@dataclass(frozen=True)
-class Ftsc:
+class Ftsc(Record):
     """A triangular contradiction: n+1 clauses over an n-literal ordering.
 
     ``permutation`` records the literal order the chain was built over
@@ -118,9 +122,13 @@ class Ftsc:
     count is n(n+3)/2.
     """
 
-    clause_set: ClauseSet
-    permutation: tuple[str, ...]
-    n: int
+    _fields = ("clause_set", "permutation", "n")
+    __slots__ = _fields + ("__dict__",)  # the cached properties' values
+
+    def __init__(self, clause_set: ClauseSet, permutation: tuple[str, ...], n: int):
+        _setattr(self, "clause_set", clause_set)
+        _setattr(self, "permutation", permutation)
+        _setattr(self, "n", n)
 
     @property
     def signature(self) -> Signature:
@@ -179,8 +187,7 @@ class Ftsc:
         return check_mus(self.clause_set, witnesses=self.deletion_models)
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Record):
     """One canonical entailment: remainder(source, removed_index) entails
     the conjunction of ``conclusion``.
 
@@ -190,10 +197,17 @@ class Theorem:
     down from the construction on first read and kept with this value.
     """
 
-    source: Ftsc
-    removed_index: int
-    conclusion: tuple[Literal, ...]
-    certified: str = CERT_UNCHECKED
+    _fields = ("source", "removed_index", "conclusion", "certified")
+    __slots__ = _fields + ("__dict__",)  # the cached trace
+
+    def __init__(
+        self, source: Ftsc, removed_index: int, conclusion: tuple[Literal, ...],
+        certified: str = CERT_UNCHECKED,
+    ):
+        _setattr(self, "source", source)
+        _setattr(self, "removed_index", removed_index)
+        _setattr(self, "conclusion", conclusion)
+        _setattr(self, "certified", certified)
 
     @property
     def removed_clause(self) -> Clause:

@@ -15,12 +15,14 @@ docs/report_schema.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
-from datetime import datetime, timezone
+import time
 from typing import Optional, Sequence
 
 from . import __version__
-from .core import Literal, SchemaViolationError, Signature, parse_literal, require
+from .core import (
+    Literal, Record, SchemaViolationError, Signature, _setattr, fields, parse_literal, replace,
+    require,
+)
 from .explain import POLICIES, PRIORITIES, PROVENANCES, Explanation, RankedEntry, RankedReport
 from .generator import Ftsc, Theorem, conclusion_for, trace_length
 
@@ -29,33 +31,40 @@ TOOL_NAME = "contragen"
 
 
 def _fields_of(record) -> dict:
-    """A dataclass's fields by name, shallow: no copy as ``asdict`` makes."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    """A record's fields by name, in order, shallow: the values themselves."""
+    return {name: getattr(record, name) for name in fields(record)}
 
 
-@dataclass(frozen=True)
-class TheoremRecord:
-    removed_index: int
-    conclusion: tuple[str, ...]
-    certified: str
-    trace_steps: int
-    trace_replayed: Optional[bool] = None
+class TheoremRecord(Record):
+    __slots__ = _fields = (
+        "removed_index", "conclusion", "certified", "trace_steps", "trace_replayed"
+    )
+
+    def __init__(
+        self, removed_index: int, conclusion: tuple[str, ...], certified: str, trace_steps: int,
+        trace_replayed: Optional[bool] = None,
+    ):
+        _setattr(self, "removed_index", removed_index)
+        _setattr(self, "conclusion", conclusion)
+        _setattr(self, "certified", certified)
+        _setattr(self, "trace_steps", trace_steps)
+        _setattr(self, "trace_replayed", trace_replayed)
 
 
-@dataclass(frozen=True)
-class Report:
-    n: int
-    permutation: tuple[str, ...]
-    signature: tuple[tuple[str, int], ...]
-    clauses: tuple[tuple[str, ...], ...]
-    theorems: tuple[TheoremRecord, ...]
-    scenario: Optional[str] = None
-    explanations: tuple[Explanation, ...] = ()
-    ranking: Optional[RankedReport] = None
-    timestamp: str = ""
-    tool: str = TOOL_NAME
-    version: str = __version__
-    schema_version: int = SCHEMA_VERSION
+class Report(Record):
+    __slots__ = _fields = (
+        "n", "permutation", "signature", "clauses", "theorems", "scenario", "explanations",
+        "ranking", "timestamp", "tool", "version", "schema_version",
+    )
+
+    def __init__(
+        self, n: int, permutation: tuple[str, ...], signature: tuple[tuple[str, int], ...],
+        clauses: tuple[tuple[str, ...], ...], theorems: tuple[TheoremRecord, ...],
+        scenario: Optional[str] = None, explanations: tuple[Explanation, ...] = (),
+        ranking: Optional[RankedReport] = None, timestamp: str = "", tool: str = TOOL_NAME,
+        version: str = __version__, schema_version: int = SCHEMA_VERSION,
+    ):
+        self._assign(locals())
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -73,7 +82,7 @@ class Report:
             ],
             "clauses": [list(c) for c in self.clauses],
             # Records are written field by field in declaration order, so
-            # a dataclass field is a report key; json writes tuples as lists.
+            # a record field is a report key; json writes tuples as lists.
             "theorems": [_fields_of(t) for t in self.theorems],
             "explanations": [_fields_of(e) for e in self.explanations],
             "ranking": None,
@@ -281,7 +290,8 @@ def _literal_texts(
 
 
 def current_timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The UTC time to the second, as ``datetime``'s ``isoformat`` writes it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def build_report(

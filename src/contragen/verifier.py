@@ -51,11 +51,10 @@ once, and then only each trace's own steps.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .core import ClauseSet, Literal
+from .core import ClauseSet, Literal, Record, _setattr
 from .generator import (
     CERT_FAILED,
     CERT_VERIFIED,
@@ -78,19 +77,20 @@ METHOD_DPLL = "dpll"
 METHOD_CERTIFICATE = "certificate"
 
 
-@dataclass(frozen=True)
-class SatResult:
-    satisfiable: bool
-    witness: Optional[dict[str, bool]]
-    method: str
+class SatResult(Record):
+    __slots__ = _fields = ("satisfiable", "witness", "method")
+
+    def __init__(self, satisfiable: bool, witness: Optional[dict[str, bool]], method: str):
+        _setattr(self, "satisfiable", satisfiable)
+        _setattr(self, "witness", witness)
+        _setattr(self, "method", method)
 
     @property
     def status(self) -> str:
         return "satisfiable" if self.satisfiable else "unsatisfiable"
 
 
-@dataclass(frozen=True)
-class MusReport:
+class MusReport(Record):
     """Deletion-based minimality check: the set is minimal iff it is
     unsatisfiable and every single-clause deletion is satisfiable.
 
@@ -99,10 +99,16 @@ class MusReport:
     the question, and name the search otherwise.
     """
 
-    is_unsatisfiable: bool
-    deletion_results: tuple[SatResult, ...]
-    is_mus: bool
-    method: str
+    __slots__ = _fields = ("is_unsatisfiable", "deletion_results", "is_mus", "method")
+
+    def __init__(
+        self, is_unsatisfiable: bool, deletion_results: tuple[SatResult, ...], is_mus: bool,
+        method: str,
+    ):
+        _setattr(self, "is_unsatisfiable", is_unsatisfiable)
+        _setattr(self, "deletion_results", deletion_results)
+        _setattr(self, "is_mus", is_mus)
+        _setattr(self, "method", method)
 
     @property
     def searches(self) -> int:
@@ -111,8 +117,7 @@ class MusReport:
         return sum(m != METHOD_CERTIFICATE for m in methods)
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(Record):
     """Outcome of replaying a proof trace; truthy iff every step was valid.
 
     ``established`` collects the literals the trace legitimately proved
@@ -120,12 +125,22 @@ class ReplayResult:
     0-based index of the first invalid step and ``reason`` says why.
     """
 
-    ok: bool
-    failed_step: Optional[int]
-    reason: Optional[str]
-    # The established literals as (true, false) masks; bit j names symbols[j].
-    units: tuple[int, int] = field(repr=False)
-    symbols: tuple[str, ...] = field(repr=False)
+    _fields = ("ok", "failed_step", "reason", "units", "symbols")
+    __slots__ = _fields + ("__dict__",)  # the cached established literals
+
+    def __init__(
+        self, ok: bool, failed_step: Optional[int], reason: Optional[str], units: tuple[int, int],
+        symbols: tuple[str, ...],
+    ):
+        _setattr(self, "ok", ok)
+        _setattr(self, "failed_step", failed_step)
+        _setattr(self, "reason", reason)
+        # The established literals as (true, false) masks; bit j names symbols[j].
+        _setattr(self, "units", units)
+        _setattr(self, "symbols", symbols)
+
+    def __repr__(self) -> str:
+        return self._repr(self._fields[:3])  # the masks and symbols stay out
 
     def __bool__(self) -> bool:
         return self.ok

@@ -77,9 +77,8 @@ class TestGenerate:
         assert strip_timestamp(first) == strip_timestamp(second)
 
     def test_failed_replay_named_on_stderr(self, capsys, monkeypatch):
-        from dataclasses import replace
-
         import contragen.generator as generator
+        from contragen.core import replace
 
         genuine = generator.build_proof_trace
 
@@ -719,6 +718,28 @@ class TestVerify:
             "verification passed",
         ]
 
+    @pytest.mark.parametrize("command", ["generate", "explain"])
+    def test_scenario_name_not_audited(self, capsys, tmp_path, scenario_dir, command):
+        # A v1 report cannot be regenerated from its scenario, so any name
+        # passes; verify says so by the equal-text path and the schema path.
+        target = tmp_path / "report.json"
+        run(capsys, command, str(scenario_dir / "medical.yaml"), "--output", str(target))
+        data = json.loads(target.read_text())
+        data["metadata"]["scenario"] = "anything"
+        for text in (target.read_text(), json.dumps(data, indent=2) + "\n", json.dumps(data)):
+            code, out, _ = _verify_text(text)
+            assert (code, out.splitlines()[-1]) == (EXIT_OK, "verification passed")
+            assert out.splitlines().count(
+                "metadata.scenario: not audited; a v1 report does not record its scenario"
+            ) == 1
+
+    def test_literal_report_names_no_scenario(self):
+        text = _genuine_report(1)
+        assert json.loads(text)["metadata"]["scenario"] is None
+        for layout in (text, json.dumps(json.loads(text))):
+            code, out, _ = _verify_text(layout)
+            assert code == EXIT_OK and "metadata.scenario" not in out
+
     @settings(max_examples=150, deadline=None)
     @given(_report_edits())
     @example((1, ("theorems", 2, "certified"), "replace", "failed"))
@@ -1134,9 +1155,8 @@ class TestExplain:
         ]
 
     def test_failed_replay_refused(self, capsys, scenario_dir, monkeypatch):
-        from dataclasses import replace
-
         import contragen.generator as generator
+        from contragen.core import replace
 
         genuine = generator.build_proof_trace
 
@@ -1155,7 +1175,7 @@ class TestExplain:
             assert err == "theorem 2: trace step 5: premise index out of range: -1\n"
 
     def test_record_key_order(self, capsys, scenario_dir):
-        # Report records are written from their dataclass fields; a
+        # Report records are written from their fields, in order; a
         # reordered field would silently change report bytes.
         code, out, _ = run(capsys, "explain", str(scenario_dir / "medical.yaml"))
         assert code == EXIT_OK
@@ -1330,6 +1350,28 @@ def test_cli_import_leaves_out_model_client_and_yaml():
         check=True,
     )
     assert child.stdout == "['contragen.explain', 'contragen.fol']\n"
+
+
+def test_cli_import_adds_no_dataclasses():
+    # ``dataclasses`` loads inspect, ast, dis and tokenize: about 10 ms of
+    # each CLI child's start-up, before any class is built from it.
+    import contragen
+
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    src = str(Path(contragen.__file__).parents[1])
+
+    def loaded(imports: str) -> set[str]:
+        probe = f"import sys{imports}; print(*(m for m in {heavy!r} if m in sys.modules))"
+        child = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        return set(child.stdout.split())
+
+    assert loaded(", contragen.cli") - loaded("") == set()
 
 
 class TestUsageErrors:

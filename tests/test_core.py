@@ -1,7 +1,5 @@
 """Clause algebra: literals, validation, canonicalization, evaluation."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +22,7 @@ from contragen.core import (
     SchemaViolationError,
     UnboundSymbolError,
     ValidationError,
+    fields,
     parse_literal,
     require,
 )
@@ -130,7 +129,7 @@ class TestValidateInput:
         assert signature.arities == (2, 1)
 
     def test_arity_is_derived_not_stored(self):
-        assert [f.name for f in dataclasses.fields(Signature)] == ["symbols"]
+        assert list(fields(Signature)) == ["symbols"]
         with pytest.raises(TypeError):
             Signature(("a", "P(x,y)"), (5, 0))
         assert Signature(("Q(z)", "a", "P(x,y)")).arities == (1, 0, 2)

@@ -299,7 +299,7 @@ class TestRank:
     def test_declared_priorities_order(self, scenario_dir):
         # one scenario-shaped input with declarations on 3, 5, 6
         scenario = load_scenario(scenario_dir / "healthcare_data_sharing.yaml")
-        from dataclasses import replace as dc_replace
+        from contragen.core import replace as dc_replace
 
         _, theorems = certified_theorems(scenario)
         explanations = [
@@ -345,7 +345,7 @@ class TestRank:
             rank([])
 
     def test_model_policy_clamps(self, scenario_dir):
-        from dataclasses import replace as dc_replace
+        from contragen.core import replace as dc_replace
 
         explanations = self._explanations(scenario_dir, "medical.yaml", {1, 3})
         boosted = [

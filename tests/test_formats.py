@@ -2,7 +2,8 @@
 
 import json
 import random
-from dataclasses import replace
+import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,7 @@ from contragen import (
     var,
     verbalize,
 )
-from contragen.core import Literal
+from contragen.core import Literal, replace
 from contragen.fol import atom_literal
 from contragen.formats import (
     DimacsParseError,
@@ -36,7 +37,7 @@ from contragen.formats import (
     MissingScenarioMetadataError,
     NonGroundClauseError,
 )
-from contragen.report import _indented
+from contragen.report import _indented, current_timestamp
 
 from conftest import ESCAPED_SYMBOLS, random_clause_set
 from tptp_check import TptpSyntaxError, check_tptp
@@ -370,3 +371,12 @@ class TestReportWriter:
             recorded["schema_version"] = data.draw(_JSON_VALUES)
         again = Report.from_dict(recorded)
         assert again.to_json() == json.dumps(again.to_dict(), indent=2) + "\n"
+
+
+def test_timestamp_is_utc_to_the_second():
+    before = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    stamp = current_timestamp()
+    after = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
+    assert stamp in (before, after)

@@ -1,6 +1,5 @@
 """Construction shape, enumeration closure, theorem derivation, proof traces."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -38,7 +37,7 @@ from contragen.generator import (
     trace_length,
 )
 
-from contragen.core import Literal
+from contragen.core import Literal, fields, replace
 
 from oracles import brute_force_entails, brute_force_satisfiable, plain_clauses
 
@@ -293,7 +292,7 @@ class TestDeriveTheorems:
         monkeypatch.setattr(generator, "build_proof_trace", counting)
         theorems = derive_theorems(build_ftsc(signature_of(MEDICAL)))
         assert calls == []
-        assert [f.name for f in dataclasses.fields(theorems[0])] == [
+        assert list(fields(theorems[0])) == [
             "source", "removed_index", "conclusion", "certified"
         ]
         first = theorems[1].trace
@@ -301,7 +300,7 @@ class TestDeriveTheorems:
         assert calls == [2]
         assert first == real(theorems[1].source, 2)
         # A copy made by ``replace`` (as certification makes) builds its own once.
-        copy = dataclasses.replace(theorems[1], certified="verified")
+        copy = replace(theorems[1], certified="verified")
         assert copy.trace == first and copy.trace is copy.trace
         assert calls == [2, 2]
 

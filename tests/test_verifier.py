@@ -3,7 +3,6 @@
 import json
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,7 @@ from contragen import (
     replay_trace,
     validate_input,
 )
-from contragen.core import Literal
+from contragen.core import Literal, replace
 from contragen.generator import (
     CERT_FAILED,
     CERT_VERIFIED,
