@@ -104,22 +104,15 @@ class ScenarioAtom(Record):
         return self.predicate.name
 
 
-class RemediationRule(Record):
-    __slots__ = _fields = ("clause_index", "suggestion_text", "formal_annotation")
-
-    def __init__(
-        self, clause_index: int, suggestion_text: str, formal_annotation: Optional[str] = None
-    ):
-        self._assign(locals())
-
-
 class Scenario(Record):
     """A named registry binding abstract literals to domain meanings.
 
     Construction grounds the atoms over ``grounding`` once and admits each
     ground instance as a signature (a duplicate or complementary atom
     raises a ``ValidationError`` here, not mid-pipeline). ``signatures``
-    and ``atoms_for`` read those stored instances.
+    and ``atoms_for`` read those stored instances. ``rule_texts``,
+    ``remediations`` and ``priorities`` are per-clause tables: (clause
+    index, text) pairs, at most one per index.
     """
 
     _fields = (
@@ -131,7 +124,7 @@ class Scenario(Record):
         self, name: str, domain_label: str, atoms: tuple[ScenarioAtom, ...],
         grounding: tuple[tuple[str, tuple[str, ...]], ...] = (),
         rule_texts: tuple[tuple[int, str], ...] = (),
-        remediations: tuple[RemediationRule, ...] = (),
+        remediations: tuple[tuple[int, str], ...] = (),
         priorities: tuple[tuple[int, str], ...] = (),
     ):
         self._assign(locals())
@@ -148,22 +141,13 @@ class Scenario(Record):
         return list(self._signatures)
 
     def rule_text_for(self, index: int) -> Optional[str]:
-        for i, text in self.rule_texts:
-            if i == index:
-                return text
-        return None
+        return _text_for(self.rule_texts, index)
 
-    def remediation_for(self, index: int) -> Optional[RemediationRule]:
-        for rule in self.remediations:
-            if rule.clause_index == index:
-                return rule
-        return None
+    def remediation_for(self, index: int) -> Optional[str]:
+        return _text_for(self.remediations, index)
 
     def priority_for(self, index: int) -> Optional[str]:
-        for i, p in self.priorities:
-            if i == index:
-                return p
-        return None
+        return _text_for(self.priorities, index)
 
     def atoms_for(self, signature: Signature) -> dict[str, ScenarioAtom]:
         """Map each signature symbol to the scenario atom it grounds.
@@ -192,6 +176,10 @@ class Scenario(Record):
         return {sym: atom.gloss for sym, atom in self.atoms_for(signature).items()}
 
 
+def _text_for(table: tuple[tuple[int, str], ...], index: int) -> Optional[str]:
+    return next((text for i, text in table if i == index), None)
+
+
 def _parse_index(value, n: int, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaViolationError(f"{where}: clause index must be an integer")
@@ -200,6 +188,15 @@ def _parse_index(value, n: int, where: str) -> int:
             f"{where}: clause index {value} out of range 1..{n + 1}"
         )
     return value
+
+
+def _index_table(doc, key: str, n: int, source_name: str, choices=None):
+    """Read the optional mapping ``key`` of clause index to text as pairs."""
+    raw = require(doc, key, dict, source_name, default={})
+    where = f"{source_name}: {key}"
+    return tuple(
+        (_parse_index(k, n, where), require(raw, k, str, where, choices=choices)) for k in raw
+    )
 
 
 def _scenario_from_document(doc, source_name: str) -> Scenario:
@@ -240,37 +237,21 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
     )
 
     n = len(atoms)
-    rule_texts_raw = require(doc, "rule_texts", dict, source_name, default={})
-    rule_texts = tuple(
-        (
-            _parse_index(k, n, f"{source_name}: rule_texts"),
-            require(rule_texts_raw, k, str, f"{source_name}: rule_texts"),
-        )
-        for k in rule_texts_raw
-    )
-
-    remediations = []
+    rule_texts = _index_table(doc, "rule_texts", n, source_name)
+    remediations = {}
     raw_remediations = require(doc, "remediations", list, source_name, default=())
     for pos_i, entry in enumerate(raw_remediations, start=1):
         where = f"{source_name}: remediations[{pos_i}]"
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"{where}: each remediation must be a mapping")
         index = _parse_index(require(entry, "index", int, where), n, where)
+        if index in remediations:
+            raise SchemaViolationError(f"{where}: clause index {index} already has a remediation")
         text = require(entry, "text", str, where)
         if not text.strip():
             raise SchemaViolationError(f"{where}: text must be nonempty")
-        formal = require(entry, "formal", str, where, default=None)
-        remediations.append(RemediationRule(index, text, formal))
-
-    priorities_raw = require(doc, "priorities", dict, source_name, default={})
-    priorities = []
-    for k, v in priorities_raw.items():
-        index = _parse_index(k, n, f"{source_name}: priorities")
-        if v not in PRIORITIES:
-            raise SchemaViolationError(
-                f"{source_name}: priority for index {index} must be one of {PRIORITIES}"
-            )
-        priorities.append((index, v))
+        require(entry, "formal", str, where, default=None)  # checked, then dropped
+        remediations[index] = text
 
     return Scenario(
         name=name,
@@ -278,8 +259,8 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
         atoms=tuple(atoms),
         grounding=grounding,
         rule_texts=rule_texts,
-        remediations=tuple(remediations),
-        priorities=tuple(priorities),
+        remediations=tuple(remediations.items()),
+        priorities=_index_table(doc, "priorities", n, source_name, choices=PRIORITIES),
     )
 
 
@@ -289,11 +270,8 @@ def load_scenario_text(text: str, source_name: str = "<scenario>") -> Scenario:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        line = None
         mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            line = mark.line + 1
-        raise ScenarioParseError(str(exc), line) from exc
+        raise ScenarioParseError(str(exc), None if mark is None else mark.line + 1) from exc
     return _scenario_from_document(doc, source_name)
 
 
@@ -321,45 +299,43 @@ def role_for_index(removed_index: int, n: int) -> str:
     return ROLE_INTERMEDIATE
 
 
-_GENERIC_REMEDIATION = {
+# Each role's narrative sentence, and the remediation used when the scenario declares none.
+_ROLE_TEXTS = {
     ROLE_BASE: (
+        "The base assertion {focus} is overconstrained: the downstream "
+        "dependencies leave it no consistent way to hold on its own.",
         "Add evidence requirements or preconditions before asserting the base "
-        "predicate on its own."
+        "predicate on its own.",
     ),
     ROLE_LOCAL: (
+        "The first conditional link breaks: {focus} cannot hold together "
+        "with its trigger under the remaining rules.",
         "Add thresholds or exceptions so the first conditional rule does not "
-        "fire unconditionally."
+        "fire unconditionally.",
     ),
     ROLE_INTERMEDIATE: (
-        "Qualify the intermediate dependency with contextual conditions."
+        "An intermediate link of the dependency chain conflicts: "
+        "{focus} is incompatible with its upstream conditions.",
+        "Qualify the intermediate dependency with contextual conditions.",
     ),
     ROLE_TERMINAL: (
+        "The terminal obligation {focus} cannot coexist with the "
+        "accumulated upstream conditions.",
         "Add qualifying criteria before the terminal obligation triggers "
-        "automatically."
+        "automatically.",
     ),
     ROLE_GLOBAL: (
+        "The joint consistency constraint fails: all {count} conditions "
+        "cannot hold at once, so the rule set as a whole is unsatisfiable.",
         "Relax at least one upstream dependency, or add contextual qualifiers, "
-        "so that the conditions no longer have to hold jointly."
+        "so that the conditions no longer have to hold jointly.",
     ),
     ROLE_GENERIC: (
+        "The dependency chain as a whole rejects this clause: each of "
+        "its branches is refuted by the remaining rules.",
         "Revise the flagged dependency so the remaining rules no longer force "
-        "its negation."
+        "its negation.",
     ),
-}
-
-_ROLE_SENTENCES = {
-    ROLE_BASE: "The base assertion {focus} is overconstrained: the downstream "
-    "dependencies leave it no consistent way to hold on its own.",
-    ROLE_LOCAL: "The first conditional link breaks: {focus} cannot hold together "
-    "with its trigger under the remaining rules.",
-    ROLE_INTERMEDIATE: "An intermediate link of the dependency chain conflicts: "
-    "{focus} is incompatible with its upstream conditions.",
-    ROLE_TERMINAL: "The terminal obligation {focus} cannot coexist with the "
-    "accumulated upstream conditions.",
-    ROLE_GLOBAL: "The joint consistency constraint fails: all {count} conditions "
-    "cannot hold at once, so the rule set as a whole is unsatisfiable.",
-    ROLE_GENERIC: "The dependency chain as a whole rejects this clause: each of "
-    "its branches is refuted by the remaining rules.",
 }
 
 
@@ -407,18 +383,14 @@ def verbalize(theorem: Theorem, scenario: Scenario) -> Explanation:
     i = theorem.removed_index
     n = ftsc.n
     role = role_for_index(i, n)
-    clause = theorem.removed_clause
-
-    if i <= n:
-        focus_symbol = ftsc.permutation[i - 1]
-    else:
-        focus_symbol = ftsc.permutation[-1]
+    sentence, fallback = _ROLE_TEXTS[role]
+    focus_symbol = ftsc.permutation[min(i, n) - 1]
     focus = f"'{focus_symbol}' ({glosses.get(focus_symbol, focus_symbol)})"
 
     parts = [
-        f"Dependency clause {i} of {n + 1} ({clause}) is a minimal conflict "
-        f"source in scenario '{scenario.name}'.",
-        _ROLE_SENTENCES[role].format(focus=focus, count=n),
+        f"Dependency clause {i} of {n + 1} ({theorem.removed_clause}) is a minimal "
+        f"conflict source in scenario '{scenario.name}'.",
+        sentence.format(focus=focus, count=n),
     ]
     rule_text = scenario.rule_text_for(i)
     if rule_text:
@@ -429,8 +401,7 @@ def verbalize(theorem: Theorem, scenario: Scenario) -> Explanation:
         f"satisfiable, yet they refute every branch of the removed clause: "
         f"{conjuncts}."
     )
-    rule = scenario.remediation_for(i)
-    remediation = rule.suggestion_text if rule else _GENERIC_REMEDIATION[role]
+    remediation = scenario.remediation_for(i) or fallback
     parts.append(f"Suggested remediation: {remediation}")
 
     return Explanation(
@@ -582,8 +553,8 @@ class HttpModelClient:
     The endpoint comes from the constructor or from the
     CONTRAGEN_MODEL_ENDPOINT environment variable, the key from
     CONTRAGEN_MODEL_KEY only; a model is in use exactly when ``endpoint``
-    is set. A missing endpoint and any transport or decoding problem raise
-    ModelClientError.
+    is set. A missing endpoint, one that is not an http or https URL, and
+    any transport or decoding problem raise ModelClientError.
     """
 
     def __init__(self, endpoint: Optional[str] = None, timeout: float = 10.0):
@@ -594,14 +565,19 @@ class HttpModelClient:
     def complete(self, request: dict) -> dict:
         if not self.endpoint:
             raise ModelClientError("no model endpoint configured")
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
+        # urlopen also reads file: and data: URLs; only a server may answer.
+        scheme = urllib.parse.urlsplit(self.endpoint).scheme
+        if scheme not in ("http", "https"):
+            raise ModelClientError(f"model endpoint must be an http or https URL, not {scheme!r}")
         body = json.dumps(request).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        import http.client
-        import urllib.error
-        import urllib.request
-
         req = urllib.request.Request(self.endpoint, data=body, headers=headers)
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:

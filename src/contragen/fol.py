@@ -89,11 +89,7 @@ class PredicateAtom(Record):
         return len(self.args)
 
     def variables(self) -> tuple[str, ...]:
-        seen = []
-        for t in self.args:
-            if t.is_variable and t.name not in seen:
-                seen.append(t.name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(t.name for t in self.args if t.is_variable))
 
     def is_ground(self) -> bool:
         return not any(t.is_variable for t in self.args)
@@ -151,15 +147,6 @@ EMPTY_DOMAIN = GroundingDomain(())
 MAX_GROUND_INSTANCES = 1000
 
 
-def _shared_variables(atoms: Sequence[PredicateAtom]) -> tuple[str, ...]:
-    seen: list[str] = []
-    for atom in atoms:
-        for name in atom.variables():
-            if name not in seen:
-                seen.append(name)
-    return tuple(seen)
-
-
 def ground_atoms(
     atoms: Sequence[PredicateAtom], domain: GroundingDomain = EMPTY_DOMAIN
 ) -> list[list[Literal]]:
@@ -173,7 +160,7 @@ def ground_atoms(
     """
     if not atoms:
         raise EmptyInputError("at least one atom is required")
-    names = _shared_variables(atoms)
+    names = tuple(dict.fromkeys(name for atom in atoms for name in atom.variables()))
     pools = [domain.constants_for(v) for v in names]
     count = math.prod(len(p) for p in pools)
     if count > MAX_GROUND_INSTANCES:

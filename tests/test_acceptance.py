@@ -243,7 +243,7 @@ def test_criterion_7_scenario_fixtures():
         assert all(t.certified == CERT_VERIFIED for t in theorems), filename
         flagged = next(t for t in theorems if t.removed_index == index)
         explanation = verbalize(flagged, scenario)
-        fixture_text = scenario.remediation_for(index).suggestion_text
+        fixture_text = scenario.remediation_for(index)
         assert explanation.remediation == fixture_text, filename
         assert explanation.declared_priority == priority, filename
         flagged_explanations[filename] = explanation

@@ -1,5 +1,10 @@
 """Scenario loading, template verbalization, ranking, model-client degradation."""
 
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 
 from contragen import (
@@ -13,6 +18,7 @@ from contragen import (
     rank,
     verbalize,
 )
+from contragen.cli import EXIT_OK, run_cli
 from contragen.core import DuplicateSymbolError, EmptyInputError, SchemaViolationError
 from contragen.explain import (
     PROVENANCE_MODEL,
@@ -64,10 +70,9 @@ class TestLoadScenario:
             "Retains",
         ]
         assert scenario.priority_for(3) == "High"
-        assert scenario.remediation_for(3).suggestion_text == (
+        assert scenario.remediation_for(3) == (
             "Require explicit consent or anonymization before sharing."
         )
-        assert scenario.remediation_for(5).formal_annotation is not None
 
     def test_contract_fixture(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "contract_terms.yaml")
@@ -128,13 +133,24 @@ atoms:
 
     def test_bad_priority_value(self):
         text = MINIMAL_SCENARIO + "priorities:\n  1: Urgent\n"
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(SchemaViolationError, match="priorities: field 1 must be one of"):
             load_scenario_text(text)
 
     def test_remediation_index_range(self):
         text = MINIMAL_SCENARIO + "remediations:\n  - {index: 9, text: fix}\n"
         with pytest.raises(SchemaViolationError):
             load_scenario_text(text)
+
+    def test_repeated_remediation_index_rejected(self):
+        text = MINIMAL_SCENARIO + (
+            "remediations:\n  - {index: 2, text: first fix}\n  - {index: 2, text: second fix}\n"
+        )
+        with pytest.raises(
+            SchemaViolationError,
+            match=r"remediations\[2\]: clause index 2 already has a remediation$",
+        ) as info:
+            load_scenario_text(text)
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -444,6 +460,25 @@ class TestExplainViaModel:
         assert explanation.provenance == PROVENANCE_TEMPLATE
         assert "model request failed" in explanation.warnings[0]
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["file://{path}", 'data:application/json,{{"narrative": "x", "score": 1}}'],
+        ids=["file", "data"],
+    )
+    def test_non_http_endpoint_degrades(self, scenario_dir, tmp_path, endpoint):
+        response = tmp_path / "response.json"
+        response.write_text('{"narrative": "Nothing is wrong", "score": 0.99}')
+        client = HttpModelClient(endpoint=endpoint.format(path=response))
+        with pytest.raises(ModelClientError, match="must be an http or https URL"):
+            client.complete({"removed_index": 1})
+        scenario = load_scenario(scenario_dir / "medical.yaml")
+        _, theorems = certified_theorems(scenario)
+        for theorem in theorems:
+            explanation = explain_via_model(theorem, scenario, client=client)
+            assert explanation.provenance == PROVENANCE_TEMPLATE
+            assert explanation.narrative == verbalize(theorem, scenario).narrative
+            assert len(explanation.warnings) == 1
+
     def test_uncertified_still_rejected(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "medical.yaml")
         ftsc = build_ftsc(scenario.signatures()[0])
@@ -488,3 +523,35 @@ class TestInstanceMatching:
             scenario.gloss_map(mixed)
         with pytest.raises(ArityMismatchError, match="any ground instance"):
             emit_tptp(build_ftsc(mixed), mode="fof", scenario=scenario)
+
+
+NARRATIVES_GOLDEN = Path(__file__).parent / "golden" / "explain_narratives.txt"
+
+
+def _explain_output(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(["explain", *argv]) == EXIT_OK
+    return out.getvalue()
+
+
+def fixture_narratives() -> str:
+    """Every fixture's explanations at permutation 0, then its --table text."""
+    blocks = []
+    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+        report = json.loads(_explain_output(str(path)))
+        lines = [f"== {path.name}"]
+        for e in report["explanations"]:
+            lines += [
+                f"-- clause {e['removed_index']}: {e['role_label']}, "
+                f"priority {e['declared_priority']}",
+                f"remediation: {e['remediation']}",
+                f"narrative: {e['narrative']}",
+            ]
+        lines.append("-- table")
+        blocks.append("\n".join(lines) + "\n" + _explain_output(str(path), "--table"))
+    return "".join(blocks)
+
+
+def test_fixture_narratives_match_golden():
+    assert fixture_narratives() == NARRATIVES_GOLDEN.read_text(encoding="utf-8")

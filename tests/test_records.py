@@ -23,7 +23,6 @@ from contragen.explain import (
     Explanation,
     RankedEntry,
     RankedReport,
-    RemediationRule,
     Scenario,
     ScenarioAtom,
 )
@@ -71,7 +70,6 @@ SAMPLES = {
         1, ("a",), (("a", 0),), (("a",), ("~a",)), (_record(),), timestamp="t", version="0.1.0"
     ),
     "ScenarioAtom": _atom,
-    "RemediationRule": lambda: RemediationRule(1, "fix it"),
     "Scenario": lambda: Scenario(
         "s", "d", (_atom(),), (("x", ("c",)),), ((1, "rule"),), (), ((1, "High"),)
     ),
@@ -163,11 +161,6 @@ EXPECTED = {
         ("predicate", "gloss"),
         "ScenarioAtom(predicate=PredicateAtom(name='P', args=(Term(name='x', "
         "kind='variable'),)), gloss='p holds')",
-    ),
-    "RemediationRule": (
-        ("clause_index", "suggestion_text", "formal_annotation"),
-        "RemediationRule(clause_index=1, suggestion_text='fix it', "
-        "formal_annotation=None)",
     ),
     "Scenario": (
         (
