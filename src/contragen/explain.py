@@ -3,7 +3,8 @@
 A scenario binds abstract atoms to a domain: human-readable glosses, the
 source rule sentences a dependency clause formalizes, remediation
 suggestions keyed by clause index, and optional priority declarations.
-Scenario files are YAML; see docs/scenario_format.md for the field spec.
+Scenario files are written in a subset of YAML; see docs/scenario_format.md
+for the field spec and the subset.
 
 Narratives come from deterministic templates by default. An external
 language model can be plugged in over HTTP to rewrite narratives and score
@@ -36,9 +37,8 @@ from .core import (
 from .fol import GroundingDomain, PredicateAtom, const, ground_atoms, var
 from .generator import CERT_VERIFIED, Theorem
 
-# ``yaml`` and ``urllib`` are imported inside the two functions that use
-# them: they were about 40% of ``import contragen.cli``, and most commands
-# need neither.
+# The scenario reader and ``urllib`` are imported inside the two functions
+# that use them: most commands need neither.
 
 # Role vocabulary for removal indices. The first and last clauses have
 # fixed structural readings; interior clauses are read off their position
@@ -74,10 +74,10 @@ _TRACE_SUMMARY_TEMPLATE = (
 
 
 class ScenarioParseError(ValueError):
-    """The scenario document is not parseable; carries line info when known."""
+    """The scenario text is outside the YAML subset scenario files use."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int, source: str):
+        super().__init__(f"{source}: line {line}: {message}")
         self.line = line
 
 
@@ -265,14 +265,9 @@ def _scenario_from_document(doc, source_name: str) -> Scenario:
 
 
 def load_scenario_text(text: str, source_name: str = "<scenario>") -> Scenario:
-    import yaml
+    from .scenario_yaml import read
 
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ScenarioParseError(str(exc), None if mark is None else mark.line + 1) from exc
-    return _scenario_from_document(doc, source_name)
+    return _scenario_from_document(read(text, source_name), source_name)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

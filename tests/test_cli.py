@@ -1202,6 +1202,32 @@ class TestExplain:
             assert report.to_json() == out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
+_TWO_ATOMS = "name: dup\ndomain: Test\natoms:\n  - {symbol: A, gloss: a}\n  - {symbol: B, gloss: b}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (_TWO_ATOMS + "priorities: {2: High, 2: Low}\n", 6, "repeated key 2"),
+        (_TWO_ATOMS + "rule_texts:\n  2: first rule\n  2: second rule\n", 8, "repeated key 2"),
+        (_TWO_ATOMS + "name: again\n", 6, "repeated key name"),
+        ("name: [unclosed\n", 1, "a flow collection must close on the line it opens"),
+        ("name: " + "[" * 50_000 + "]" * 50_000 + "\n", 1, "nesting deeper than 8 levels"),
+        (
+            "name: deep\ndomain: Test\natoms:\n" + "".join("  " * d + "-\n" for d in range(1, 3001)),
+            11,
+            "nesting deeper than 8 levels",
+        ),
+    ],
+    ids=["flow-priorities", "block-rule-texts", "top-level-name", "unclosed", "deep-flow", "deep-block"],
+)
+def test_scenario_outside_the_yaml_subset_ends_in_one_line(capsys, tmp_path, text, line, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    code, out, err = run(capsys, "explain", str(path))
+    assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {path}: line {line}: {message}\n")
+
+
 class TestExport:
     def test_dimacs(self, capsys):
         code, out, _ = run(capsys, "export", "a", "b", "--format", "dimacs")
@@ -1332,14 +1358,14 @@ class TestExport:
 
 def test_cli_import_leaves_out_model_client_and_yaml():
     # The span tracer patches contragen.explain and contragen.fol, so the
-    # CLI must import them; urllib and yaml load only when a command needs
-    # a model request or a scenario file.
+    # CLI must import them; urllib and the scenario reader load only when a
+    # command needs a model request or a scenario file, and yaml never.
     import contragen
 
     probe = (
         "import sys, contragen.cli; "
         "print(sorted(m for m in ('contragen.explain', 'contragen.fol', "
-        "'urllib.request', 'yaml') if m in sys.modules))"
+        "'urllib.request', 'yaml', 'contragen.scenario_yaml') if m in sys.modules))"
     )
     src = str(Path(contragen.__file__).parents[1])
     child = subprocess.run(
@@ -1350,6 +1376,21 @@ def test_cli_import_leaves_out_model_client_and_yaml():
         check=True,
     )
     assert child.stdout == "['contragen.explain', 'contragen.fol']\n"
+
+
+def test_scenario_commands_run_with_yaml_blocked():
+    # PyYAML is the scenario reader's test oracle, never a run-time need.
+    import contragen
+
+    probe = "import sys; sys.modules['yaml'] = None; from contragen.cli import main; main()"
+    child = subprocess.run(
+        [sys.executable, "-c", probe, "explain", str(SCENARIO_DIR / "medical.yaml"), "--table"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(contragen.__file__).parents[1])},
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith("rank ")
 
 
 def test_cli_import_adds_no_dataclasses():

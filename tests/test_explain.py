@@ -109,8 +109,10 @@ atoms:
             load_scenario_text(text)
 
     def test_yaml_error_carries_line(self):
-        with pytest.raises(ScenarioParseError):
+        with pytest.raises(ScenarioParseError) as info:
             load_scenario_text("name: [unclosed")
+        assert info.value.line == 1
+        assert str(info.value) == "<scenario>: line 1: a flow collection must close on the line it opens"
 
     @pytest.mark.parametrize(
         "mutation",
