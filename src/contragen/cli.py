@@ -49,6 +49,7 @@ from .generator import (
     CERT_FAILED,
     CERT_VERIFIED,
     DEFAULT_ENUMERATION_CAP,
+    EnumerationCapExceededError,
     build_ftsc,
     closure_counts,
     derive_theorems,
@@ -58,7 +59,7 @@ from .generator import (
     total_literals,
 )
 from .report import Report, build_report
-from .verifier import MusReport, check_mus, check_theorem, replay_theorems
+from .verifier import MusReport, certification_failure, check_mus, check_theorem, replay_theorems
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,6 +75,17 @@ class _Parser(argparse.ArgumentParser):
     # verification failures here, so usage errors become exit 1.
     def error(self, message):
         raise _UsageError(message)
+
+
+def _count(text: str) -> int:
+    """An int option's value that must not be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 # Building the parser costs more than a small command's own work, and
@@ -98,7 +110,7 @@ def _build_parser() -> _Parser:
 
     enum = sub.add_parser("enumerate", help="stream all permutation constructions with counts")
     add_input_options(enum, with_permutation=False)
-    enum.add_argument("--n-cap", type=int, dest="n_cap",
+    enum.add_argument("--n-cap", type=_count, dest="n_cap",
                       help="refuse to enumerate above this many literals "
                       f"(default {DEFAULT_ENUMERATION_CAP})")
     enum.add_argument("--no-certify", action="store_true",
@@ -196,7 +208,14 @@ def _cmd_enumerate(args) -> int:
     certified = 0
     total = 0
     cap = DEFAULT_ENUMERATION_CAP if args.n_cap is None else args.n_cap
-    for ftsc in enumerate_ftscs(signature, cap=cap):
+    try:
+        ftscs = enumerate_ftscs(signature, cap=cap)
+    except EnumerationCapExceededError:
+        raise ValidationError(
+            f"{n} literals mean {n}! permutations, above --n-cap {cap}; "
+            f"raise it with --n-cap {n}"
+        ) from None
+    for ftsc in ftscs:
         total += 1
         order = recover_permutation(ftsc.clause_set)
         if order is not None:
@@ -206,10 +225,10 @@ def _cmd_enumerate(args) -> int:
                 previous = key
         status = ""
         if not args.no_certify:
-            theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
-            good = all(t.certified == CERT_VERIFIED for t in theorems)
-            certified += good
-            status = " certified" if good else " FAILED"
+            verdicts = map(certification_failure, derive_theorems(ftsc))
+            failure = next(filter(None, verdicts), None)
+            certified += failure is None
+            status = " certified" if failure is None else f" FAILED: {failure}"
         print(f"perm {total - 1}: ({', '.join(ftsc.permutation)}){status}")
     sets_expected, entailments = closure_counts(n)
     print(

@@ -39,7 +39,8 @@ trace's own steps.
 
 Everything here is deterministic. ``enumerate_ftscs`` streams one
 construction per permutation of the literals, in lexicographic order,
-guarded by a cap because the permutation space grows factorially.
+guarded by a cap because the permutation space grows factorially. The
+whole stream shares one set of 2n literals, permuted with the symbols.
 """
 
 from __future__ import annotations
@@ -243,13 +244,22 @@ def build_ftsc(signature: Signature) -> Ftsc:
     if n == 0:
         raise EmptyInputError("cannot build over an empty signature")
     syms = signature.symbols
-    # Each literal is built once and shared: clause t is ~x1..~x(t-1), xt.
-    positives = tuple(Literal(s, False) for s in syms)
-    negatives = tuple(Literal(s, True) for s in syms)
+    return _assemble(
+        signature, tuple(Literal(s, False) for s in syms), tuple(Literal(s, True) for s in syms)
+    )
+
+
+def _assemble(
+    signature: Signature, positives: tuple[Literal, ...], negatives: tuple[Literal, ...]
+) -> Ftsc:
+    """The chain over the signature's order, from its literals x1..xn and
+    ~x1..~xn already built. Each literal is shared: clause t is
+    ~x1..~x(t-1), xt."""
+    n = len(positives)
     clauses = tuple(Clause(negatives[:t] + (x,)) for t, x in enumerate(positives))
     ints, masks, _ = _chain_code(n)
     clause_set = ClauseSet._trusted(clauses + (Clause(negatives),), signature, ints, masks)
-    ftsc = Ftsc(clause_set, syms, n)
+    ftsc = Ftsc(clause_set, signature.symbols, n)
     ftsc.__dict__["literals"] = (positives, negatives)  # the clauses' own, as the cached value
     return ftsc
 
@@ -302,8 +312,9 @@ def enumerate_ftscs(
 ) -> Iterator[Ftsc]:
     """Stream one construction per permutation, in lexicographic order.
 
-    Yields exactly n! values, pairwise distinct as clause sets. Lazy: sets
-    are built one at a time, never materialized in bulk. Raises
+    Yields exactly n! values, pairwise distinct as clause sets, each equal
+    to ``build_ftsc`` over its order and sharing the signature's literals.
+    Lazy: sets are built one at a time, never materialized in bulk. Raises
     EnumerationCapExceededError up front when n exceeds ``cap``; pass
     ``cap=None`` (or a larger cap) to override deliberately.
     """
@@ -314,8 +325,14 @@ def enumerate_ftscs(
         )
 
     def generate() -> Iterator[Ftsc]:
-        for order in itertools.permutations(signature.symbols):
-            yield build_ftsc(Signature(order))
+        if n == 0:
+            raise EmptyInputError("cannot build over an empty signature")
+        symbols = signature.symbols
+        positives = [Literal(s, False) for s in symbols]
+        negatives = [Literal(s, True) for s in symbols]
+        for order in itertools.permutations(zip(symbols, positives, negatives)):
+            permuted, xs, not_xs = zip(*order)
+            yield _assemble(Signature(permuted), xs, not_xs)
 
     return generate()
 

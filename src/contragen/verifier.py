@@ -32,15 +32,19 @@ alone, run on the clause bitmasks, reaches a conflict, a RUP refutation
 (Goldberg & Novikov 2003). Whatever no certificate settles is
 searched as above, so a wrong or missing certificate costs time and never
 changes a verdict. The generator supplies the chain's models, so only
-DIMACS input and fallbacks search.
+DIMACS input and fallbacks search. An accepted model is kept as its mask;
+its ``SatResult`` and witness dict are built when
+``MusReport.deletion_results`` is first read.
 
 A theorem is certified from its source's deletion-based minimality check
 alone: the remainder R entails the negated removed clause l1 | ... | lk
 exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
 certification is "MUS at the removed index plus the conclusion equals the
-negated clause". Each construction holds its one check (``Ftsc.mus``), so
-``check_theorem`` decides a construction once however its theorems are
-ordered, and ``check_mus`` keeps no state between calls. The conclusion
+negated clause". ``certification_failure`` gives the verdict: None, or
+one line naming the condition that failed; ``check_theorem`` wraps it in
+a certified copy. Each construction holds its one check (``Ftsc.mus``), so
+a construction is decided once however its theorems are ordered, and
+``check_mus`` keeps no state between calls. The conclusion
 is compared by masks: its (positive, negative) bitmask pair over the
 signature must be the removed clause's pair swapped. Trace replay runs on
 the premises' clause bitmasks, with the known literals held as two masks,
@@ -97,9 +101,14 @@ class MusReport(Record):
     ``method`` says how the set itself was decided. It and each deletion
     result's method are "certificate" where a checked certificate settled
     the question, and name the search otherwise.
+
+    ``check_mus`` keeps each accepted certificate as its model mask, and
+    builds ``deletion_results`` from the masks when it is first read.
     """
 
-    __slots__ = _fields = ("is_unsatisfiable", "deletion_results", "is_mus", "method")
+    _fields = ("is_unsatisfiable", "deletion_results", "is_mus", "method")
+    # ``_deletions``: per deletion, its accepted model mask or its result.
+    __slots__ = _fields + ("_deletions", "_symbols")
 
     def __init__(
         self, is_unsatisfiable: bool, deletion_results: tuple[SatResult, ...], is_mus: bool,
@@ -109,12 +118,39 @@ class MusReport(Record):
         _setattr(self, "deletion_results", deletion_results)
         _setattr(self, "is_mus", is_mus)
         _setattr(self, "method", method)
+        _setattr(self, "_deletions", deletion_results)
+
+    @classmethod
+    def _pending(
+        cls, is_unsatisfiable: bool, deletions: tuple, is_mus: bool, method: str,
+        symbols: tuple[str, ...],
+    ) -> "MusReport":
+        """A report whose ``deletion_results`` are built from ``deletions``,
+        masks over ``symbols`` or results, when first read."""
+        report = object.__new__(cls)
+        _setattr(report, "is_unsatisfiable", is_unsatisfiable)
+        _setattr(report, "is_mus", is_mus)
+        _setattr(report, "method", method)
+        _setattr(report, "_deletions", deletions)
+        _setattr(report, "_symbols", symbols)
+        return report
+
+    def __getattr__(self, name):
+        # Reached only for a slot not set: a pending report's results.
+        if name != "deletion_results":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        symbols = self._symbols
+        results = tuple([
+            _certified_result(d, symbols) if d.__class__ is int else d for d in self._deletions
+        ])
+        _setattr(self, "deletion_results", results)
+        return results
 
     @property
     def searches(self) -> int:
         """How many decisions, of the set and of each deletion, were searched."""
-        methods = [self.method] + [r.method for r in self.deletion_results]
-        return sum(m != METHOD_CERTIFICATE for m in methods)
+        searched = [d.method for d in self._deletions if d.__class__ is not int]
+        return sum(m != METHOD_CERTIFICATE for m in [self.method, *searched])
 
 
 class ReplayResult(Record):
@@ -304,60 +340,58 @@ def check_mus(
     verdict.
     """
     if witnesses is None:
-        certified: list[Optional[SatResult]] = [None] * len(clause_set.clauses)
+        models: list[Optional[int]] = [None] * len(clause_set.clauses)
         refuted = False
     else:
-        certified = _checked_models(clause_set, witnesses)
+        models = _checked_models(clause_set, witnesses)
         refuted = _propagation_refutes(clause_set.masks())
     if refuted:
-        overall = SatResult(False, None, METHOD_CERTIFICATE)
+        is_unsat, method = True, METHOD_CERTIFICATE
     else:
         overall = is_satisfiable(clause_set)
-    deletions = tuple(
-        result or is_satisfiable(clause_set.without(i))
-        for i, result in enumerate(certified)
-    )
-    is_unsat = not overall.satisfiable
-    return MusReport(
-        is_unsatisfiable=is_unsat,
-        deletion_results=deletions,
-        is_mus=is_unsat and all(r.satisfiable for r in deletions),
-        method=overall.method,
-    )
+        is_unsat, method = not overall.satisfiable, overall.method
+    # An accepted model stays a mask until ``deletion_results`` is read.
+    deletions = tuple([
+        is_satisfiable(clause_set.without(i)) if model is None else model
+        for i, model in enumerate(models)
+    ])
+    is_mus = is_unsat and all(d.__class__ is int or d.satisfiable for d in deletions)
+    return MusReport._pending(is_unsat, deletions, is_mus, method, clause_set.signature.symbols)
 
 
 def _checked_models(
     clause_set: ClauseSet, witnesses: Sequence[Optional[int]]
-) -> list[Optional[SatResult]]:
-    """Per deletion, a satisfiable result carrying its candidate model if
-    that model satisfies every other clause, and None otherwise. The
-    truth-table kernel evaluates all candidates at once, candidate i at bit i."""
-    symbols = clause_set.signature.symbols
-    n = len(symbols)
-    everything = (1 << n) - 1
+) -> list[Optional[int]]:
+    """Per deletion, its candidate model if that model satisfies every
+    other clause, and None otherwise. The truth-table kernel evaluates all
+    candidates at once, candidate i at bit i."""
+    n = clause_set.signature.size
     count = len(clause_set.clauses)
     # Bits beyond the signature name no symbol.
+    everything = (1 << n) - 1
     models = tuple([None if m is None else m & everything for m in witnesses[:count]])
-    results: list[Optional[SatResult]] = [None] * count
     if not models:
-        return results
+        return [None] * count
     patterns = _candidate_columns(models, n)
     blocks = _violations(clause_set.int_clauses(), patterns, (1 << len(models)) - 1)
     # Candidate i is rejected when a clause other than clause i violates it.
     rejected = 0
     for k, block in enumerate(blocks):
         rejected |= block & ~(1 << k)
-    all_true = dict.fromkeys(symbols, True)
-    for i, model in enumerate(models):
-        if model is not None and not rejected >> i & 1:
-            witness = all_true.copy()
-            zeros = everything ^ model
-            while zeros:
-                low = zeros & -zeros
-                witness[symbols[low.bit_length() - 1]] = False
-                zeros ^= low
-            results[i] = SatResult(True, witness, METHOD_CERTIFICATE)
-    return results
+    accepted = [None if rejected >> i & 1 else model for i, model in enumerate(models)]
+    return accepted + [None] * (count - len(models))
+
+
+def _certified_result(model: int, symbols: tuple[str, ...]) -> SatResult:
+    """The result of an accepted certificate: bit j of ``model`` is the
+    value of ``symbols[j]``."""
+    witness = dict.fromkeys(symbols, True)
+    zeros = ((1 << len(symbols)) - 1) ^ model
+    while zeros:
+        low = zeros & -zeros
+        witness[symbols[low.bit_length() - 1]] = False
+        zeros ^= low
+    return SatResult(True, witness, METHOD_CERTIFICATE)
 
 
 @lru_cache(maxsize=16)
@@ -397,7 +431,16 @@ def _propagation_refutes(masks: Sequence[tuple[int, int]]) -> bool:
 
 
 def check_theorem(theorem: Theorem) -> Theorem:
-    """Certify one entailment; returns a copy with ``certified`` set.
+    """Certify one entailment; returns a copy with ``certified`` set from
+    ``certification_failure``'s verdict. Failure is reported in the
+    certification state, never raised."""
+    state = CERT_FAILED if certification_failure(theorem) else CERT_VERIFIED
+    return Theorem(theorem.source, theorem.removed_index, theorem.conclusion, state)
+
+
+def certification_failure(theorem: Theorem) -> Optional[str]:
+    """None when the theorem certifies, else one line naming the first
+    condition that fails.
 
     Certification is the source's minimality check at the removed index
     plus a comparison: the full set is unsatisfiable, the remainder is
@@ -406,34 +449,35 @@ def check_theorem(theorem: Theorem) -> Theorem:
     the remainder entails every conclusion literal exactly when adding
     the removed clause back, the source, is unsatisfiable. The check is
     the source's ``mus``, decided once per construction. The conclusion
-    is compared as a set, by masks. Failure is reported in the
-    certification state, never raised.
+    is compared as a set, by masks.
     """
-    state = CERT_VERIFIED if _certifies(theorem) else CERT_FAILED
-    return Theorem(theorem.source, theorem.removed_index, theorem.conclusion, state)
-
-
-def _certifies(theorem: Theorem) -> bool:
     source = theorem.source
     clause_set = source.clause_set
     masks = clause_set.masks()
-    i = theorem.removed_index
-    if not 1 <= i <= source.n + 1 <= len(masks):
-        return False
+    i, n = theorem.removed_index, source.n
+    if not 1 <= i <= n + 1:
+        return f"removed index {i} out of range 1..{n + 1}"
+    if n + 1 > len(masks):
+        return f"removed index {i} out of range: the source has {len(masks)} clauses, not {n + 1}"
+    mus = source.mus
+    if not mus.is_unsatisfiable:
+        return "source not unsatisfiable"
+    deletion = mus._deletions[i - 1]
+    if not (deletion.__class__ is int or deletion.satisfiable):
+        return f"deletion {i} not satisfiable"
     index = clause_set.signature.index
-    found = [0, 0]  # the conclusion's positive and negative masks
+    positive = negative = 0  # the conclusion's masks
     for literal in theorem.conclusion:
         j = index.get(literal.symbol)
         if j is None:  # a symbol outside the signature is in no clause
-            return False
-        found[literal.negated] |= 1 << j
-    mus = source.mus
-    positive, negative = masks[i - 1]
-    return (
-        mus.is_unsatisfiable
-        and mus.deletion_results[i - 1].satisfiable
-        and found == [negative, positive]
-    )
+            return f"conclusion symbol {literal.symbol!r} outside the signature"
+        if literal.negated:
+            negative |= 1 << j
+        else:
+            positive |= 1 << j
+    if (negative, positive) != masks[i - 1]:
+        return f"conclusion not the negated clause {i}"
+    return None
 
 
 def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:

@@ -141,6 +141,46 @@ class TestEnumerate:
         assert code == EXIT_OK
         assert "permutations=24" in out
 
+    def test_cap_error_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "enumerate", "a", "b", "--n-cap", "1")
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == (
+            "error: 2 literals mean 2! permutations, above --n-cap 1; raise it with --n-cap 2\n"
+        )
+        assert "cap=None" not in err
+
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_negative_cap_is_a_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "enumerate", "a", "b", "--n-cap", value)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == f"usage error: argument --n-cap: must not be negative: {value}\n"
+
+    def test_zero_cap_refuses_every_input(self, capsys):
+        code, _, err = run(capsys, "enumerate", "a", "--n-cap", "0")
+        assert code == EXIT_VALIDATION
+        assert "raise it with --n-cap 1" in err
+
+    def test_failed_certification_names_the_condition(self, capsys, monkeypatch):
+        from contragen.core import replace
+
+        genuine = cli.derive_theorems
+
+        def tampered(ftsc):
+            theorems = genuine(ftsc)
+            # Theorem 2 of the second order loses its last conjunct.
+            if ftsc.permutation == ("b", "a"):
+                theorems[1] = replace(theorems[1], conclusion=theorems[1].conclusion[:-1])
+            return theorems
+
+        monkeypatch.setattr(cli, "derive_theorems", tampered)
+        code, out, _ = run(capsys, "enumerate", "a", "b")
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines() == [
+            "perm 0: (a, b) certified",
+            "perm 1: (b, a) FAILED: conclusion not the negated clause 2",
+            "permutations=2 expected=2 distinct=2 entailments=6 certified=1/2",
+        ]
+
 
 def _other_mus(data):
     # Another minimal unsatisfiable set over a, b; all its theorems hold.

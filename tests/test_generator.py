@@ -37,7 +37,7 @@ from contragen.generator import (
     trace_length,
 )
 
-from contragen.core import Literal, fields, replace
+from contragen.core import EmptyInputError, Literal, fields, replace
 
 from oracles import brute_force_entails, brute_force_satisfiable, plain_clauses
 
@@ -228,6 +228,30 @@ class TestEnumeration:
         # distinctness is covered exhaustively at n <= 6; here just the count
         signature = signature_of([f"x{i}" for i in range(1, n + 1)])
         assert sum(1 for _ in enumerate_ftscs(signature)) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_value_is_build_ftsc_by_rank(self, n):
+        signature = signature_of([f"x{i}" for i in range(n)][::-1])
+        ftscs = list(enumerate_ftscs(signature))
+        assert len(ftscs) == math.factorial(n)
+        for k, ftsc in enumerate(ftscs):
+            built = build_ftsc(permutation_by_rank(signature, k))
+            assert ftsc == built
+            assert ftsc.literals == built.literals and ftsc.signature.index == built.signature.index
+            assert ftsc.clause_set.int_clauses() == built.clause_set.int_clauses()
+            assert ftsc.clause_set.masks() == built.clause_set.masks()
+        # Every value shares the base signature's 2n literals.
+        base = {id(literal) for literal in ftscs[0].literals[0] + ftscs[0].literals[1]}
+        assert len(base) == 2 * n
+        for ftsc in ftscs:
+            used = {id(literal) for clause in ftsc.clause_set for literal in clause}
+            assert used == base
+            assert {id(literal) for side in ftsc.literals for literal in side} == base
+
+    def test_empty_signature_raises_on_first_next(self):
+        stream = enumerate_ftscs(Signature(()))
+        with pytest.raises(EmptyInputError):
+            next(stream)
 
     def test_closure_counts_helper(self):
         assert closure_counts(4) == (24, 120)

@@ -1,6 +1,7 @@
 """Satisfiability oracles, minimality reports, certification, trace replay."""
 
 import json
+import pickle
 import random
 import sys
 
@@ -39,7 +40,7 @@ from contragen.generator import (
     build_proof_trace,
     conclusion_for,
 )
-from contragen.verifier import replay_theorems
+from contragen.verifier import MusReport, SatResult, certification_failure, replay_theorems
 
 from conftest import random_clause_set
 from oracles import (
@@ -537,6 +538,70 @@ class TestCertificates:
         assert check_mus(clause_set, witnesses=[]).method == "certificate"
 
 
+class TestPendingDeletionResults:
+    """``check_mus`` keeps accepted certificates as masks and builds their
+    results on first read; the report it gives is the eager one."""
+
+    @staticmethod
+    def eager(report):
+        return MusReport(
+            report.is_unsatisfiable, tuple(report.deletion_results), report.is_mus,
+            report.method,
+        )
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_the_eager_report(self, n):
+        ftsc = chain([f"x{i}" for i in range(n)][::-1])
+        report = check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models)
+        symbols, plain = ftsc.signature.symbols, plain_clauses(ftsc.clause_set)
+        # The oracle's first model of each deletion, written out eagerly.
+        firsts = [brute_force_satisfiable(plain[:i] + plain[i + 1 :], symbols)[1]
+                  for i in range(n + 1)]
+        expected = MusReport(
+            True, tuple(SatResult(True, first, "certificate") for first in firsts), True,
+            "certificate",
+        )
+        assert repr(report) == repr(expected)
+        assert report == expected
+        # Witnesses are dicts, so neither report hashes.
+        for value in (report, expected):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)
+        assert pickle.loads(pickle.dumps(report)) == expected
+        assert [r.witness for r in report.deletion_results] == firsts
+
+    @pytest.mark.parametrize("read", [repr, str, pickle.dumps, lambda r: r.deletion_results])
+    def test_any_first_read_gives_the_same_report(self, read):
+        ftsc = chain(["c", "a", "b"])
+        report = check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models)
+        read(report)
+        assert report == self.eager(check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models))
+
+    def test_second_read_returns_the_same_tuple(self):
+        ftsc = chain(["a", "b", "c"])
+        report = check_mus(ftsc.clause_set, witnesses=[None, *ftsc.deletion_models[1:]])
+        first = report.deletion_results
+        assert report.deletion_results is first
+        assert [r.method for r in first] == ["truth-table"] + ["certificate"] * 3
+        assert report.searches == 1
+
+    def test_verdicts_need_no_results(self):
+        ftsc = chain(["a", "b", "c"])
+        mus = ftsc.mus
+        for theorem in derive_theorems(ftsc):
+            assert certification_failure(theorem) is None
+        assert mus.is_mus and mus.searches == 0
+        # ``deletion_results`` is still unbuilt: no slot is set.
+        with pytest.raises(AttributeError):
+            object.__getattribute__(mus, "deletion_results")
+
+    def test_no_other_attribute_is_made_up(self):
+        report = check_mus(chain(["a"]).clause_set, witnesses=[0b0, 0b1])
+        with pytest.raises(AttributeError, match="no_such"):
+            report.no_such
+        assert not hasattr(report, "__dict__")
+
+
 @st.composite
 def theorem_cases(draw):
     """A theorem over n+1 arbitrary clauses (empty clauses, repeated
@@ -771,6 +836,66 @@ class TestOneCheckPerConstruction:
         interleaved = [t for pair in zip(derive_theorems(one), derive_theorems(two)) for t in pair]
         assert all(check_theorem(t).certified == CERT_VERIFIED for t in interleaved)
         assert checked == [one.clause_set, two.clause_set]
+
+
+class TestCertificationFailure:
+    """Each condition the verdict checks, named by one line."""
+
+    @staticmethod
+    def theorem(i=2, clauses=None, conclusion=None):
+        ftsc = chain(["a", "b", "c"])
+        if clauses is not None:
+            ftsc = Ftsc(ClauseSet(clauses, ftsc.signature), ftsc.permutation, ftsc.n)
+        theorem = Theorem(ftsc, i, conclusion_for(ftsc, min(max(i, 1), 4)))
+        return theorem if conclusion is None else replace(theorem, conclusion=conclusion)
+
+    def test_every_theorem_of_a_chain_certifies(self):
+        for theorem in derive_theorems(chain(MEDICAL)):
+            assert certification_failure(theorem) is None
+
+    @pytest.mark.parametrize("i", [0, 5, -1])
+    def test_removed_index_out_of_range(self, i):
+        assert certification_failure(self.theorem(i)) == f"removed index {i} out of range 1..4"
+
+    def test_clause_dropped(self):
+        clauses = chain(["a", "b", "c"]).clause_set.clauses
+        theorem = self.theorem(2, clauses=clauses[:1] + clauses[2:])
+        assert certification_failure(theorem) == (
+            "removed index 2 out of range: the source has 3 clauses, not 4"
+        )
+
+    def test_source_satisfiable(self):
+        # Clause 4 replaced by a copy of clause 3: all true satisfies the set.
+        clauses = chain(["a", "b", "c"]).clause_set.clauses
+        theorem = self.theorem(2, clauses=clauses[:3] + clauses[2:3])
+        assert certification_failure(theorem) == "source not unsatisfiable"
+
+    def test_deletion_unsatisfiable(self):
+        # A duplicated clause 1: deleting either copy leaves the other.
+        clauses = chain(["a", "b", "c"]).clause_set.clauses
+        theorem = self.theorem(1, clauses=clauses + clauses[:1])
+        assert certification_failure(theorem) == "deletion 1 not satisfiable"
+        assert certification_failure(self.theorem(2, clauses=clauses + clauses[:1])) is None
+
+    def test_foreign_symbol(self):
+        conclusion = self.theorem(3).conclusion + (pos("ghost"),)
+        assert certification_failure(self.theorem(3, conclusion=conclusion)) == (
+            "conclusion symbol 'ghost' outside the signature"
+        )
+
+    def test_flipped_literal(self):
+        conclusion = self.theorem(3).conclusion
+        flipped = conclusion[:-1] + (conclusion[-1].negate(),)
+        assert certification_failure(self.theorem(3, conclusion=flipped)) == (
+            "conclusion not the negated clause 3"
+        )
+
+    @given(theorem_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_none_exactly_when_verified(self, batch):
+        for theorem in batch:
+            verified = check_theorem(theorem).certified == CERT_VERIFIED
+            assert (certification_failure(theorem) is None) == verified
 
 
 def set_replay(trace, premises):
