@@ -34,8 +34,8 @@ the conclusions (``Ftsc.literals``) and the traces share them. The traces
 share one tuple of unit steps, one of propagation steps and one
 empty-clause step (``Ftsc.trace_steps``); only a trace's assumption and
 discharge are built per theorem. The verifier's ``replay_theorems``
-replays each construction's shared tuples once, and then only each
-trace's own steps.
+checks each shared step once, with ``replay_trace``'s step checker, and
+then only each trace's assumption and discharge.
 
 Everything here is deterministic. ``enumerate_ftscs`` streams one
 construction per permutation of the literals, in lexicographic order,

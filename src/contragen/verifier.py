@@ -48,8 +48,10 @@ a construction is decided once however its theorems are ordered, and
 is compared by masks: its (positive, negative) bitmask pair over the
 signature must be the removed clause's pair swapped. Trace replay runs on
 the premises' clause bitmasks, with the known literals held as two masks,
-true and false. ``replay_theorems`` replays a construction's shared steps
-once, and then only each trace's own steps.
+true and false. One function, ``_step``, decides whether a step is valid:
+``replay_trace`` is a loop over it, and ``replay_theorems`` runs each
+construction's shared steps through it once, then only each trace's
+assumption and discharge.
 """
 
 from __future__ import annotations
@@ -493,210 +495,169 @@ def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
     discharges cite no clause, and the empty-clause step carries no literal.
     A valid trace must be nonempty and must leave no assumption open.
 
-    Replay runs on the premises' clause bitmasks. Known literals are two
-    masks, those known true and those known false, so a cited clause with
-    the derived literal taken out is unit exactly when its positive mask
-    lies inside the known-false one and its negative mask inside the
-    known-true one. Outside a scope the known literals are exactly the
-    units, so a unit derivation checks against them too. Literals over
-    symbols outside the signature get fresh high bits, so they can never
-    match a premise literal.
+    Each step is checked by ``_step``, the one definition of a valid step,
+    which ``replay_theorems`` shares; this function is the loop over it.
     """
-    clauses = premises.masks()
-    index = premises.signature.index
-    size = len(index)
+    clauses, index = premises.masks(), premises.signature.index
     extra: dict[str, int] = {}
-    units_true = units_false = 0  # the established units
-    true = false = 0  # everything known: the units plus the open scope
-    assumed = 0  # the assumption's bit; 0 outside a scope
-    assumed_negated = contradicted = False
-
-    def fail(step_index: Optional[int], reason: str) -> ReplayResult:
-        symbols = premises.signature.symbols + tuple(extra)
-        return ReplayResult(False, step_index, reason, (units_true, units_false), symbols)
-
-    if not trace.steps:
-        return fail(None, "empty trace")
-
-    for idx, step in enumerate(trace.steps):
-        cited: Optional[tuple[int, int]] = None
-        if step.premise_index is not None:
-            if not 0 <= step.premise_index < len(clauses):
-                return fail(idx, f"premise index out of range: {step.premise_index}")
-            if step.kind in (STEP_ASSUME, STEP_DISCHARGE):
-                return fail(idx, f"{step.kind} step cites a premise")
-            cited = clauses[step.premise_index]
-        literal = step.literal
-        bit, negated = 0, False  # bit 0: no literal
-        if literal is not None:
-            j = index.get(literal.symbol)
-            if j is None:
-                j = extra.setdefault(literal.symbol, size + len(extra))
-            bit, negated = 1 << j, literal.negated
-        kind = step.kind
-
-        if kind == STEP_UNIT or kind == STEP_PROPAGATE:
-            unit = kind == STEP_UNIT
-            if unit and assumed:
-                return fail(idx, "unit derivation inside an assumption scope")
-            if not unit and not assumed:
-                return fail(idx, "propagation outside an assumption scope")
-            if not bit or cited is None:
-                what = "unit derivation" if unit else "propagation"
-                return fail(idx, f"{what} needs a literal and a premise")
-            positive, negative = cited
-            if not (negative if negated else positive) & bit:
-                return fail(idx, "derived literal does not occur in the cited clause")
-            if negated:
-                negative ^= bit
-            else:
-                positive ^= bit
-            if positive & ~false or negative & ~true:
-                return fail(idx, "cited clause is not unit under established literals")
-            if negated:
-                false |= bit
-            else:
-                true |= bit
-            if unit:
-                units_true, units_false = true, false
-        elif kind == STEP_ASSUME:
-            if assumed:
-                return fail(idx, "nested assumption")
-            if not bit:
-                return fail(idx, "assumption needs a literal")
-            assumed, assumed_negated, contradicted = bit, negated, False
-            if negated:
-                false |= bit
-            else:
-                true |= bit
-        elif kind == STEP_EMPTY:
-            if not assumed:
-                return fail(idx, "empty-clause step outside an assumption scope")
-            if cited is None:
-                return fail(idx, "empty-clause step needs a premise")
-            if bit:
-                return fail(idx, "empty-clause step carries a literal")
-            if cited[0] & ~false or cited[1] & ~true:
-                return fail(idx, "cited clause is not fully falsified")
-            contradicted = True
-        elif kind == STEP_DISCHARGE:
-            if not assumed or not contradicted:
-                return fail(idx, "discharge without a refuted assumption")
-            if bit != assumed or negated == assumed_negated:
-                return fail(idx, "discharged literal must negate the assumption")
-            if negated:
-                units_false |= bit
-            else:
-                units_true |= bit
-            true, false = units_true, units_false
-            assumed, contradicted = 0, False
-        else:
-            return fail(idx, f"unknown step kind: {kind!r}")
-
-    if assumed:
-        return fail(len(trace.steps) - 1, "assumption left undischarged")
+    state, failed = _START, None
+    reason = None if trace.steps else "empty trace"
+    for failed, step in enumerate(trace.steps):
+        after = _step(state, step, clauses, index, extra)
+        if after.__class__ is str:
+            reason = after
+            break
+        state = after
+    if reason is None and state[2]:
+        reason = "assumption left undischarged"
+    ok = reason is None
     symbols = premises.signature.symbols + tuple(extra)
-    return ReplayResult(True, None, None, (units_true, units_false), symbols)
+    return ReplayResult(ok, None if ok else failed, reason, state[:2], symbols)
+
+
+# A replay state: (units true, units false, assumption, known true, known
+# false, contradicted), from nothing known. The masks hold bit j for symbol
+# j; the assumption is its literal's bit, negative when negated, and 0
+# outside a scope. Outside a scope the known literals are exactly the units.
+_START = (0, 0, 0, 0, 0, False)
+
+
+def _step(state, step, clauses, index, extra):
+    """The state after ``step``, or the reason it is invalid.
+
+    ``clauses`` are the premises' (positive, negative) masks, and ``index``
+    the signature's; the step cites a clause by position. A cited clause
+    with the derived literal taken out is unit exactly when its positive
+    mask lies inside the known-false one and its negative mask inside the
+    known-true one. A literal over a symbol outside ``index`` gets a fresh
+    high bit from ``extra``, one table per replayed sequence, so it can
+    never match a premise literal.
+    """
+    units_true, units_false, assumed, true, false, contradicted = state
+    kind, literal, p = step.kind, step.literal, step.premise_index
+    cited: Optional[tuple[int, int]] = None
+    if p is not None:
+        if not 0 <= p < len(clauses):
+            return f"premise index out of range: {p}"
+        if kind == STEP_ASSUME or kind == STEP_DISCHARGE:
+            return f"{kind} step cites a premise"
+        cited = clauses[p]
+    bit, negated = 0, False  # bit 0: no literal
+    if literal is not None:
+        j = index.get(literal.symbol)
+        if j is None:
+            j = extra.setdefault(literal.symbol, len(index) + len(extra))
+        bit, negated = 1 << j, literal.negated
+
+    if kind == STEP_UNIT or kind == STEP_PROPAGATE:
+        unit = kind == STEP_UNIT
+        if unit and assumed:
+            return "unit derivation inside an assumption scope"
+        if not unit and not assumed:
+            return "propagation outside an assumption scope"
+        if not bit or cited is None:
+            return f"{'unit derivation' if unit else 'propagation'} needs a literal and a premise"
+        positive, negative = cited
+        if not (negative if negated else positive) & bit:
+            return "derived literal does not occur in the cited clause"
+        if negated:
+            negative ^= bit
+        else:
+            positive ^= bit
+        if positive & ~false or negative & ~true:
+            return "cited clause is not unit under established literals"
+        if negated:
+            false |= bit
+        else:
+            true |= bit
+        if unit:
+            return (true, false, 0, true, false, False)
+        return (units_true, units_false, assumed, true, false, contradicted)
+    if kind == STEP_ASSUME:
+        if assumed:
+            return "nested assumption"
+        if not bit:
+            return "assumption needs a literal"
+        if negated:
+            return (units_true, units_false, -bit, true, false | bit, False)
+        return (units_true, units_false, bit, true | bit, false, False)
+    if kind == STEP_EMPTY:
+        if not assumed:
+            return "empty-clause step outside an assumption scope"
+        if cited is None:
+            return "empty-clause step needs a premise"
+        if bit:
+            return "empty-clause step carries a literal"
+        if cited[0] & ~false or cited[1] & ~true:
+            return "cited clause is not fully falsified"
+        return (units_true, units_false, assumed, true, false, True)
+    if kind == STEP_DISCHARGE:
+        if not assumed or not contradicted:
+            return "discharge without a refuted assumption"
+        if (-bit if negated else bit) != -assumed:
+            return "discharged literal must negate the assumption"
+        if negated:
+            units_false |= bit
+        else:
+            units_true |= bit
+        return (units_true, units_false, 0, units_true, units_false, False)
+    return f"unknown step kind: {kind!r}"
 
 
 def replay_theorems(theorems: Sequence[Theorem]) -> dict[int, ReplayResult]:
     """Replay each theorem's trace against its remainder, with
     ``replay_trace``'s verdicts; the failed results, by position in
-    ``theorems``.
+    ``theorems``. The construction is the first theorem's source.
 
-    A construction's traces are slices of its shared steps
-    (``Ftsc.trace_steps``), so those are replayed once, on the source's
-    clause masks: the units from the empty state, and the propagations
-    from x1 assumed, citing clauses as remainder 1 does. Trace i is accepted
-    from these runs when it is ``units[:i-1]``, an assumption that enters
-    ``propagations[i-1:]`` in the run's state there, an empty-clause step
-    falsified where the run ends, and the assumption's discharge. Replay
-    is a function of state, steps and cited clauses, so that is the verdict
-    ``replay_trace`` gives. The construction is the first theorem's source.
-    Every trace not accepted from its runs is replayed by ``replay_trace``,
-    which also says why a trace fails.
+    Its traces are slices of the shared steps (``Ftsc.trace_steps``), so
+    ``_step`` runs those once, on the source's clause masks: the units from
+    the empty state, and the propagations then the empty-clause step (the
+    chain) from x1 assumed. A run stops at its first step that fails or
+    does not cite its own position t, which every remainder that uses the
+    step maps to one clause. Trace n+1 is accepted when it is the units and
+    they all replay. Trace i <= n is accepted when it is ``units[:i-1]``,
+    an assumption, ``chain[i-1:]`` and a discharge; the chain's n steps all
+    replay; and ``_step`` takes the assumption from the units' state there
+    to the chain's known literals at i-1, and the discharge from where the
+    chain ends. A step's result depends only on the state, the step and
+    the cited clause, so these are ``replay_trace``'s verdicts. Every other
+    trace is replayed by ``replay_trace``, which also says why it fails.
     """
-    failures: dict[int, ReplayResult] = {}
-    if not theorems:
-        return failures
     ftsc = theorems[0].source
-    masks, index = ftsc.clause_set.masks(), ftsc.signature.index
-    units, propagations, _ = ftsc.trace_steps
-    runs = (
-        _shared_run(units, STEP_UNIT, masks[:-1], index, 0),
-        _shared_run(propagations, STEP_PROPAGATE, masks[1:], index, 1),
-    )
+    masks, index, n = ftsc.clause_set.masks(), ftsc.signature.index, ftsc.n
+    units, propagations, empty = ftsc.trace_steps
+    chain = propagations + (empty,)
+    runs = []
+    for steps, state, clauses in (
+        (units, _START, masks[:-1]),
+        (chain, (0, 0, 1, 1, 0, False), masks[1:]),  # from x1 assumed
+    ):
+        states, extra = [state], {}
+        for t, step in enumerate(steps):
+            state = _step(state, step, clauses, index, extra) if step.premise_index == t else ""
+            if state.__class__ is str:
+                break
+            states.append(state)
+        runs.append(states)
+    unit_states, chain_states = runs
+    complete = len(chain_states) > len(chain) == n  # n steps, each replays
+    end = chain_states[-1][3:]  # the known literals where the chain ends
+    failures: dict[int, ReplayResult] = {}
     for position, theorem in enumerate(theorems):
-        i = theorem.removed_index
-        if theorem.source is not ftsc or not _accepted(ftsc, i, theorem.trace.steps, *runs):
+        i, steps = theorem.removed_index, theorem.trace.steps
+        own, accepted = theorem.source is ftsc, False
+        if own and i == n + 1:
+            accepted = 0 < len(steps) < len(unit_states) and steps == units
+        elif (own and complete and 0 < i <= len(unit_states)
+                and steps[: i - 1] == units[: i - 1] and steps[i:-1] == chain[i - 1 :]):
+            # The assumption and the discharge cite no clause, so they are
+            # checked against none; they share the trace's fresh-bit table.
+            extra: dict[str, int] = {}
+            state = _step(unit_states[i - 1], steps[i - 1], (), index, extra)
+            if state.__class__ is not str and state[3:] == chain_states[i - 1][3:]:
+                accepted = _step(state[:3] + end, steps[-1], (), index, extra).__class__ is not str
+        if not accepted:
             result = replay_trace(theorem.trace, theorem.source.premises_without(i))
             if not result:
                 failures[position] = result
     return failures
-
-
-def _shared_run(steps, kind, masks, index, true) -> list[tuple[int, int]]:
-    """The (true, false) masks before each of ``steps`` and after the last
-    valid one, from ``true`` known; each is a step of ``kind`` checked as
-    ``replay_trace`` checks it. Step t must cite position t, which is
-    ``masks[t]``; the run stops at the first step that does not."""
-    false = 0
-    states = [(true, false)]
-    for t, step in enumerate(steps):
-        literal = step.literal
-        j = None if literal is None else index.get(literal.symbol)
-        if step.kind != kind or j is None or step.premise_index != t or t >= len(masks):
-            break
-        bit, (positive, negative) = 1 << j, masks[t]
-        if not (negative if literal.negated else positive) & bit:
-            break
-        if literal.negated:
-            negative ^= bit
-        else:
-            positive ^= bit
-        if positive & ~false or negative & ~true:
-            break
-        if literal.negated:
-            false |= bit
-        else:
-            true |= bit
-        states.append((true, false))
-    return states
-
-
-def _accepted(ftsc, i, steps, unit_states, prop_states) -> bool:
-    """Whether trace i of ``ftsc`` replays, read from the shared runs."""
-    n, masks = ftsc.n, ftsc.clause_set.masks()
-    units, propagations, _ = ftsc.trace_steps
-    if i == n + 1:
-        return bool(steps) and steps == units and len(unit_states) > len(units)
-    if not (
-        1 <= i <= n and len(steps) == n + 2 and i <= len(unit_states)
-        and len(prop_states) == n == len(propagations) + 1  # every propagation valid
-        and steps[: i - 1] == units[: i - 1] and steps[i:n] == propagations[i - 1 :]
-    ):
-        return False
-    assume, empty, discharge = steps[i - 1], steps[n], steps[n + 1]
-    literal = assume.literal
-    j = None if literal is None else ftsc.signature.index.get(literal.symbol)
-    if assume.kind != STEP_ASSUME or assume.premise_index is not None or j is None:
-        return False
-    true, false = unit_states[i - 1]
-    if literal.negated:
-        false |= 1 << j
-    else:
-        true |= 1 << j
-    if prop_states[i - 1] != (true, false):
-        return False
-    true, false = prop_states[-1]
-    p = empty.premise_index
-    if empty.kind != STEP_EMPTY or p is None or not 0 <= p < len(masks) - 1:
-        return False
-    positive, negative = masks[p + (p >= i - 1)]  # the remainder skips clause i
-    closing = discharge.literal
-    return (
-        not (positive & ~false or negative & ~true) and empty.literal is None
-        and discharge.kind == STEP_DISCHARGE and discharge.premise_index is None
-        and closing is not None and closing.symbol == literal.symbol
-        and closing.negated != literal.negated
-    )

@@ -1221,6 +1221,27 @@ def tamper_once(data, steps, n, pool):
     return tuple(steps)
 
 
+def single_edits(steps, premises):
+    """``steps`` after each single edit: a step deleted, duplicated, swapped
+    with the next one, given its literal's negation, a literal over a symbol
+    outside the signature, each other kind, or a premise index of None, -1,
+    each position among ``premises`` clauses, or one past the end."""
+    kinds = (STEP_UNIT, STEP_ASSUME, STEP_PROPAGATE, STEP_EMPTY, STEP_DISCHARGE)
+    for k, step in enumerate(steps):
+        yield steps[:k] + steps[k + 1 :]
+        yield steps[: k + 1] + steps[k:]
+        if k + 1 < len(steps):
+            yield steps[:k] + (steps[k + 1], step) + steps[k + 2 :]
+        edits = [replace(step, kind=kind) for kind in kinds if kind != step.kind]
+        if step.literal is not None:
+            edits.append(replace(step, literal=step.literal.negate()))
+            edits.append(replace(step, literal=Literal("ghost", step.literal.negated)))
+        edits += [replace(step, premise_index=p) for p in (None, -1, *range(premises + 1))
+                  if p != step.premise_index]
+        for edited in edits:
+            yield steps[:k] + (edited,) + steps[k + 1 :]
+
+
 class TestReplayTheorems:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -1281,6 +1302,78 @@ class TestReplayTheorems:
         assert_agrees_with_replay_trace(ftsc, theorems)
         result = replay_theorems(theorems)[i - 1]
         assert (result.failed_step, result.reason) == (k, "empty-clause step carries a literal")
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_agrees_with_replay_trace_after_every_single_edit(self, n):
+        # Every single edit of every trace, and of each of the shared steps the
+        # traces are built from, is judged as replay_trace judges it; so is
+        # each trace with its assumption and discharge on another literal.
+        symbols = [f"x{k}" for k in range(1, n + 1)]
+        ftsc = chain(symbols)
+        literals = [Literal(s, negated) for s in [*symbols, "ghost"] for negated in (False, True)]
+        for i in range(1, n + 2):
+            steps = build_proof_trace(ftsc, i).steps
+            edits = list(single_edits(steps, n))
+            if i <= n:  # the assumption and its discharge moved to another literal
+                edits += [
+                    steps[: i - 1] + (replace(steps[i - 1], literal=literal),) + steps[i:-1]
+                    + (replace(steps[-1], literal=literal.negate()),)
+                    for literal in literals if literal != steps[i - 1].literal
+                ]
+            for edited in edits:
+                theorems = derive_theorems(ftsc)
+                theorems[i - 1].__dict__["trace"] = ProofTrace(edited)
+                assert_agrees_with_replay_trace(ftsc, theorems)
+        units, propagations, empty = ftsc.trace_steps
+        shared = [(edited, propagations, empty) for edited in single_edits(units, n)]
+        shared += [(units, edited, empty) for edited in single_edits(propagations, n)]
+        shared += [(units, propagations, e[0]) for e in single_edits((empty,), n) if len(e) == 1]
+        for trace_steps in shared:
+            edited = chain(symbols)
+            edited.__dict__["trace_steps"] = trace_steps
+            assert_agrees_with_replay_trace(edited, derive_theorems(edited))
+
+    def test_shared_step_citing_another_position(self):
+        # Position 0 is clause 2 in remainder 1 but clause 1 in remainder 2, so
+        # a shared propagation citing it at position 1 serves trace 1 only.
+        genuine = chain(["a", "b", "c"])
+        clauses = [*genuine.clause_set.clauses[:3], [neg("a"), neg("b")]]
+        ftsc = Ftsc(ClauseSet.build(clauses, genuine.signature), genuine.permutation, 3)
+        units, propagations, empty = ftsc.trace_steps
+        ftsc.__dict__["trace_steps"] = units, (propagations[0], propagations[0]), empty
+        theorems = derive_theorems(ftsc)
+        assert_agrees_with_replay_trace(ftsc, theorems)
+        result = replay_theorems(theorems)[1]
+        assert (result.failed_step, result.reason) == (
+            2, "derived literal does not occur in the cited clause"
+        )
+
+    def test_shared_steps_after_the_run_stops(self):
+        # The chain's run stops at the step of an unknown kind, after an
+        # empty-clause step; what follows it is replayed, not trusted.
+        ftsc = chain(["a", "b"])
+        units, propagations, empty = ftsc.trace_steps
+        leap = TraceStep("leap", None, None)
+        ftsc.__dict__["trace_steps"] = units, (*propagations, empty, leap), empty
+        theorems = derive_theorems(ftsc)
+        assert_agrees_with_replay_trace(ftsc, theorems)
+        result = replay_theorems(theorems)[0]
+        assert (result.failed_step, result.reason) == (3, "unknown step kind: 'leap'")
+
+    def test_each_theorem_replays_against_its_own_source(self):
+        # A second construction with the first one's steps but another last
+        # clause is not judged by the first one's runs.
+        genuine = chain(["a", "b", "c"])
+        clauses = [*genuine.clause_set.clauses[:3], [neg("a"), neg("b"), pos("c")]]
+        other = Ftsc(ClauseSet.build(clauses, genuine.signature), genuine.permutation, 3)
+        theorems = derive_theorems(genuine) + derive_theorems(other)
+        failed = replay_theorems(theorems)
+        for position, theorem in enumerate(theorems):
+            expected = replay_trace(
+                theorem.trace, theorem.source.premises_without(theorem.removed_index)
+            )
+            assert failed.get(position) == (None if expected else expected)
+        assert sorted(failed) == [4, 5, 6]
 
     @pytest.mark.parametrize("n", [1, 7, 64, 256])
     def test_generate_replays_a_genuine_construction_from_the_shared_runs(
