@@ -20,15 +20,12 @@ directly, with no search:
     assumption as ~xi;
   * removing C(n+1): the units x1..xn are the whole conclusion.
 
-The models of the deletions are known in advance too: removing Ci with
-i <= n leaves "all true except xi" satisfied, and removing C(n+1) leaves
-"all true". ``Ftsc.deletion_models`` offers them to the verifier as
-certificates, which it checks rather than trusts; ``Ftsc.mus`` holds that
-check, made once per construction.
+The verifier's ``check_mus`` derives each deletion's model from the
+clauses alone; ``Ftsc.mus`` holds that check, made once per construction.
 
 Over its own order the chain's integer encoding depends on n alone, so
-``build_ftsc`` takes the clauses' integers and bitmasks, and the deletion
-models, from one closed form per n instead of encoding literal by literal.
+``build_ftsc`` takes the clauses' integers and bitmasks from one closed
+form per n instead of encoding literal by literal.
 It builds the n positive and n negative literals once, and the clauses,
 the conclusions (``Ftsc.literals``) and the traces share them. The traces
 share one tuple of unit steps, one of propagation steps and one
@@ -169,23 +166,14 @@ class Ftsc(Record):
         )
         return units, propagations, TraceStep(STEP_EMPTY, None, self.n - 1)
 
-    @property
-    def deletion_models(self) -> tuple[int, ...]:
-        """A candidate model of each single-clause deletion, in clause order,
-        as a bitmask over the signature (bit j set: symbol j true): all true
-        except xi for clause i <= n, all true for clause n+1. Each is the
-        lexicographically first model of its deletion, the one a search
-        returns, so accepting it changes no witness."""
-        return _chain_code(self.n)[2]
-
     @cached_property
     def mus(self) -> MusReport:
         """This construction's deletion-based minimality check, decided once:
-        ``check_mus`` over the clause set, given ``deletion_models`` as
-        certificates. Every theorem of the construction is certified from it."""
+        ``check_mus`` over the clause set. Every theorem of the construction
+        is certified from it."""
         from .verifier import check_mus  # the verifier imports this module
 
-        return check_mus(self.clause_set, witnesses=self.deletion_models)
+        return check_mus(self.clause_set)
 
 
 class Theorem(Record):
@@ -221,16 +209,14 @@ class Theorem(Record):
 
 @lru_cache(maxsize=8)
 def _chain_code(n: int):
-    """(integer clauses, clause masks, deletion models) of the chain over
-    its own order of n symbols, as ``ClauseSet`` encodes them: clause t has
-    the integers -1..-(t-1), t and the masks (2^(t-1), 2^(t-1) - 1), and
-    C(n+1) has -1..-n and (0, 2^n - 1)."""
+    """(integer clauses, clause masks) of the chain over its own order of
+    n symbols, as ``ClauseSet`` encodes them: clause t has the integers
+    -1..-(t-1), t and the masks (2^(t-1), 2^(t-1) - 1), and C(n+1) has
+    -1..-n and (0, 2^n - 1)."""
     negatives = tuple(range(-1, -n - 1, -1))
     ints = tuple(negatives[:t] + (t + 1,) for t in range(n)) + (negatives,)
     masks = tuple((1 << t, (1 << t) - 1) for t in range(n)) + ((0, (1 << n) - 1),)
-    everything = (1 << n) - 1
-    models = tuple(everything ^ (1 << j) for j in range(n)) + (everything,)
-    return ints, masks, models
+    return ints, masks
 
 
 def build_ftsc(signature: Signature) -> Ftsc:
@@ -257,7 +243,7 @@ def _assemble(
     ~x1..~x(t-1), xt."""
     n = len(positives)
     clauses = tuple(Clause(negatives[:t] + (x,)) for t, x in enumerate(positives))
-    ints, masks, _ = _chain_code(n)
+    ints, masks = _chain_code(n)
     clause_set = ClauseSet._trusted(clauses + (Clause(negatives),), signature, ints, masks)
     ftsc = Ftsc(clause_set, signature.symbols, n)
     ftsc.__dict__["literals"] = (positives, negatives)  # the clauses' own, as the cached value

@@ -22,18 +22,18 @@ lexicographically first under "lower signature index decided first, true
 preferred". No clause learning, no heuristics, no randomness. Each serves
 as the other's cross-check.
 
-Minimality is certified from checked certificates before any search
-(McConnell, Mehlhorn, Naeher & Schweitzer 2011, "Certifying algorithms").
-Given one candidate model per deletion, ``check_mus`` accepts deletion i
-when its model satisfies every other clause. All candidates are checked
-at once by the truth table's kernel, with candidate i in place of
-assignment i. The set counts as unsatisfiable when unit propagation
-alone, run on the clause bitmasks, reaches a conflict, a RUP refutation
-(Goldberg & Novikov 2003). Whatever no certificate settles is
-searched as above, so a wrong or missing certificate costs time and never
-changes a verdict. The generator supplies the chain's models, so only
-DIMACS input and fallbacks search. An accepted model is kept as its mask;
-its ``SatResult`` and witness dict are built when
+Minimality is certified from certificates the check derives and then
+checks (McConnell, Mehlhorn, Naeher & Schweitzer 2011, "Certifying
+algorithms"). ``check_mus`` decides the set first: unit propagation
+alone, run on the clause bitmasks, refutes it (a RUP refutation, Goldberg
+& Novikov 2003), or else a search decides it. For an unsatisfiable set
+it offers deletion i the model "clause i false, every other symbol true",
+and checks all candidates at once by the truth table's kernel, with
+candidate i in place of assignment i, in blocks of at most 1024. What
+the kernel rejects, and every deletion of a satisfiable set, is searched
+as above, so every witness is the search's. Generated chains and DIMACS
+input take this one path. An accepted model is kept as its mask; its
+``SatResult`` and witness dict are built when
 ``MusReport.deletion_results`` is first read.
 
 A theorem is certified from its source's deletion-based minimality check
@@ -325,33 +325,23 @@ def is_satisfiable(clause_set: ClauseSet) -> SatResult:
     return _dpll(clause_set)
 
 
-def check_mus(
-    clause_set: ClauseSet, *, witnesses: Optional[Sequence[Optional[int]]] = None
-) -> MusReport:
+def check_mus(clause_set: ClauseSet) -> MusReport:
     """Full deletion-based minimality check: the set must be unsatisfiable
     and each single-clause deletion satisfiable.
 
-    Without ``witnesses`` the set and each deletion take one
-    satisfiability call. ``witnesses`` holds one candidate model per
-    deletion, in clause order, as a bitmask over the signature (bit j set:
-    symbol j true); None, or a list too short, leaves a deletion without
-    one. A deletion whose model satisfies every other clause is accepted
-    with that model as its witness, and the set counts as unsatisfiable
-    when unit propagation alone refutes it. The rest is searched as
-    without ``witnesses``, so a wrong certificate never changes the
-    verdict.
+    The set is refuted by unit propagation or decided by a search. When
+    it is unsatisfiable, every model of deletion i falsifies clause i, so
+    "clause i false, every other symbol true" is that deletion's
+    lexicographically first model whenever it is a model at all. That
+    candidate is accepted if it satisfies every other clause; the rest,
+    and every deletion of a satisfiable set, take one search each.
     """
-    if witnesses is None:
-        models: list[Optional[int]] = [None] * len(clause_set.clauses)
-        refuted = False
-    else:
-        models = _checked_models(clause_set, witnesses)
-        refuted = _propagation_refutes(clause_set.masks())
-    if refuted:
+    if _propagation_refutes(clause_set.masks()):
         is_unsat, method = True, METHOD_CERTIFICATE
     else:
         overall = is_satisfiable(clause_set)
         is_unsat, method = not overall.satisfiable, overall.method
+    models = _checked_models(clause_set) if is_unsat else [None] * len(clause_set.clauses)
     # An accepted model stays a mask until ``deletion_results`` is read.
     deletions = tuple([
         is_satisfiable(clause_set.without(i)) if model is None else model
@@ -361,27 +351,36 @@ def check_mus(
     return MusReport._pending(is_unsat, deletions, is_mus, method, clause_set.signature.symbols)
 
 
-def _checked_models(
-    clause_set: ClauseSet, witnesses: Sequence[Optional[int]]
-) -> list[Optional[int]]:
-    """Per deletion, its candidate model if that model satisfies every
-    other clause, and None otherwise. The truth-table kernel evaluates all
-    candidates at once, candidate i at bit i."""
+# Candidates per kernel call, so the kernel holds n x 1024 bits however
+# many clauses the set has.
+_BLOCK = 1024
+
+
+def _checked_models(clause_set: ClauseSet) -> list[Optional[int]]:
+    """Per deletion i, its candidate ``everything ^ positive_i`` (bit j set:
+    symbol j true) if that satisfies every other clause, and None
+    otherwise. The truth-table kernel evaluates a block of candidates at
+    once, candidate i at bit i of its block."""
+    masks = clause_set.masks()
+    ints = clause_set.int_clauses()
     n = clause_set.signature.size
-    count = len(clause_set.clauses)
-    # Bits beyond the signature name no symbol.
     everything = (1 << n) - 1
-    models = tuple([None if m is None else m & everything for m in witnesses[:count]])
-    if not models:
-        return [None] * count
-    patterns = _candidate_columns(models, n)
-    blocks = _violations(clause_set.int_clauses(), patterns, (1 << len(models)) - 1)
-    # Candidate i is rejected when a clause other than clause i violates it.
-    rejected = 0
-    for k, block in enumerate(blocks):
-        rejected |= block & ~(1 << k)
-    accepted = [None if rejected >> i & 1 else model for i, model in enumerate(models)]
-    return accepted + [None] * (count - len(models))
+    models: list[Optional[int]] = []
+    for start in range(0, len(masks), _BLOCK):
+        block = masks[start : start + _BLOCK]
+        width = len(block)
+        columns = _candidate_columns(block, n)
+        # Candidate i is rejected when a clause other than clause i violates it.
+        rejected = 0
+        for k, violated in enumerate(_violations(ints, columns, (1 << width) - 1), -start):
+            if 0 <= k < width:
+                violated &= ~(1 << k)
+            rejected |= violated
+        models += [
+            None if rejected >> i & 1 else everything ^ positive
+            for i, (positive, _) in enumerate(block)
+        ]
+    return models
 
 
 def _certified_result(model: int, symbols: tuple[str, ...]) -> SatResult:
@@ -397,13 +396,18 @@ def _certified_result(model: int, symbols: tuple[str, ...]) -> SatResult:
 
 
 @lru_cache(maxsize=16)
-def _candidate_columns(models: tuple[Optional[int], ...], n: int) -> tuple[int, ...]:
+def _candidate_columns(masks: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
     """Per symbol j, the candidates that make it true: candidate i at bit i.
-    A pure function of the candidates, so the per-n chain models share one."""
-    # One row of n bits per candidate, the whole reversed: symbol j's column
-    # then reads, as a binary number, with candidate i at bit i.
-    table = "".join([format(model or 0, f"0{n}b") for model in models])[::-1]
-    return tuple([int(table[j::n], 2) for j in range(n)])
+    Candidate i is every symbol but clause i's positive ones, so column j
+    holds every candidate but those whose clause holds j unnegated. A pure
+    function of the masks, so the chains over n symbols share one."""
+    columns = [(1 << len(masks)) - 1] * n
+    for i, (positive, _) in enumerate(masks):
+        while positive:
+            low = positive & -positive
+            columns[low.bit_length() - 1] ^= 1 << i
+            positive ^= low
+    return tuple(columns)
 
 
 def _propagation_refutes(masks: Sequence[tuple[int, int]]) -> bool:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -346,6 +347,79 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(target))
         assert code == EXIT_VERIFICATION
 
+    @staticmethod
+    def scrambled_chain(capsys, tmp_path, n):
+        """A chain export's clause lines, as lists of literals, after its
+        variables are renumbered (``c var`` names kept) and the literals in
+        each clause and the clause lines are shuffled; and the ``c var``
+        lines."""
+        source = tmp_path / "chain.cnf"
+        symbols = [f"s{k}" for k in range(n)]
+        run(capsys, "export", *symbols, "--format", "dimacs", "--output", str(source))
+        rng = random.Random(n)
+        number = list(range(1, n + 1))
+        rng.shuffle(number)  # variable v becomes number[v - 1]
+        names = [f"c var {number[v]} {symbol}" for v, symbol in enumerate(symbols)]
+        clauses = []
+        for line in source.read_text().splitlines():
+            if not line.startswith(("c", "p")):
+                literals = [int(l) for l in line.split()[:-1]]
+                clauses.append([number[abs(l) - 1] * (1 if l > 0 else -1) for l in literals])
+                rng.shuffle(clauses[-1])
+        rng.shuffle(clauses)
+        return clauses, names
+
+    @staticmethod
+    def verify_dimacs(capsys, tmp_path, clauses, names):
+        target = tmp_path / "input.cnf"
+        body = [" ".join(map(str, c)) + " 0" for c in clauses]
+        target.write_text("\n".join(names + [f"p cnf {len(names)} {len(clauses)}"] + body) + "\n")
+        return run(capsys, "verify", str(target))
+
+    @pytest.mark.parametrize("n", [14, 64, 256])
+    def test_scrambled_chain_export_is_certified_without_search(
+        self, n, capsys, tmp_path, monkeypatch
+    ):
+        import contragen.verifier as verifier
+
+        clauses, names = self.scrambled_chain(capsys, tmp_path, n)
+        searched = []
+        search = verifier.is_satisfiable
+
+        def counting_search(clause_set):
+            searched.append(clause_set)
+            return search(clause_set)
+
+        monkeypatch.setattr(verifier, "is_satisfiable", counting_search)
+        assert self.verify_dimacs(capsys, tmp_path, clauses, names) == (
+            EXIT_OK,
+            "unsatisfiable: True\nminimal (every deletion satisfiable): True\n"
+            "verification passed\n",
+            "",
+        )
+        assert searched == []
+
+    @pytest.mark.parametrize("tamper", ["flip", "drop", "duplicate"])
+    @pytest.mark.parametrize("n", [14, 64])
+    def test_scrambled_near_chain_keeps_its_verdict(self, n, tamper, capsys, tmp_path):
+        # A flipped literal or a dropped clause leaves a chain satisfiable;
+        # a duplicated clause leaves it unsatisfiable but not minimal.
+        clauses, names = self.scrambled_chain(capsys, tmp_path, n)
+        k = random.Random(n).randrange(len(clauses))
+        if tamper == "flip":
+            clauses[k][0] = -clauses[k][0]
+        elif tamper == "drop":
+            del clauses[k]
+        else:
+            clauses.insert(0, clauses[k])
+        unsatisfiable = tamper == "duplicate"
+        assert self.verify_dimacs(capsys, tmp_path, clauses, names) == (
+            EXIT_VERIFICATION,
+            f"unsatisfiable: {unsatisfiable}\nminimal (every deletion satisfiable): False\n"
+            "verification FAILED\n",
+            "",
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/report.json")
         assert code == EXIT_VALIDATION
@@ -528,16 +602,16 @@ class TestVerify:
             searched.append(clause_set)
             return search(clause_set)
 
-        def counting_check(clause_set, witnesses):
+        def counting_check(clause_set):
             checked.append(clause_set)
-            return check(clause_set, witnesses)
+            return check(clause_set)
 
         monkeypatch.setattr(verifier, "is_satisfiable", counting_search)
         monkeypatch.setattr(verifier, "_checked_models", counting_check)
         target = tmp_path / "report.json"
         code, _, _ = run(capsys, "generate", "a", "b", "c", "d", "e", "--output", str(target))
         assert code == EXIT_OK
-        # The chain is certified from its certificates, once; nothing is searched.
+        # The chain is certified from the candidates it derives, once; nothing is searched.
         assert (len(checked), len(searched)) == (1, 0)
         checked.clear()
         code, out, _ = run(capsys, "verify", str(target))

@@ -118,12 +118,14 @@ class TestClosedFormEncoding:
         reencoded = ClauseSet(ftsc.clause_set.clauses, signature)
         assert ftsc.clause_set.int_clauses() == reencoded.int_clauses()
         assert ftsc.clause_set.masks() == reencoded.masks()
-        # Each deletion model is the oracle's first model of its deletion.
+        # Every deletion is certified without search, and its witness is the
+        # oracle's first model of that deletion.
+        mus = ftsc.mus
+        assert mus.is_mus and mus.searches == 0
         plain = plain_clauses(ftsc.clause_set)
-        symbols = signature.symbols
-        for i, model in enumerate(ftsc.deletion_models):
-            sat, first = brute_force_satisfiable(plain[:i] + plain[i + 1 :], symbols)
-            assert sat and model == sum(first[s] << j for j, s in enumerate(symbols))
+        for i, result in enumerate(mus.deletion_results):
+            sat, first = brute_force_satisfiable(plain[:i] + plain[i + 1 :], signature.symbols)
+            assert sat and result.witness == first
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_literals_are_the_clauses_own(self, n):

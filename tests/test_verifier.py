@@ -120,10 +120,8 @@ class TestIsSatisfiable:
         assert result.method == ("dpll" if above else "truth-table")
         sat, model = brute_force_satisfiable(plain_clauses(clause_set), signature.symbols)
         assert (result.satisfiable, result.witness) == (sat, model)
-        tt, dp = search_reports(clause_set)
-        assert [r.witness for r in tt.deletion_results] == [
-            r.witness for r in dp.deletion_results
-        ]
+        tt, dp = search_results(clause_set)
+        assert [r.witness for r in tt] == [r.witness for r in dp]
 
     @pytest.mark.parametrize("check", [is_satisfiable, check_mus])
     def test_no_method_argument(self, check):
@@ -337,27 +335,53 @@ def permuted_chains(draw, max_n=16):
     return build_ftsc(Signature(tuple(order)))
 
 
-def search_reports(clause_set):
-    """The minimality report of each search, truth table and DPLL, chosen
-    by moving the size limit ``is_satisfiable`` reads at each call."""
-    reports = []
+def search_results(clause_set):
+    """Per search, truth table then DPLL, the results of one call on the
+    set and one on each deletion, chosen by moving the size limit
+    ``is_satisfiable`` reads at each call."""
+    searches = []
     for limit in (clause_set.signature.size, -1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verifier, "TRUTH_TABLE_MAX_VARS", limit)
-            reports.append(check_mus(clause_set))
-    return reports
+            searches.append([is_satisfiable(clause_set)] + [
+                is_satisfiable(clause_set.without(i)) for i in range(len(clause_set.clauses))
+            ])
+    return searches
 
 
 def model_of(mask, symbols):
     return {s: bool(mask >> j & 1) for j, s in enumerate(symbols)}
 
 
+def assert_matches_searches(clause_set):
+    """``check_mus`` against one search of the set and of each deletion:
+    equal verdicts and witnesses. A deletion reads "certificate" exactly
+    when the set is unsatisfiable and its candidate satisfies every other
+    clause; otherwise its result is the search's. Returns the report."""
+    report = check_mus(clause_set)
+    overall = is_satisfiable(clause_set)
+    assert report.is_unsatisfiable is not overall.satisfiable
+    symbols, plain = clause_set.signature.symbols, plain_clauses(clause_set)
+    for i, result in enumerate(report.deletion_results):
+        searched = is_satisfiable(clause_set.without(i))
+        assert (result.satisfiable, result.witness) == (searched.satisfiable, searched.witness)
+        # The candidate: clause i's unnegated symbols false, every other true.
+        falsified = {s for s, negated in plain[i] if not negated}
+        model = {s: s not in falsified for s in symbols}
+        certified = report.is_unsatisfiable and evaluate_set(clause_set.without(i), model)
+        assert (result.method == "certificate") == certified
+        if not certified:
+            assert result == searched
+    assert report.is_mus == (
+        report.is_unsatisfiable and all(r.satisfiable for r in report.deletion_results)
+    )
+    return report
+
+
 @st.composite
 def certificate_cases(draw):
-    """Clauses over up to 6 symbols, kept as written (empty clauses,
-    tautologies and repeated literals included), and an arbitrary witness
-    list: None entries, too short or too long, bits beyond the signature.
-    A witness is a random mask or a true model of its deletion."""
+    """Clauses over up to 6 symbols, kept as written: empty clauses,
+    tautologies and repeated literals included."""
     n = draw(st.integers(min_value=0, max_value=6))
     symbols = tuple(f"v{i}" for i in range(n))
     clauses = []
@@ -370,60 +394,52 @@ def certificate_cases(draw):
         clauses = draw(st.lists(clause, max_size=10))
     elif draw(st.booleans()):
         clauses = [[]]
-    clause_set = ClauseSet(tuple(Clause(tuple(c)) for c in clauses), Signature(symbols))
-    plain = plain_clauses(clause_set)
-    witnesses = []
-    for i in range(draw(st.integers(min_value=0, max_value=len(clauses) + 2))):
-        kind = draw(st.sampled_from(("none", "random", "model")))
-        mask = draw(st.integers(min_value=0, max_value=(1 << (n + 3)) - 1))
-        if kind == "model" and i < len(clauses):
-            sat, model = brute_force_satisfiable(plain[:i] + plain[i + 1 :], symbols)
-            if sat:  # keep the random bits beyond the signature
-                mask = mask >> n << n | sum(model[s] << j for j, s in enumerate(symbols))
-        witnesses.append(None if kind == "none" else mask)
-    return clause_set, witnesses
+    return ClauseSet(tuple(Clause(tuple(c)) for c in clauses), Signature(symbols))
+
+
+def tree():
+    """A deficiency-1 tree that is not a chain: x1 at the root, x2 below
+    its positive side and x3 below its negative side."""
+    x1, x2, x3 = pos("x1"), pos("x2"), pos("x3")
+    clauses = [[x1, x2], [x1, x2.negate()], [x1.negate(), x3], [x1.negate(), x3.negate()]]
+    return ClauseSet.build(clauses, Signature(("x1", "x2", "x3")))
+
+
+def strengthened():
+    """a, ~a | b, ~b: minimally unsatisfiable, yet deleting a leaves
+    a = b = false as its only model, not the candidate with b true."""
+    a, b = pos("a"), pos("b")
+    return ClauseSet.build([[a], [a.negate(), b], [b.negate()]], Signature(("a", "b")))
 
 
 class TestCertificates:
     @given(permuted_chains())
     @settings(max_examples=60, deadline=None)
     def test_chain_certificates_match_both_searches(self, ftsc):
-        report = check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models)
+        report = check_mus(ftsc.clause_set)
         assert report.searches == 0
         assert report.method == "certificate"
         assert (report.is_unsatisfiable, report.is_mus) == (True, True)
-        for oracle in search_reports(ftsc.clause_set):
-            assert (oracle.is_unsatisfiable, oracle.is_mus) == (True, True)
-            assert [r.witness for r in report.deletion_results] == [
-                r.witness for r in oracle.deletion_results
-            ]
+        for overall, *deletions in search_results(ftsc.clause_set):
+            assert not overall.satisfiable
+            assert all(r.satisfiable for r in deletions)
+            assert [r.witness for r in report.deletion_results] == [r.witness for r in deletions]
 
     @given(permuted_chains(max_n=10), st.data())
     @settings(max_examples=60, deadline=None)
     def test_corrupted_certificates_fall_back(self, ftsc, data):
-        n = ftsc.n
-        models = list(ftsc.deletion_models)
-        corruption = data.draw(st.sampled_from(("flip", "all true", "all false")))
-        if corruption == "flip":
-            i = data.draw(st.integers(0, n))
-            models[i] ^= 1 << data.draw(st.integers(0, n - 1))
+        # A literal flipped leaves the chain satisfiable, so every deletion
+        # is searched; one dropped keeps it unsatisfiable, and candidates
+        # the kernel rejects are searched.
+        clauses = [list(c.literals) for c in ftsc.clause_set.clauses]
+        k = data.draw(st.integers(0, ftsc.n))
+        j = data.draw(st.integers(0, len(clauses[k]) - 1))
+        if data.draw(st.sampled_from(("flip", "drop"))) == "flip":
+            clauses[k][j] = clauses[k][j].negate()
         else:
-            models = [(1 << n) - 1 if corruption == "all true" else 0] * (n + 1)
-        clause_set = ftsc.clause_set
-        report = check_mus(clause_set, witnesses=models)
-        oracle = check_mus(clause_set)
-        assert (report.is_unsatisfiable, report.is_mus) == (True, True)
-        symbols = clause_set.signature.symbols
-        for i, (result, expected) in enumerate(
-            zip(report.deletion_results, oracle.deletion_results)
-        ):
-            # A model is accepted exactly when it really satisfies the deletion;
-            # anything else is searched and gives the search's witness.
-            model = model_of(models[i], symbols)
-            if evaluate_set(clause_set.without(i), model):
-                assert (result.method, result.witness) == ("certificate", model)
-            else:
-                assert result == expected
+            del clauses[k][j]
+        clause_set = ClauseSet(tuple(Clause(tuple(c)) for c in clauses), ftsc.signature)
+        assert_matches_searches(clause_set)
 
     @pytest.mark.parametrize("mutation", ["duplicate", "drop"])
     @given(ftsc=permuted_chains(max_n=10), data=st.data())
@@ -435,16 +451,8 @@ class TestCertificates:
             clauses.insert(data.draw(st.integers(0, len(clauses))), clauses[k])
         else:
             del clauses[k]
-        clause_set = ClauseSet(tuple(clauses), ftsc.signature)
-        report = check_mus(clause_set, witnesses=ftsc.deletion_models)
-        oracle = check_mus(clause_set)
+        report = assert_matches_searches(ClauseSet(tuple(clauses), ftsc.signature))
         assert not report.is_mus
-        assert (report.is_unsatisfiable, report.is_mus) == (
-            oracle.is_unsatisfiable, oracle.is_mus
-        )
-        assert [r.satisfiable for r in report.deletion_results] == [
-            r.satisfiable for r in oracle.deletion_results
-        ]
 
     def test_refutation_propagation_cannot_find_is_searched(self):
         # Every pair of polarities over a, b: unsatisfiable, yet no clause is
@@ -452,56 +460,80 @@ class TestCertificates:
         a, b = pos("a"), pos("b")
         clauses = [[a, b], [a, b.negate()], [a.negate(), b], [a.negate(), b.negate()]]
         clause_set = ClauseSet.build(clauses, Signature(("a", "b")))
-        # Deleting clause i leaves exactly the model that violates it.
-        models = [0b00, 0b10, 0b01, 0b11]
-        report = check_mus(clause_set, witnesses=models)
+        report = check_mus(clause_set)
         assert report.is_unsatisfiable and report.is_mus
         assert report.method == "truth-table"
         assert report.searches == 1
-        assert all(r.method == "certificate" for r in report.deletion_results)
+        # Deleting clause i leaves exactly the model that violates it.
+        assert [(r.method, r.witness) for r in report.deletion_results] == [
+            ("certificate", model_of(mask, ("a", "b"))) for mask in (0b00, 0b10, 0b01, 0b11)
+        ]
+
+    def test_tree_is_certified_after_one_search(self):
+        report = assert_matches_searches(tree())
+        assert report.is_mus
+        assert report.searches == 1
 
     def test_missing_certificates_are_searched(self):
-        ftsc = chain(["a", "b", "c"])
-        report = check_mus(ftsc.clause_set, witnesses=[None, ftsc.deletion_models[1]])
+        # a, ~a | b, ~a | ~b | c, ~c: refuted by propagation; deleting a or
+        # ~a | b leaves no model with ~c's symbol true, so both are searched.
+        a, b, c = pos("a"), pos("b"), pos("c")
+        clauses = [[a], [a.negate(), b], [a.negate(), b.negate(), c], [c.negate()]]
+        clause_set = ClauseSet.build(clauses, Signature(("a", "b", "c")))
+        report = assert_matches_searches(clause_set)
+        assert report.method == "certificate"
         assert [r.method for r in report.deletion_results] == [
-            "truth-table", "certificate", "truth-table", "truth-table"
+            "truth-table", "truth-table", "certificate", "certificate"
         ]
-        assert report.searches == 3
-        oracle = check_mus(ftsc.clause_set)
-        assert [r.witness for r in report.deletion_results] == [
-            r.witness for r in oracle.deletion_results
-        ]
+        assert report.searches == 2
+        assert report.is_mus
 
-    def test_without_witnesses_every_question_is_searched(self, monkeypatch):
+    def test_satisfiable_set_every_question_is_searched(self, monkeypatch):
         monkeypatch.setattr(verifier, "TRUTH_TABLE_MAX_VARS", 2)
         ftsc = chain(["a", "b", "c"])
-        assert check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models).searches == 0
-        # Not served from the remembered certified report of the same set.
-        report = check_mus(ftsc.clause_set)
+        assert check_mus(ftsc.clause_set).searches == 0
+        # The last clause's first literal flipped: a satisfiable set offers
+        # no candidates, so the set and each deletion are searched.
+        clauses = [list(c.literals) for c in ftsc.clause_set.clauses]
+        clauses[-1][0] = clauses[-1][0].negate()
+        report = check_mus(ClauseSet.build(clauses, ftsc.signature))
         assert report.method == "dpll"
         assert report.searches == 5
+        assert [r.method for r in report.deletion_results] == ["dpll"] * 4
 
     @given(certificate_cases())
     @settings(max_examples=300, deadline=None)
-    def test_arbitrary_certificates_agree_with_oracles(self, case):
-        clause_set, witnesses = case
-        symbols = clause_set.signature.symbols
-        report = check_mus(clause_set, witnesses=witnesses)
-        oracle = check_mus(clause_set)
-        refutes = unit_propagation_refutes(plain_clauses(clause_set), symbols)
+    def test_derived_certificates_agree_with_oracles(self, clause_set):
+        symbols, plain = clause_set.signature.symbols, plain_clauses(clause_set)
+        report = assert_matches_searches(clause_set)
+        refutes = unit_propagation_refutes(plain, symbols)
         assert (report.method == "certificate") == refutes
-        assert (report.is_unsatisfiable, report.is_mus) == (
-            oracle.is_unsatisfiable, oracle.is_mus
-        )
-        for i, (result, expected) in enumerate(
-            zip(report.deletion_results, oracle.deletion_results)
-        ):
-            mask = witnesses[i] if i < len(witnesses) else None
-            model = None if mask is None else model_of(mask, symbols)
-            if model is not None and evaluate_set(clause_set.without(i), model):
-                assert (result.method, result.witness) == ("certificate", model)
-            else:
-                assert result == expected
+        sat, _ = brute_force_satisfiable(plain, symbols)
+        assert report.is_unsatisfiable is not sat
+        assert report.is_mus == brute_force_is_mus(plain, symbols)
+        for i, result in enumerate(report.deletion_results):
+            assert (result.satisfiable, result.witness) == brute_force_satisfiable(
+                plain[:i] + plain[i + 1 :], symbols
+            )
+
+    @given(certificate_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_give_the_one_block_report(self, clause_set):
+        expected = TestPendingDeletionResults.eager(check_mus(clause_set))
+        widths = []
+        columns = verifier._candidate_columns
+
+        def recording_columns(masks, n):
+            widths.append(len(masks))
+            return columns(masks, n)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verifier, "_BLOCK", 3)
+            patch.setattr(verifier, "_candidate_columns", recording_columns)
+            assert check_mus(clause_set) == expected
+        assert all(width <= 3 for width in widths)
+        if expected.is_unsatisfiable:
+            assert sum(widths) == len(clause_set.clauses)
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
@@ -511,8 +543,7 @@ class TestCertificates:
         if order == "shuffled":
             random.Random(n).shuffle(positions)
         clauses = tuple(ftsc.clause_set.clauses[k] for k in positions)
-        models = [ftsc.deletion_models[k] for k in positions]
-        report = check_mus(ClauseSet(clauses, ftsc.signature), witnesses=models)
+        report = check_mus(ClauseSet(clauses, ftsc.signature))
         assert report.method == "certificate"
         assert report.searches == 0
         assert report.is_mus
@@ -521,21 +552,16 @@ class TestCertificates:
     def test_tautology_is_never_a_unit(self, flip):
         x, not_x = pos("x"), neg("x")
         # x | ~x and ~x: satisfiable, so propagation must not refute it.
-        clauses, models = [[x, not_x], [not_x]], [0b0, 0b1]
+        clauses = [[x, not_x], [not_x]]
         if flip:
             clauses.reverse()
-            models.reverse()
         clause_set = ClauseSet.build(clauses, Signature(("x",)))
-        report = check_mus(clause_set, witnesses=models)
-        oracle = check_mus(clause_set)
-        assert report.method == "truth-table" and report.searches == 1
+        report = assert_matches_searches(clause_set)
+        assert report.method == "truth-table" and report.searches == 3
         assert (report.is_unsatisfiable, report.is_mus) == (False, False)
-        assert [(r.satisfiable, r.witness) for r in report.deletion_results] == [
-            (r.satisfiable, r.witness) for r in oracle.deletion_results
-        ]
         # Nor may it hide a conflict: adding x is refuted by propagation.
         clause_set = ClauseSet.build(clauses + [[x]], Signature(("x",)))
-        assert check_mus(clause_set, witnesses=[]).method == "certificate"
+        assert check_mus(clause_set).method == "certificate"
 
 
 class TestPendingDeletionResults:
@@ -552,7 +578,7 @@ class TestPendingDeletionResults:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_equals_the_eager_report(self, n):
         ftsc = chain([f"x{i}" for i in range(n)][::-1])
-        report = check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models)
+        report = check_mus(ftsc.clause_set)
         symbols, plain = ftsc.signature.symbols, plain_clauses(ftsc.clause_set)
         # The oracle's first model of each deletion, written out eagerly.
         firsts = [brute_force_satisfiable(plain[:i] + plain[i + 1 :], symbols)[1]
@@ -573,16 +599,15 @@ class TestPendingDeletionResults:
     @pytest.mark.parametrize("read", [repr, str, pickle.dumps, lambda r: r.deletion_results])
     def test_any_first_read_gives_the_same_report(self, read):
         ftsc = chain(["c", "a", "b"])
-        report = check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models)
+        report = check_mus(ftsc.clause_set)
         read(report)
-        assert report == self.eager(check_mus(ftsc.clause_set, witnesses=ftsc.deletion_models))
+        assert report == self.eager(check_mus(ftsc.clause_set))
 
     def test_second_read_returns_the_same_tuple(self):
-        ftsc = chain(["a", "b", "c"])
-        report = check_mus(ftsc.clause_set, witnesses=[None, *ftsc.deletion_models[1:]])
+        report = check_mus(strengthened())
         first = report.deletion_results
         assert report.deletion_results is first
-        assert [r.method for r in first] == ["truth-table"] + ["certificate"] * 3
+        assert [r.method for r in first] == ["truth-table"] + ["certificate"] * 2
         assert report.searches == 1
 
     def test_verdicts_need_no_results(self):
@@ -596,7 +621,7 @@ class TestPendingDeletionResults:
             object.__getattribute__(mus, "deletion_results")
 
     def test_no_other_attribute_is_made_up(self):
-        report = check_mus(chain(["a"]).clause_set, witnesses=[0b0, 0b1])
+        report = check_mus(chain(["a"]).clause_set)
         with pytest.raises(AttributeError, match="no_such"):
             report.no_such
         assert not hasattr(report, "__dict__")
@@ -704,9 +729,9 @@ class TestCheckTheorem:
             searched.append(clause_set)
             return search(clause_set)
 
-        def counting_check(clause_set, witnesses):
+        def counting_check(clause_set):
             checked.append(clause_set)
-            return check(clause_set, witnesses)
+            return check(clause_set)
 
         monkeypatch.setattr(verifier, "is_satisfiable", counting_search)
         monkeypatch.setattr(verifier, "_checked_models", counting_check)
@@ -718,13 +743,13 @@ class TestCheckTheorem:
         assert len(checked) == 1 and checked[0] is ftsc.clause_set
         assert searched == []
         # A different construction is decided afresh, not served from memory.
-        # Unit propagation cannot refute it, so the fallback search decides it.
+        # It is satisfiable, so a search decides it and no candidate is checked.
         clauses = ftsc.clause_set.clauses
         weak = ClauseSet(clauses[:-1] + (clauses[-2],), ftsc.signature)
         impostor = replace(ftsc, clause_set=weak)
         tampered = replace(theorems[0], source=impostor)
         assert check_theorem(tampered).certified == CERT_FAILED
-        assert checked[1] is weak
+        assert checked == [ftsc.clause_set]
         assert sum(c is weak for c in searched) == 1
 
     def test_short_source_fails_without_raising(self):
@@ -827,9 +852,9 @@ class TestOneCheckPerConstruction:
         checked = []
         check = verifier._checked_models
 
-        def counting_check(clause_set, witnesses):
+        def counting_check(clause_set):
             checked.append(clause_set)
-            return check(clause_set, witnesses)
+            return check(clause_set)
 
         monkeypatch.setattr(verifier, "_checked_models", counting_check)
         one, two = chain(["a", "b", "c"]), chain(["c", "a", "b", "d"])
