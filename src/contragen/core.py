@@ -9,8 +9,9 @@ per clause, for evaluating a model or a set of known literals against a
 clause in a few integer operations. ``without`` slices both stored
 encodings instead of re-validating. All types are immutable values: once
 built they can be shared freely between workers. ``Record`` is the base
-of every record type in the package, and ``replace`` copies one with
-changed fields.
+of every record type in the package: a record declares its fields once, and
+is given a plain ``__init__`` unless it checks its input or derives state.
+``replace`` copies one with changed fields.
 
 Ground first-order atoms are handled as opaque propositional symbols of
 the shape ``Name(c1,c2)``; ``split_symbol`` is the one reader of that
@@ -103,8 +104,13 @@ class Record:
     """Base of the package's immutable records.
 
     A record names its fields, in order, in ``_fields`` and keeps them in
-    ``__slots__``. Its ``__init__`` sets them with ``object.__setattr__``:
-    assigning or deleting an attribute raises ``FrozenInstanceError``.
+    ``__slots__``. A class body that sets ``_fields`` and no ``__init__`` gets
+    a plain one, compiled from a ``def``: it takes the fields in order, the
+    trailing ones defaulting to the values in the private mapping ``_defaults``.
+    A record that checks its input or derives state writes its own. Either
+    sets each field with ``object.__setattr__`` and takes the fields as its
+    parameters, which pickling passes by position and ``replace`` by name.
+    Assigning or deleting an attribute raises ``FrozenInstanceError``.
     Records of one type are equal when their fields are, the hash is that
     of the field tuple, and the repr reads ``Name(field=value, ...)``. Any
     other slot holds state derived from the fields and takes part in none.
@@ -112,6 +118,19 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        names, defaults = cls.__dict__.get("_fields"), cls.__dict__.get("_defaults", {})
+        if names is not None and "__init__" not in cls.__dict__:
+            optional = names[len(names) - len(defaults) :]
+            if set(optional) != set(defaults):
+                raise TypeError(f"{cls.__qualname__}._defaults must name its trailing fields")
+            namespace = {"_setattr": _setattr, "__name__": cls.__module__}
+            body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in names)
+            exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+            cls.__init__ = init = namespace["__init__"]
+            init.__defaults__ = tuple(defaults[name] for name in optional)
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _assign(self, values: Mapping) -> None:
         """Set each field from ``values``, an ``__init__``'s ``locals()``."""
@@ -163,10 +182,7 @@ class Literal(Record):
     """An atom or its negation. ``negate`` is an involution."""
 
     __slots__ = _fields = ("symbol", "negated")
-
-    def __init__(self, symbol: str, negated: bool = False):
-        _setattr(self, "symbol", symbol)
-        _setattr(self, "negated", negated)
+    _defaults = {"negated": False}
 
     # Its own comparison and hash: literals fill every set and dict.
     def __eq__(self, other):
@@ -253,9 +269,6 @@ class Signature(Record):
         """Each symbol's position in ``symbols``, keyed by symbol."""
         return self._index
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
-
     def index_of(self, symbol: str) -> int:
         try:
             return self._index[symbol]
@@ -295,9 +308,7 @@ class Clause(Record):
     """Disjunction of literals. The empty clause evaluates to false everywhere."""
 
     __slots__ = _fields = ("literals",)
-
-    def __init__(self, literals: tuple[Literal, ...] = ()):
-        _setattr(self, "literals", literals)
+    _defaults = {"literals": ()}
 
     def is_empty(self) -> bool:
         return not self.literals

@@ -96,9 +96,6 @@ class ModelClientError(RuntimeError):
 class ScenarioAtom(Record):
     __slots__ = _fields = ("predicate", "gloss")
 
-    def __init__(self, predicate: PredicateAtom, gloss: str):
-        self._assign(locals())
-
     @property
     def symbol(self) -> str:
         return self.predicate.name
@@ -341,13 +338,7 @@ class Explanation(Record):
         "scenario", "permutation", "removed_index", "role_label", "narrative", "remediation",
         "provenance", "declared_priority", "model_score", "warnings",
     )
-
-    def __init__(
-        self, scenario: str, permutation: tuple[str, ...], removed_index: int, role_label: str,
-        narrative: str, remediation: str, provenance: str, declared_priority: Optional[str] = None,
-        model_score: Optional[float] = None, warnings: tuple[str, ...] = (),
-    ):
-        self._assign(locals())
+    _defaults = {"declared_priority": None, "model_score": None, "warnings": ()}
 
     @property
     def n(self) -> int:
@@ -422,15 +413,9 @@ _MEDIUM_THRESHOLD = 0.45
 class RankedEntry(Record):
     __slots__ = _fields = ("explanation", "priority", "score")
 
-    def __init__(self, explanation: Explanation, priority: str, score: float):
-        self._assign(locals())
-
 
 class RankedReport(Record):
     __slots__ = _fields = ("entries", "policy")
-
-    def __init__(self, entries: tuple[RankedEntry, ...], policy: str):
-        self._assign(locals())
 
 
 def rank(explanations: Sequence[Explanation]) -> RankedReport:

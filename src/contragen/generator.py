@@ -54,7 +54,6 @@ from .core import (
     Literal,
     Record,
     Signature,
-    _setattr,
 )
 
 if TYPE_CHECKING:
@@ -92,23 +91,12 @@ class TraceStep(Record):
 
     __slots__ = _fields = ("kind", "literal", "premise_index")
 
-    def __init__(self, kind: str, literal: Optional[Literal], premise_index: Optional[int]):
-        _setattr(self, "kind", kind)
-        _setattr(self, "literal", literal)
-        _setattr(self, "premise_index", premise_index)
-
 
 class ProofTrace(Record):
     __slots__ = _fields = ("steps",)
 
-    def __init__(self, steps: tuple[TraceStep, ...]):
-        _setattr(self, "steps", steps)
-
     def __len__(self) -> int:
         return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
 
 
 class Ftsc(Record):
@@ -122,11 +110,6 @@ class Ftsc(Record):
 
     _fields = ("clause_set", "permutation", "n")
     __slots__ = _fields + ("__dict__",)  # the cached properties' values
-
-    def __init__(self, clause_set: ClauseSet, permutation: tuple[str, ...], n: int):
-        _setattr(self, "clause_set", clause_set)
-        _setattr(self, "permutation", permutation)
-        _setattr(self, "n", n)
 
     @property
     def signature(self) -> Signature:
@@ -188,15 +171,7 @@ class Theorem(Record):
 
     _fields = ("source", "removed_index", "conclusion", "certified")
     __slots__ = _fields + ("__dict__",)  # the cached trace
-
-    def __init__(
-        self, source: Ftsc, removed_index: int, conclusion: tuple[Literal, ...],
-        certified: str = CERT_UNCHECKED,
-    ):
-        _setattr(self, "source", source)
-        _setattr(self, "removed_index", removed_index)
-        _setattr(self, "conclusion", conclusion)
-        _setattr(self, "certified", certified)
+    _defaults = {"certified": CERT_UNCHECKED}
 
     @property
     def removed_clause(self) -> Clause:

@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .core import (
-    Literal, Record, SchemaViolationError, Signature, _setattr, fields, parse_literal, replace,
-    require,
+    Literal, Record, SchemaViolationError, Signature, fields, parse_literal, replace, require,
 )
 from .explain import POLICIES, PRIORITIES, PROVENANCES, Explanation, RankedEntry, RankedReport
 from .generator import Ftsc, Theorem, conclusion_for, trace_length
@@ -39,16 +38,7 @@ class TheoremRecord(Record):
     __slots__ = _fields = (
         "removed_index", "conclusion", "certified", "trace_steps", "trace_replayed"
     )
-
-    def __init__(
-        self, removed_index: int, conclusion: tuple[str, ...], certified: str, trace_steps: int,
-        trace_replayed: Optional[bool] = None,
-    ):
-        _setattr(self, "removed_index", removed_index)
-        _setattr(self, "conclusion", conclusion)
-        _setattr(self, "certified", certified)
-        _setattr(self, "trace_steps", trace_steps)
-        _setattr(self, "trace_replayed", trace_replayed)
+    _defaults = {"trace_replayed": None}
 
 
 class Report(Record):
@@ -56,15 +46,10 @@ class Report(Record):
         "n", "permutation", "signature", "clauses", "theorems", "scenario", "explanations",
         "ranking", "timestamp", "tool", "version", "schema_version",
     )
-
-    def __init__(
-        self, n: int, permutation: tuple[str, ...], signature: tuple[tuple[str, int], ...],
-        clauses: tuple[tuple[str, ...], ...], theorems: tuple[TheoremRecord, ...],
-        scenario: Optional[str] = None, explanations: tuple[Explanation, ...] = (),
-        ranking: Optional[RankedReport] = None, timestamp: str = "", tool: str = TOOL_NAME,
-        version: str = __version__, schema_version: int = SCHEMA_VERSION,
-    ):
-        self._assign(locals())
+    _defaults = {
+        "scenario": None, "explanations": (), "ranking": None, "timestamp": "",
+        "tool": TOOL_NAME, "version": __version__, "schema_version": SCHEMA_VERSION,
+    }
 
     def to_dict(self) -> dict:
         data: dict = {

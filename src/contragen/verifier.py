@@ -86,11 +86,6 @@ METHOD_CERTIFICATE = "certificate"
 class SatResult(Record):
     __slots__ = _fields = ("satisfiable", "witness", "method")
 
-    def __init__(self, satisfiable: bool, witness: Optional[dict[str, bool]], method: str):
-        _setattr(self, "satisfiable", satisfiable)
-        _setattr(self, "witness", witness)
-        _setattr(self, "method", method)
-
     @property
     def status(self) -> str:
         return "satisfiable" if self.satisfiable else "unsatisfiable"
@@ -163,19 +158,9 @@ class ReplayResult(Record):
     0-based index of the first invalid step and ``reason`` says why.
     """
 
+    # ``units``: the established literals as (true, false) masks; bit j names symbols[j].
     _fields = ("ok", "failed_step", "reason", "units", "symbols")
     __slots__ = _fields + ("__dict__",)  # the cached established literals
-
-    def __init__(
-        self, ok: bool, failed_step: Optional[int], reason: Optional[str], units: tuple[int, int],
-        symbols: tuple[str, ...],
-    ):
-        _setattr(self, "ok", ok)
-        _setattr(self, "failed_step", failed_step)
-        _setattr(self, "reason", reason)
-        # The established literals as (true, false) masks; bit j names symbols[j].
-        _setattr(self, "units", units)
-        _setattr(self, "symbols", symbols)
 
     def __repr__(self) -> str:
         return self._repr(self._fields[:3])  # the masks and symbols stay out

@@ -1043,9 +1043,14 @@ class TestVerify:
                 )
                 for key in ("declared_priority", "model_score", "warnings")
             ],
+            (
+                lambda data: data["ranking"]["entries"][0].update(removed_index=99),
+                "ranking references unknown explanation ('medical-diagnosis', 99)",
+            ),
         ],
         ids=["provenance", "priority", "policy", "remediation-list", "remediation-missing",
-             "declared-priority-missing", "model-score-missing", "warnings-missing"],
+             "declared-priority-missing", "model-score-missing", "warnings-missing",
+             "ranking-unknown-explanation"],
     )
     def test_explain_report_outside_the_schema(
         self, capsys, tmp_path, scenario_dir, edit, message
@@ -1104,6 +1109,20 @@ class TestVerify:
         monkeypatch.setitem(cli._COMMANDS, "verify", broken)
         with pytest.raises(KeyError):
             run_cli(["verify", "report.json"])
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("report.json", "[]", "report: document must be an object"),
+            ("headers.cnf", "p cnf 1 2\np cnf 1 2\n1 0\n-1 0\n", "line 2: duplicate header"),
+            ("comments.cnf", "c only\nc comments\n", "no 'p cnf' header found"),
+        ],
+        ids=["json-list", "two-headers", "comments-only"],
+    )
+    def test_input_refused_in_one_line(self, capsys, tmp_path, name, text, message):
+        target = tmp_path / name
+        target.write_text(text)
+        assert run(capsys, "verify", str(target)) == (EXIT_VALIDATION, "", f"error: {message}\n")
 
     def test_dimacs_negated_variable_name(self, capsys, tmp_path):
         target = tmp_path / "negated.cnf"
@@ -1287,6 +1306,23 @@ class TestExplain:
             code, out, err = run(capsys, "explain", path, *table)
             assert (code, out) == (EXIT_VERIFICATION, "")
             assert err == "theorem 2: trace step 5: premise index out of range: -1\n"
+
+    def test_failed_certification_refused(self, capsys, scenario_dir, monkeypatch):
+        from contragen.core import replace
+
+        genuine = cli.derive_theorems
+
+        def tampered(ftsc):
+            theorems = genuine(ftsc)
+            theorems[1] = replace(theorems[1], conclusion=theorems[1].conclusion[:-1])
+            return theorems
+
+        monkeypatch.setattr(cli, "derive_theorems", tampered)
+        path = str(scenario_dir / "medical.yaml")
+        for table in ([], ["--table"]):
+            code, out, err = run(capsys, "explain", path, *table)
+            assert (code, out) == (EXIT_VERIFICATION, "")
+            assert err == "certification failed; refusing to explain\n"
 
     def test_record_key_order(self, capsys, scenario_dir):
         # Report records are written from their fields, in order; a
@@ -1552,6 +1588,18 @@ class TestUsageErrors:
         assert [code for code, _, _ in shared] == [EXIT_VALIDATION, EXIT_OK, EXIT_OK]
         assert "usage error: argument --permutation" in shared[0][2]
         assert shared[2][1].endswith("verification passed\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "a b"], "error: literal symbols must not contain whitespace: 'a b'"),
+            (["enumerate", "a", "--n-cap", "x"],
+             "usage error: argument --n-cap: invalid int value: 'x'"),
+        ],
+        ids=["symbol-with-space", "cap-not-int"],
+    )
+    def test_refused_in_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_VALIDATION, "", message + "\n")
 
     def test_missing_format(self, capsys):
         code, _, err = run(capsys, "export", "a")

@@ -120,6 +120,18 @@ class TestValidateInput:
         with pytest.raises(EmptyInputError):
             validate_input([])
 
+    @pytest.mark.parametrize(
+        "symbol, message",
+        [
+            ("", "literal symbols must be nonempty"),
+            ("a b", "literal symbols must not contain whitespace: 'a b'"),
+        ],
+    )
+    def test_malformed_symbol(self, symbol, message):
+        with pytest.raises(ValidationError) as excinfo:
+            validate_input([Literal(symbol)])
+        assert str(excinfo.value) == message
+
     def test_order_preserved(self):
         signature = validate_input([pos("z"), pos("a"), pos("m")])
         assert signature.symbols == ("z", "a", "m")

@@ -190,9 +190,15 @@ atoms:
                 "rule_texts: {2: [a, b]}\n",
                 "rule_texts: field 2 must be str, got list",
             ),
+            (", arity: 3", "", "atoms\\[1\\]: arity 3 disagrees with 2 args"),
+            ("", "rule_texts: {x: t}\n", "rule_texts: clause index must be an integer"),
+            ("", "remediations: [5]\n", "remediations\\[1\\]: each remediation must be a mapping"),
+            ("", "remediations:\n  - {index: 1, text: ' '}\n",
+             "remediations\\[1\\]: text must be nonempty"),
         ],
         ids=["remediations-int", "variables-int", "variables-str", "arity-bool",
-             "formal-list", "grounding-int", "grounding-str", "rule-text-list"],
+             "formal-list", "grounding-int", "grounding-str", "rule-text-list",
+             "arity-disagrees", "index-not-int", "remediation-int", "remediation-blank"],
     )
     def test_mistyped_fields_rejected(self, atom, extra, message):
         text = (
@@ -202,6 +208,20 @@ atoms:
         with pytest.raises(SchemaViolationError, match=message) as info:
             load_scenario_text(text)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("- a\n- b\n", "document must be a mapping"),
+            ("name: x\ndomain: T\natoms: []\n", "atoms list must be nonempty"),
+            ("name: x\ndomain: T\natoms:\n  - A\n", "atoms[1]: each atom must be a mapping"),
+        ],
+        ids=["list", "no-atoms", "atom-not-mapping"],
+    )
+    def test_document_shape_rejected(self, text, message):
+        with pytest.raises(SchemaViolationError) as info:
+            load_scenario_text(text)
+        assert str(info.value) == f"<scenario>: {message}"
 
     def test_atom_args_must_be_strings(self):
         text = """
@@ -411,6 +431,25 @@ class TestExplainViaModel:
         explanation = explain_via_model(theorems[2], scenario, client=client)
         assert explanation.provenance == PROVENANCE_TEMPLATE
         assert explanation.warnings
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ({"narrative": "x", "remediation": 5, "score": 0.5},
+             "response field 'remediation' must be a string"),
+            ({"narrative": "x", "score": "0.5"}, "response field 'score' must be a number"),
+        ],
+        ids=["remediation-int", "score-str"],
+    )
+    def test_mistyped_response_field_degrades(self, scenario_dir, response, message):
+        scenario = load_scenario(scenario_dir / "medical.yaml")
+        _, theorems = certified_theorems(scenario)
+        explanation = explain_via_model(theorems[2], scenario, StaticModelClient(response))
+        assert explanation.provenance == PROVENANCE_TEMPLATE
+        assert explanation.narrative == verbalize(theorems[2], scenario).narrative
+        assert explanation.warnings == (
+            f"external model unavailable ({message}); template output used",
+        )
 
     def test_unconfigured_endpoint_degrades(self, scenario_dir, monkeypatch):
         monkeypatch.delenv("CONTRAGEN_MODEL_ENDPOINT", raising=False)

@@ -2,10 +2,14 @@
 copies as a frozen dataclass with the same fields did, and stays immutable."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import contragen
 from contragen.core import (
     Clause,
     ClauseSet,
@@ -335,3 +339,40 @@ def test_default_and_keyword_forms():
         Literal()
     with pytest.raises(TypeError):
         Literal("a", False, True)
+
+
+def _record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def test_every_package_record_is_sampled_and_takes_its_fields():
+    # ``__reduce__`` passes the fields by position and ``replace`` by name,
+    # so a record's ``__init__``, written or its own, takes exactly them.
+    for module in pkgutil.iter_modules(contragen.__path__):
+        importlib.import_module(f"contragen.{module.name}")
+    types = {t for t in _record_types() if t.__module__.startswith("contragen.")}
+    assert sorted(t.__name__ for t in types) == NAMES
+    for t in types:
+        assert tuple(inspect.signature(t.__init__).parameters)[1:] == fields(t), t.__name__
+
+
+def test_a_bad_call_names_the_record():
+    with pytest.raises(TypeError) as info:
+        Literal()
+    assert str(info.value) == "Literal.__init__() missing 1 required positional argument: 'symbol'"
+    with pytest.raises(TypeError, match=r"^Report\.__init__\(\) missing 4 required"):
+        Report(1)
+    with pytest.raises(TypeError, match=r"^TraceStep\.__init__\(\) takes 4 positional"):
+        TraceStep("unit-derivation", None, 0, 1)
+
+
+def test_written_init_takes_trailing_defaults():
+    body = {"__slots__": ("a", "b"), "_fields": ("a", "b"), "_defaults": {"b": 2}}
+    pair = type("Pair", (Record,), body)
+    assert pair.__init__.__qualname__ == "Pair.__init__"
+    assert (pair(1).a, pair(1).b, pair(1, b=3).b) == (1, 2, 3)
+    for defaults in ({"a": 1}, {"c": 1}, {"a": 1, "b": 2, "c": 3}):
+        with pytest.raises(TypeError, match="Bad._defaults must name its trailing fields"):
+            type("Bad", (Record,), {**body, "_defaults": defaults})

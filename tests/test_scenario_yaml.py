@@ -131,6 +131,10 @@ def test_fixtures_read_as_pyyaml_reads_them(path):
         ("a: " + "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1) + "\n", 1,
          f"nesting deeper than {MAX_DEPTH} levels"),
         ("a: b: c\n", 1, "unexpected ': c'"),
+        ("a: 1\nb\n", 2, "expected 'key: value'"),
+        ("- a\nb: 1\n", 2, "expected a '- ' item"),
+        ("k" * 1025 + ": 1\n", 1, "a key must end within 1024 characters"),
+        ('a: "\\q"\n', 1, "unknown escape \\q"),
     ],
 )
 def test_refusals_name_the_line(text, line, message):

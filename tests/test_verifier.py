@@ -1174,6 +1174,32 @@ class TestReplayTrace:
         assert not result
         assert (result.failed_step, result.reason) == (failed_step, reason)
 
+    # Each literal a step derives is used by a later step: a negative one
+    # derived by a unit or a propagation, a positive one by a discharge.
+    @pytest.mark.parametrize(
+        "clauses, steps, established",
+        [
+            ([[neg("a")], [pos("a"), pos("b")]],
+             [(STEP_UNIT, neg("a"), 0), (STEP_UNIT, pos("b"), 1)],
+             {neg("a"), pos("b")}),
+            ([[neg("a"), neg("b")], [pos("b"), pos("c")], [neg("c")]],
+             [(STEP_ASSUME, pos("a"), None), (STEP_PROPAGATE, neg("b"), 0),
+              (STEP_PROPAGATE, pos("c"), 1), (STEP_EMPTY, None, 2),
+              (STEP_DISCHARGE, neg("a"), None)],
+             {neg("a")}),
+            ([[pos("a"), pos("b")], [neg("b")], [neg("a"), pos("c")]],
+             [(STEP_ASSUME, neg("a"), None), (STEP_PROPAGATE, pos("b"), 0),
+              (STEP_EMPTY, None, 1), (STEP_DISCHARGE, pos("a"), None),
+              (STEP_UNIT, pos("c"), 2)],
+             {pos("a"), pos("c")}),
+        ],
+        ids=["unit-negative", "propagated-negative", "discharged-positive"],
+    )
+    def test_derived_literals_serve_later_steps(self, clauses, steps, established):
+        premises = ClauseSet.build(clauses, Signature(("a", "b", "c")))
+        result = replay_trace(ProofTrace(tuple(TraceStep(*step) for step in steps)), premises)
+        assert result and result.established == established
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_generated_traces_replay(self, n):
         ftsc = chain([f"x{i}" for i in range(1, n + 1)])
