@@ -50,6 +50,7 @@ from .generator import (
     CERT_VERIFIED,
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceededError,
+    Theorem,
     build_ftsc,
     closure_counts,
     derive_theorems,
@@ -59,7 +60,7 @@ from .generator import (
     total_literals,
 )
 from .report import Report, build_report
-from .verifier import MusReport, certification_failure, check_mus, check_theorem, replay_theorems
+from .verifier import MusReport, certification_failures, check_mus, replay_theorems
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -170,7 +171,9 @@ def _certified_report(signature: Signature, scenario, *, replay=True, timestamp=
     stderr with its first invalid step. ``verify`` regenerates the report
     without replaying, with every trace recorded as replayed."""
     ftsc = build_ftsc(signature)
-    theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
+    theorems = derive_theorems(ftsc)
+    states = [CERT_FAILED if f else CERT_VERIFIED for f in certification_failures(theorems)]
+    theorems = [Theorem(ftsc, t.removed_index, t.conclusion, s) for t, s in zip(theorems, states)]
     failures = replay_theorems(theorems) if replay else {}
     for position, result in failures.items():
         where = "" if result.failed_step is None else f"trace step {result.failed_step}: "
@@ -225,8 +228,7 @@ def _cmd_enumerate(args) -> int:
                 previous = key
         status = ""
         if not args.no_certify:
-            verdicts = map(certification_failure, derive_theorems(ftsc))
-            failure = next(filter(None, verdicts), None)
+            failure = next(filter(None, certification_failures(derive_theorems(ftsc))), None)
             certified += failure is None
             status = " certified" if failure is None else f" FAILED: {failure}"
         print(f"perm {total - 1}: ({', '.join(ftsc.permutation)}){status}")

@@ -7,7 +7,8 @@ round-trip losslessly through JSON; the timestamp is the only field that
 varies between otherwise identical runs and is excluded from golden-file
 comparisons. ``Report.to_json`` writes the text of ``json.dumps(...,
 indent=2)`` byte for byte: one template per signature entry and theorem
-record, literal texts encoded once per call, ``_indented`` for the rest.
+record, literal texts encoded once per call, each clause or conclusion list
+begun from the text of the previous one's prefix, ``_indented`` for the rest.
 ``verify`` compares that text before it reads the schema. See
 docs/report_schema.md.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .core import (
@@ -94,20 +95,19 @@ class Report(Record):
         deep = "\n      "  # a record's fields; an f-string expression holds no backslash
         try:
             encoded = {t: _string(t) for s, _ in self.signature for t in (s, "~" + s)}
+            conclusions = _lists([t.conclusion for t in self.theorems], encoded, deep)
             written = {
                 "signature": _block([
                     f'{{\n      "symbol": {encoded[s]},\n      "arity": {_int(a)}\n    }}'
                     for s, a in self.signature
                 ], "\n  "),
-                "clauses": _block(
-                    [_block([encoded[t] for t in c], "\n    ") for c in self.clauses], "\n  "
-                ),
+                "clauses": _block([*_lists(self.clauses, encoded, "\n    ")], "\n  "),
                 "theorems": _block([
                     f'{{\n      "removed_index": {_int(t.removed_index)},\n      "conclusion": '
-                    f'{_block([encoded[c] for c in t.conclusion], deep)},\n      "certified": '
+                    f'{conclusion},\n      "certified": '
                     f'{_string(t.certified)},\n      "trace_steps": {_int(t.trace_steps)},'
                     f'\n      "trace_replayed": {_indented(t.trace_replayed, deep)}\n    }}'
-                    for t in self.theorems
+                    for t, conclusion in zip(self.theorems, conclusions)
                 ], "\n  "),
             }
         except (KeyError, TypeError):  # a text not listed, or a field not of its type
@@ -237,6 +237,20 @@ def _block(items: list, newline: str, brackets: str = "[]") -> str:
         return brackets
     inner = newline + "  "
     return f'{brackets[0]}{inner}{("," + inner).join(items)}{newline}{brackets[1]}'
+
+
+def _lists(rows, encoded: dict, newline: str) -> Iterator[str]:
+    """Per row, ``_block([encoded[t] for t in row], newline)``; a row that
+    extends the previous row's all-but-last entries starts from their text."""
+    prefix, opening, comma = (), "[" + newline + "  ", "," + newline + "  "
+    for row in rows:  # ``head``: the text of ``prefix``, each entry and a comma
+        k = len(prefix)
+        if not (k and k < len(row) and row[:k] == prefix):
+            k, head = 0, opening
+        for t in row[k:-1]:
+            head += encoded[t] + comma
+        prefix = row[:-1]
+        yield head + encoded[row[-1]] + newline + "]" if row else "[]"
 
 
 def _indented(value, newline: str) -> str:

@@ -40,18 +40,21 @@ A theorem is certified from its source's deletion-based minimality check
 alone: the remainder R entails the negated removed clause l1 | ... | lk
 exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
 certification is "MUS at the removed index plus the conclusion equals the
-negated clause". ``certification_failure`` gives the verdict: None, or
-one line naming the condition that failed; ``check_theorem`` wraps it in
-a certified copy. Each construction holds its one check (``Ftsc.mus``), so
+negated clause". ``certification_failures`` gives theorems their verdicts
+in one pass: None, or one line naming the condition that failed;
+``certification_failure`` and ``check_theorem`` (a certified copy) are its
+one-theorem calls. Each construction holds its one check (``Ftsc.mus``), so
 a construction is decided once however its theorems are ordered, and
-``check_mus`` keeps no state between calls. The conclusion
-is compared by masks: its (positive, negative) bitmask pair over the
-signature must be the removed clause's pair swapped. Trace replay runs on
-the premises' clause bitmasks, with the known literals held as two masks,
-true and false. One function, ``_step``, decides whether a step is valid:
-``replay_trace`` is a loop over it, and ``replay_theorems`` runs each
-construction's shared steps through it once, then only each trace's
-assumption and discharge.
+``check_mus`` keeps no state between calls. The conclusion is compared by
+masks: its (positive, negative) bitmask pair over the signature must be the
+removed clause's pair swapped. From _PREFIX_MIN_VARS symbols on, the kernel
+and certification start a clause or conclusion that repeats the previous
+one's all-but-last literals (one tuple comparison) from the result saved
+for them. Trace replay runs on the premises' clause bitmasks, with the
+known literals held as two masks, true and false. One function, ``_step``,
+decides whether a step is valid: ``replay_trace`` is a loop over it, and
+``replay_theorems`` runs each construction's shared steps through it once,
+then only each trace's assumption and discharge.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ from .generator import (
 # The largest signature at which the truth table's minimality check still
 # beat DPLL's, on random 3-SAT at 4.26 clauses per symbol and on the chain.
 TRUTH_TABLE_MAX_VARS = 13
+
+# Rows reuse prefixes from this many symbols on: the kernel's crossover (certification's is 10).
+_PREFIX_MIN_VARS = 19
 
 METHOD_TRUTH_TABLE = "truth-table"
 METHOD_DPLL = "dpll"
@@ -195,11 +201,22 @@ def _violations(
     position i makes symbol j true where bit i of ``patterns[j]`` is set."""
     # Where each literal is false, indexed by the literal (``-v`` from the end).
     false_at = [full, *(full ^ p for p in patterns), *reversed(patterns)]
+    if len(patterns) < _PREFIX_MIN_VARS:
+        for ints in int_clauses:
+            block = full
+            for lit in ints:
+                block &= false_at[lit]
+            yield block
+        return
+    prefix = ()  # the previous clause's all-but-last literals; ``before`` is their AND
     for ints in int_clauses:
-        block = full
-        for lit in ints:
-            block &= false_at[lit]
-        yield block
+        k = len(prefix)
+        if not (k and k < len(ints) and ints[:k] == prefix):
+            k, before = 0, full
+        for lit in ints[k:-1]:
+            before &= false_at[lit]
+        prefix = ints[:-1]
+        yield before & false_at[ints[-1]] if ints else full
 
 
 def _truth_table(clause_set: ClauseSet) -> SatResult:
@@ -423,52 +440,59 @@ def _propagation_refutes(masks: Sequence[tuple[int, int]]) -> bool:
 
 def check_theorem(theorem: Theorem) -> Theorem:
     """Certify one entailment; returns a copy with ``certified`` set from
-    ``certification_failure``'s verdict. Failure is reported in the
+    the verdict of ``certification_failures``. Failure is reported in the
     certification state, never raised."""
-    state = CERT_FAILED if certification_failure(theorem) else CERT_VERIFIED
+    state = CERT_FAILED if certification_failures((theorem,))[0] else CERT_VERIFIED
     return Theorem(theorem.source, theorem.removed_index, theorem.conclusion, state)
 
 
 def certification_failure(theorem: Theorem) -> Optional[str]:
-    """None when the theorem certifies, else one line naming the first
-    condition that fails.
+    """The one theorem's verdict from ``certification_failures``."""
+    return certification_failures((theorem,))[0]
 
-    Certification is the source's minimality check at the removed index
-    plus a comparison: the full set is unsatisfiable, the remainder is
-    satisfiable, and the stored conclusion is exactly the literal-wise
-    negation of the removed clause. Entailment needs no solve of its own:
-    the remainder entails every conclusion literal exactly when adding
-    the removed clause back, the source, is unsatisfiable. The check is
-    the source's ``mus``, decided once per construction. The conclusion
-    is compared as a set, by masks.
-    """
-    source = theorem.source
-    clause_set = source.clause_set
-    masks = clause_set.masks()
-    i, n = theorem.removed_index, source.n
-    if not 1 <= i <= n + 1:
-        return f"removed index {i} out of range 1..{n + 1}"
-    if n + 1 > len(masks):
-        return f"removed index {i} out of range: the source has {len(masks)} clauses, not {n + 1}"
-    mus = source.mus
-    if not mus.is_unsatisfiable:
-        return "source not unsatisfiable"
-    deletion = mus._deletions[i - 1]
-    if not (deletion.__class__ is int or deletion.satisfiable):
-        return f"deletion {i} not satisfiable"
-    index = clause_set.signature.index
-    positive = negative = 0  # the conclusion's masks
-    for literal in theorem.conclusion:
-        j = index.get(literal.symbol)
-        if j is None:  # a symbol outside the signature is in no clause
-            return f"conclusion symbol {literal.symbol!r} outside the signature"
-        if literal.negated:
-            negative |= 1 << j
+
+def certification_failures(theorems: Sequence[Theorem]) -> list[Optional[str]]:
+    """Per theorem, None when it certifies, else one line naming the first
+    condition that fails; the first theorem's source decides prefix reuse."""
+    failures: list[Optional[str]] = []
+    reuse = bool(theorems) and theorems[0].source.n >= _PREFIX_MIN_VARS
+    source = prefix = None  # the source read last; its last walk's all-but-last literals
+    for theorem in theorems:
+        if theorem.source is not source:
+            source, before = theorem.source, (0, 0, 0)  # the length of prefix and its masks
+            masks, index, n = source.clause_set.masks(), source.signature.index, source.n
+        i, conclusion, failure = theorem.removed_index, theorem.conclusion, None
+        if not 1 <= i <= n + 1:
+            failure = f"removed index {i} out of range 1..{n + 1}"
+        elif n + 1 > len(masks):
+            failure = (f"removed index {i} out of range: the source has {len(masks)} clauses, "
+                       f"not {n + 1}")
+        elif not source.mus.is_unsatisfiable:
+            failure = "source not unsatisfiable"
+        elif not ((d := source.mus._deletions[i - 1]).__class__ is int or d.satisfiable):
+            failure = f"deletion {i} not satisfiable"
         else:
-            positive |= 1 << j
-    if (negative, positive) != masks[i - 1]:
-        return f"conclusion not the negated clause {i}"
-    return None
+            k, positive, negative = before
+            if k and not (k < len(conclusion) and conclusion[:k] == prefix):
+                k = positive = negative = 0
+            for literal in conclusion[k:] if k else conclusion:
+                prior_positive, prior_negative = positive, negative
+                j = index.get(literal.symbol)
+                if j is None:  # a symbol outside the signature is in no clause
+                    failure = f"conclusion symbol {literal.symbol!r} outside the signature"
+                    break
+                if literal.negated:
+                    negative |= 1 << j
+                else:
+                    positive |= 1 << j
+            else:
+                if (negative, positive) != masks[i - 1]:
+                    failure = f"conclusion not the negated clause {i}"
+                if reuse and conclusion:
+                    prefix = conclusion[:-1]
+                    before = len(prefix), prior_positive, prior_negative
+        failures.append(failure)
+    return failures
 
 
 def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
