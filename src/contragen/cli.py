@@ -383,7 +383,7 @@ def _cmd_verify(args) -> int:
     if not path.is_file():
         raise ValidationError(f"no such file: {args.input}")
     text = path.read_text(encoding="utf-8")
-    if path.suffix != ".json":
+    if path.suffix.lower() != ".json":
         ok = _print_mus(check_mus(parse_dimacs(text)))
     else:
         # A report is a few levels deep, so only input nested about as deep

@@ -310,13 +310,6 @@ class Clause(Record):
     __slots__ = _fields = ("literals",)
     _defaults = {"literals": ()}
 
-    def is_empty(self) -> bool:
-        return not self.literals
-
-    def is_tautology(self) -> bool:
-        lits = set(self.literals)
-        return any(l.negate() in lits for l in self.literals)
-
     def as_set(self) -> frozenset[Literal]:
         return frozenset(self.literals)
 
@@ -349,8 +342,8 @@ ClauseLike = Union[Clause, Iterable[Literal]]
 class ClauseSet(Record):
     """Ordered conjunction of clauses over a signature.
 
-    Clause order is significant (theorem indexing relies on it) but
-    ``set_equal`` compares two sets ignoring clause order and literal order.
+    Clause order is significant (theorem indexing relies on it); ``as_sets``
+    is the set's content with clause order and literal order ignored.
     """
 
     _fields = ("clauses", "signature")
@@ -420,9 +413,6 @@ class ClauseSet(Record):
 
     def as_sets(self) -> frozenset[frozenset[Literal]]:
         return frozenset(c.as_set() for c in self.clauses)
-
-    def set_equal(self, other: "ClauseSet") -> bool:
-        return self.as_sets() == other.as_sets()
 
     def int_clauses(self) -> tuple[tuple[int, ...], ...]:
         """Signed 1-based integer encoding, for solver loops."""

@@ -374,7 +374,7 @@ def verbalize(theorem: Theorem, scenario: Scenario) -> Explanation:
     focus = f"'{focus_symbol}' ({glosses.get(focus_symbol, focus_symbol)})"
 
     parts = [
-        f"Dependency clause {i} of {n + 1} ({theorem.removed_clause}) is a minimal "
+        f"Dependency clause {i} of {n + 1} ({ftsc.clause_set.clauses[i - 1]}) is a minimal "
         f"conflict source in scenario '{scenario.name}'.",
         sentence.format(focus=focus, count=n),
     ]

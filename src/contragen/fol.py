@@ -84,15 +84,8 @@ class PredicateAtom(Record):
         self._assign(locals())
         _check_name(name, "predicate")
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
     def variables(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(t.name for t in self.args if t.is_variable))
-
-    def is_ground(self) -> bool:
-        return not any(t.is_variable for t in self.args)
 
     def substituted(self, substitution: Mapping[str, str]) -> "PredicateAtom":
         return PredicateAtom(

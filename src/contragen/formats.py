@@ -243,8 +243,11 @@ def emit_tptp(
 
     ``mode`` is "cnf" (ground clauses; requires a ground set) or "fof"
     (universally quantified scenario-level formulas; requires ``scenario``).
-    Raises ValidationError when two symbols, or two variables, would
-    render as one TPTP name, or one TPTP predicate would take two arities.
+    In fof mode ``scenario.atoms_for`` raises ArityMismatchError, naming the
+    scenario, when its atoms do not match the construction's signature in
+    count or in symbols. Raises ValidationError when two symbols, or two
+    variables, would render as one TPTP name, or one TPTP predicate would
+    take two arities.
     """
     if mode not in ("cnf", "fof"):
         raise ValueError(f"unknown TPTP mode: {mode!r}")
@@ -260,10 +263,6 @@ def emit_tptp(
         # fof: each clause is rebuilt over the scenario's atom declarations.
         if scenario is None:
             raise MissingScenarioMetadataError("fof mode requires a scenario")
-        if scenario.n != ftsc.n:
-            raise MissingScenarioMetadataError(
-                f"scenario declares {scenario.n} atoms, construction has {ftsc.n}"
-            )
         for symbol, atom in scenario.atoms_for(ftsc.signature).items():
             p = atom.predicate
             args = [(t.name, t.is_variable) for t in p.args]

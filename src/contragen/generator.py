@@ -115,12 +115,6 @@ class Ftsc(Record):
     def signature(self) -> Signature:
         return self.clause_set.signature
 
-    def clause(self, index: int) -> Clause:
-        """The clause at 1-based ``index`` (1..n+1)."""
-        if not 1 <= index <= self.n + 1:
-            raise IndexError(f"clause index out of range: {index}")
-        return self.clause_set.clauses[index - 1]
-
     def premises_without(self, removed_index: int) -> ClauseSet:
         """The remainder set after removing the 1-based ``removed_index``."""
         if not 1 <= removed_index <= self.n + 1:
@@ -172,10 +166,6 @@ class Theorem(Record):
     _fields = ("source", "removed_index", "conclusion", "certified")
     __slots__ = _fields + ("__dict__",)  # the cached trace
     _defaults = {"certified": CERT_UNCHECKED}
-
-    @property
-    def removed_clause(self) -> Clause:
-        return self.source.clause(self.removed_index)
 
     @cached_property
     def trace(self) -> ProofTrace:

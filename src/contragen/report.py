@@ -298,8 +298,6 @@ def build_report(
     theorems: Sequence[Theorem],
     *,
     scenario: Optional[str] = None,
-    explanations: Sequence[Explanation] = (),
-    ranking: Optional[RankedReport] = None,
     replay_results: Optional[Sequence[bool]] = None,
     timestamp: Optional[str] = None,
 ) -> Report:
@@ -336,8 +334,6 @@ def build_report(
         ),
         theorems=tuple(records),
         scenario=scenario,
-        explanations=tuple(explanations),
-        ranking=ranking,
         timestamp=timestamp if timestamp is not None else current_timestamp(),
     )
 

@@ -40,21 +40,21 @@ A theorem is certified from its source's deletion-based minimality check
 alone: the remainder R entails the negated removed clause l1 | ... | lk
 exactly when R & (l1 | ... | lk), the source, is unsatisfiable. So
 certification is "MUS at the removed index plus the conclusion equals the
-negated clause". ``certification_failures`` gives theorems their verdicts
-in one pass: None, or one line naming the condition that failed;
-``certification_failure`` and ``check_theorem`` (a certified copy) are its
-one-theorem calls. Each construction holds its one check (``Ftsc.mus``), so
-a construction is decided once however its theorems are ordered, and
-``check_mus`` keeps no state between calls. The conclusion is compared by
-masks: its (positive, negative) bitmask pair over the signature must be the
-removed clause's pair swapped. From _PREFIX_MIN_VARS symbols on, the kernel
-and certification start a clause or conclusion that repeats the previous
-one's all-but-last literals (one tuple comparison) from the result saved
-for them. Trace replay runs on the premises' clause bitmasks, with the
-known literals held as two masks, true and false. One function, ``_step``,
-decides whether a step is valid: ``replay_trace`` is a loop over it, and
-``replay_theorems`` runs each construction's shared steps through it once,
-then only each trace's assumption and discharge.
+negated clause". ``certification_failures``, the one certification entry
+point, gives theorems their verdicts in one pass: None, or one line naming
+the condition that failed; ``check_theorem`` returns one theorem's
+certified copy from it. Each construction holds its one check
+(``Ftsc.mus``), so a construction is decided once however its theorems are
+ordered, and ``check_mus`` keeps no state between calls. The conclusion is
+compared by masks: its (positive, negative) bitmask pair over the signature
+must be the removed clause's pair swapped. From _PREFIX_MIN_VARS symbols
+on, the kernel and certification start a clause or conclusion that repeats
+the previous one's all-but-last literals (one tuple comparison) from the
+result saved for them. Trace replay runs on the premises' clause bitmasks,
+with the known literals held as two masks, true and false. One function,
+``_step``, decides whether a step is valid: ``replay_trace`` is a loop over
+it, and ``replay_theorems`` runs each construction's shared steps through
+it once, then only each trace's assumption and discharge.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ class MusReport(Record):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         symbols = self._symbols
         results = tuple([
-            _certified_result(d, symbols) if d.__class__ is int else d for d in self._deletions
+            SatResult(True, _witness(d, symbols), METHOD_CERTIFICATE) if d.__class__ is int else d
+            for d in self._deletions
         ])
         _setattr(self, "deletion_results", results)
         return results
@@ -219,6 +220,11 @@ def _violations(
         yield before & false_at[ints[-1]] if ints else full
 
 
+def _witness(model: int, symbols: tuple[str, ...]) -> dict[str, bool]:
+    """The assignment a model mask encodes: bit j is the value of ``symbols[j]``."""
+    return {s: model >> j & 1 == 1 for j, s in enumerate(symbols)}
+
+
 def _truth_table(clause_set: ClauseSet) -> SatResult:
     n = clause_set.signature.size
     full = (1 << (1 << n)) - 1
@@ -237,10 +243,7 @@ def _truth_table(clause_set: ClauseSet) -> SatResult:
             chosen |= 1 << j
         else:
             alive &= ~pattern
-    witness = {
-        clause_set.signature.symbols[j]: bool(chosen >> j & 1) for j in range(n)
-    }
-    return SatResult(True, witness, METHOD_TRUTH_TABLE)
+    return SatResult(True, _witness(chosen, clause_set.signature.symbols), METHOD_TRUTH_TABLE)
 
 
 def _dpll(clause_set: ClauseSet) -> SatResult:
@@ -305,9 +308,7 @@ def _dpll(clause_set: ClauseSet) -> SatResult:
             mark, j = len(trail), (free & -free).bit_length() - 1
             value = True
         else:
-            model = reversed(format(true, f"0{n}b"))
-            witness = {s: b == "1" for s, b in zip(symbols, model)}
-            return SatResult(True, witness, METHOD_DPLL)
+            return SatResult(True, _witness(true, symbols), METHOD_DPLL)
         decisions.append((mark, j, not value))  # true is tried first
         bit = 1 << j
         if value:
@@ -385,18 +386,6 @@ def _checked_models(clause_set: ClauseSet) -> list[Optional[int]]:
     return models
 
 
-def _certified_result(model: int, symbols: tuple[str, ...]) -> SatResult:
-    """The result of an accepted certificate: bit j of ``model`` is the
-    value of ``symbols[j]``."""
-    witness = dict.fromkeys(symbols, True)
-    zeros = ((1 << len(symbols)) - 1) ^ model
-    while zeros:
-        low = zeros & -zeros
-        witness[symbols[low.bit_length() - 1]] = False
-        zeros ^= low
-    return SatResult(True, witness, METHOD_CERTIFICATE)
-
-
 @lru_cache(maxsize=16)
 def _candidate_columns(masks: tuple[tuple[int, int], ...], n: int) -> tuple[int, ...]:
     """Per symbol j, the candidates that make it true: candidate i at bit i.
@@ -444,11 +433,6 @@ def check_theorem(theorem: Theorem) -> Theorem:
     certification state, never raised."""
     state = CERT_FAILED if certification_failures((theorem,))[0] else CERT_VERIFIED
     return Theorem(theorem.source, theorem.removed_index, theorem.conclusion, state)
-
-
-def certification_failure(theorem: Theorem) -> Optional[str]:
-    """The one theorem's verdict from ``certification_failures``."""
-    return certification_failures((theorem,))[0]
 
 
 def certification_failures(theorems: Sequence[Theorem]) -> list[Optional[str]]:

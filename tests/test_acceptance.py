@@ -35,6 +35,7 @@ from contragen import (
 )
 from contragen import verifier
 from contragen.cli import EXIT_OK, run_cli
+from contragen.core import replace
 from contragen.generator import CERT_VERIFIED
 
 from conftest import SCENARIO_DIR, random_clause_set
@@ -295,11 +296,9 @@ def test_criterion_8_format_roundtrips():
     explanations = [
         verbalize(t, load_scenario(SCENARIO_DIR / "medical.yaml")) for t in certified
     ]
-    report = build_report(
-        medical,
-        certified,
-        scenario="medical-diagnosis",
-        explanations=explanations,
+    report = replace(
+        build_report(medical, certified, scenario="medical-diagnosis"),
+        explanations=tuple(explanations),
         ranking=rank(explanations),
     )
     assert Report.from_json(report.to_json()) == report

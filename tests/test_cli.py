@@ -310,6 +310,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert "verification passed" in out
 
+    def test_report_suffix_in_any_case(self, capsys, tmp_path):
+        # The reader is chosen by the suffix, whatever its case.
+        target = tmp_path / "r.JSON"
+        run(capsys, "generate", *MEDICAL, "--output", str(target))
+        code, out, err = run(capsys, "verify", str(target))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "verification passed"
+
     @settings(max_examples=50, deadline=None)
     @given(ESCAPED_SYMBOLS)
     def test_generated_report_of_escaped_symbols(self, symbols):

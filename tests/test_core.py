@@ -149,12 +149,17 @@ class TestValidateInput:
 
 class TestClause:
     def test_tautology_flag(self):
-        assert Clause((pos("a"), neg("a"))).is_tautology()
-        assert not Clause((pos("a"), neg("b"))).is_tautology()
+        # The solvers read a tautology off its masks: a bit set in both.
+        signature = sig("a", "b")
+        tautology, plain = ClauseSet.build(
+            [Clause((neg("a"), pos("a"))), Clause((pos("a"), neg("b")))], signature
+        ).masks()
+        assert tautology[0] & tautology[1]
+        assert not plain[0] & plain[1]
 
     def test_empty_clause(self):
         empty = Clause(())
-        assert empty.is_empty()
+        assert len(empty) == 0 and str(empty) == "⊥"
         assert not evaluate_clause(empty, {"a": True})
 
     def test_canonicalize_dedup_and_order(self):
@@ -244,6 +249,10 @@ class TestClauseSet:
         with pytest.raises(UnboundSymbolError):
             ClauseSet((Clause((pos("zz"),)),), sig("x1"))
 
+    def test_str_keeps_clause_order(self):
+        chain = ClauseSet.build([Clause((pos("b"),)), Clause((neg("b"), pos("a")))], sig("a", "b"))
+        assert str(chain) == "(b) & (a | ~b)"
+
     def test_set_equality_ignores_order(self):
         signature = sig("a", "b")
         left = ClauseSet.build(
@@ -252,7 +261,7 @@ class TestClauseSet:
         right = ClauseSet.build(
             [Clause((pos("b"),)), Clause((neg("b"), pos("a")))], signature
         )
-        assert left.set_equal(right)
+        assert left.as_sets() == right.as_sets()
         assert left != right  # ordered equality is stricter
 
     def test_int_encoding(self):

@@ -95,7 +95,7 @@ class TestLoadScenario:
             for symbol, atom in scenario.atoms_for(signature).items():
                 assert isinstance(atom.predicate, PredicateAtom)
                 head, args = split_symbol(symbol)
-                assert (head, len(args)) == (atom.symbol, atom.predicate.arity)
+                assert (head, len(args)) == (atom.symbol, len(atom.predicate.args))
 
     def test_duplicate_atom_rejected(self):
         text = """
@@ -500,6 +500,55 @@ class TestExplainViaModel:
         assert not thread.is_alive()
         assert explanation.provenance == PROVENANCE_TEMPLATE
         assert "model request failed" in explanation.warnings[0]
+
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            (b"not json", "model response was not JSON"),
+            (b"[0.9]", "model response must be a JSON object"),
+        ],
+        ids=["not-json", "array"],
+    )
+    def test_unusable_body_degrades_and_the_key_is_sent(
+        self, scenario_dir, monkeypatch, body, cause
+    ):
+        import http.server
+        from threading import Thread
+
+        for proxy in ("http_proxy", "HTTP_PROXY"):  # the server is on loopback
+            monkeypatch.delenv(proxy, raising=False)
+        monkeypatch.setenv("CONTRAGEN_MODEL_KEY", "k3y")
+        seen = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                seen.append(self.headers["Authorization"])
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = HttpModelClient(endpoint=f"http://127.0.0.1:{server.server_port}/", timeout=5)
+            scenario = load_scenario(scenario_dir / "medical.yaml")
+            _, theorems = certified_theorems(scenario)
+            explanation = explain_via_model(theorems[2], scenario, client=client)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == ["Bearer k3y"]
+        assert explanation.provenance == PROVENANCE_TEMPLATE
+        assert explanation.narrative == verbalize(theorems[2], scenario).narrative
+        assert len(explanation.warnings) == 1 and cause in explanation.warnings[0]
 
     @pytest.mark.parametrize(
         "endpoint",

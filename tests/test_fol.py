@@ -15,7 +15,7 @@ from contragen import (
     var,
 )
 from contragen import fol
-from contragen.core import ValidationError
+from contragen.core import EmptyInputError, ValidationError, split_symbol
 from contragen.explain import load_scenario_text
 from contragen.fol import (
     EmptyDomainError,
@@ -51,19 +51,19 @@ class TestTerms:
     def test_variable_renders_with_sigil(self):
         atom = PredicateAtom("Holds", (var("p"),))
         assert atom.symbol() == "Holds(?p)"
-        assert not atom.is_ground()
+        assert atom.variables() == ("p",)
 
     def test_ground_symbol(self):
         atom = PredicateAtom("Shares", (const("h1"), const("r1"), const("p1")))
-        assert atom.symbol() == "Shares(h1,r1,p1)"
-        assert atom.is_ground()
-        assert atom.arity == 3
+        assert str(atom) == atom.symbol() == "Shares(h1,r1,p1)"
+        assert atom.variables() == ()
+        assert split_symbol(atom.symbol()) == ("Shares", ("h1", "r1", "p1"))
 
     def test_propositional_atom(self):
         atom = PredicateAtom("Fever")
         assert atom.symbol() == "Fever"
-        assert atom.arity == 0
-        assert atom.is_ground()
+        assert split_symbol(atom.symbol()) == ("Fever", ())
+        assert atom.variables() == ()
 
 
 BAD_NAMES = ["", "a,b", "?x", "f(a)", "a)", "a b", "a\tb"]
@@ -134,6 +134,10 @@ class TestGroundAtoms:
         for instance in ground_atoms(atoms, domain):
             constants = {l.symbol.split("(")[1].rstrip(")") for l in instance}
             assert len(constants) == 1
+
+    def test_empty_atom_list(self):
+        with pytest.raises(EmptyInputError, match="at least one atom is required"):
+            ground_atoms([])
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
@@ -219,7 +223,7 @@ class TestBuildFolFtsc:
         ]
         prop_signature = validate_input(ground_literals)
         prop_ftsc = build_ftsc(prop_signature)
-        assert fol_ftsc.clause_set.set_equal(prop_ftsc.clause_set)
+        assert fol_ftsc.clause_set.as_sets() == prop_ftsc.clause_set.as_sets()
         assert fol_ftsc.permutation == prop_ftsc.permutation
 
     def test_repeated_predicate_distinct_constants(self):

@@ -30,6 +30,7 @@ from contragen import (
     verbalize,
 )
 from contragen.core import Literal, replace
+from contragen.explain import ArityMismatchError
 from contragen.fol import atom_literal
 from contragen.formats import (
     DimacsParseError,
@@ -218,6 +219,12 @@ class TestEmitTptp:
         assert "infection" in text
         assert "Infection" not in text
 
+    def test_cnf_mode_prefixes_names_that_cannot_start_a_token(self):
+        # An empty predicate name, a digit and an underscore cannot start a TPTP atom.
+        text = emit_tptp(chain(["(a)", "1b", "_c"]), mode="cnf")
+        assert "cnf(dependency_3, axiom, (~x(a) | ~x1b | x_c))." in text
+        assert check_tptp(text) == 4
+
     def test_fof_mode_healthcare(self, scenario_dir):
         scenario = load_scenario(scenario_dir / "healthcare_data_sharing.yaml")
         ftsc = build_ftsc(scenario.signatures()[0])
@@ -239,6 +246,13 @@ class TestEmitTptp:
         with pytest.raises(MissingScenarioMetadataError):
             emit_tptp(chain(MEDICAL), mode="fof")
 
+    def test_fof_refuses_a_scenario_of_another_size(self, scenario_dir):
+        scenario = load_scenario(scenario_dir / "healthcare_data_sharing.yaml")
+        ftsc = chain(MEDICAL[: scenario.n - 1])
+        message = f"scenario {scenario.name!r} declares {scenario.n} atoms, signature has"
+        with pytest.raises(ArityMismatchError, match=re.escape(message)):
+            emit_tptp(ftsc, mode="fof", scenario=scenario)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             emit_tptp(chain(MEDICAL), mode="tff")
@@ -258,15 +272,10 @@ class TestReportRoundTrip:
         ftsc = build_ftsc(scenario.signatures()[0])
         theorems = [check_theorem(t) for t in derive_theorems(ftsc)]
         explanations = [verbalize(t, scenario) for t in theorems]
-        ranking = rank(explanations)
-        return build_report(
-            ftsc,
-            theorems,
-            scenario=scenario.name,
-            explanations=explanations,
-            ranking=ranking,
-            replay_results=[True] * len(theorems),
+        report = build_report(
+            ftsc, theorems, scenario=scenario.name, replay_results=[True] * len(theorems)
         )
+        return replace(report, explanations=tuple(explanations), ranking=rank(explanations))
 
     def test_lossless_roundtrip(self, scenario_dir):
         report = self._full_report(scenario_dir)

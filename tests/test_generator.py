@@ -31,6 +31,7 @@ from contragen.generator import (
     ProofTrace,
     TraceStep,
     build_proof_trace,
+    conclusion_for,
     permutation_by_rank,
     recover_permutation,
     total_literals,
@@ -49,6 +50,10 @@ def signature_of(names):
 
 
 class TestBuildFtsc:
+    def test_empty_signature_refused(self):
+        with pytest.raises(EmptyInputError, match="cannot build over an empty signature"):
+            build_ftsc(Signature(()))
+
     def test_single_literal_degenerate(self):
         ftsc = build_ftsc(signature_of(["x1"]))
         assert ftsc.clause_set.clauses == (
@@ -96,7 +101,7 @@ class TestBuildFtsc:
 
     def test_no_tautologies(self):
         ftsc = build_ftsc(signature_of(MEDICAL))
-        assert not any(c.is_tautology() for c in ftsc.clause_set.clauses)
+        assert not any(positive & negative for positive, negative in ftsc.clause_set.masks())
 
     def test_deterministic(self):
         signature = signature_of(MEDICAL)
@@ -333,7 +338,7 @@ class TestDeriveTheorems:
     def test_conclusion_negates_removed_clause(self):
         ftsc = build_ftsc(signature_of(MEDICAL))
         for theorem in derive_theorems(ftsc):
-            removed = ftsc.clause(theorem.removed_index)
+            removed = ftsc.clause_set.clauses[theorem.removed_index - 1]
             assert set(theorem.conclusion) == {l.negate() for l in removed.literals}
 
 
@@ -383,7 +388,7 @@ class TestProofTraces:
             i = theorem.removed_index
             assert build_proof_trace(ftsc, i) == reference_trace(ftsc, i)
             assert theorem.trace == reference_trace(ftsc, i)
-            removed = ftsc.clause(i).literals
+            removed = ftsc.clause_set.clauses[i - 1].literals
             assert theorem.conclusion == tuple(l.negate() for l in removed)
 
     def test_shuffled_replay_gives_the_same_results(self):
@@ -452,6 +457,10 @@ class TestProofTraces:
         ftsc = build_ftsc(signature_of(["x1"]))
         with pytest.raises(IndexError):
             build_proof_trace(ftsc, 3)
+        with pytest.raises(IndexError, match="clause index out of range: 3"):
+            conclusion_for(ftsc, 3)
+        with pytest.raises(IndexError, match="removed index out of range: 0"):
+            ftsc.premises_without(0)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_trace_length_closed_form(self, n):

@@ -144,7 +144,7 @@ class TestCertification:
         flipped = replace(theorems[9], conclusion=theorems[8].conclusion)
         for theorem in (*theorems, flipped):
             verdict = plain_verdict(theorem)
-            assert verifier.certification_failure(theorem) == verdict
+            assert verifier.certification_failures([theorem])[0] == verdict
             assert (verifier.check_theorem(theorem).certified == "verified") is (verdict is None)
 
     def test_interleaved_sources(self):

@@ -127,6 +127,8 @@ def test_fixtures_read_as_pyyaml_reads_them(path):
         ("a: 2001-12-14\n", 1, "'2001-12-14' does not read as a string in YAML; quote it"),
         ("<<: {}\n", 1, "'<<' does not read as a string in YAML; quote it"),
         ("a: {b: 1, b: 2}\n", 1, "repeated key b"),
+        ("a: {x: 1 y: 2}\n", 1, "unexpected ': 2}' in a flow collection"),
+        ("a: {x y}\n", 1, "expected ':' after a flow mapping key"),
         ("a:\n  - {1: x}\n  - [y]\nb: \x01\n", 4, "character '\\x01' is not allowed"),
         ("a: " + "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1) + "\n", 1,
          f"nesting deeper than {MAX_DEPTH} levels"),

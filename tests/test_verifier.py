@@ -40,7 +40,7 @@ from contragen.generator import (
     build_proof_trace,
     conclusion_for,
 )
-from contragen.verifier import MusReport, SatResult, certification_failure, replay_theorems
+from contragen.verifier import MusReport, SatResult, certification_failures, replay_theorems
 
 from conftest import random_clause_set
 from oracles import (
@@ -614,7 +614,7 @@ class TestPendingDeletionResults:
         ftsc = chain(["a", "b", "c"])
         mus = ftsc.mus
         for theorem in derive_theorems(ftsc):
-            assert certification_failure(theorem) is None
+            assert certification_failures([theorem])[0] is None
         assert mus.is_mus and mus.searches == 0
         # ``deletion_results`` is still unbuilt: no slot is set.
         with pytest.raises(AttributeError):
@@ -876,16 +876,16 @@ class TestCertificationFailure:
 
     def test_every_theorem_of_a_chain_certifies(self):
         for theorem in derive_theorems(chain(MEDICAL)):
-            assert certification_failure(theorem) is None
+            assert certification_failures([theorem])[0] is None
 
     @pytest.mark.parametrize("i", [0, 5, -1])
     def test_removed_index_out_of_range(self, i):
-        assert certification_failure(self.theorem(i)) == f"removed index {i} out of range 1..4"
+        assert certification_failures([self.theorem(i)])[0] == f"removed index {i} out of range 1..4"
 
     def test_clause_dropped(self):
         clauses = chain(["a", "b", "c"]).clause_set.clauses
         theorem = self.theorem(2, clauses=clauses[:1] + clauses[2:])
-        assert certification_failure(theorem) == (
+        assert certification_failures([theorem])[0] == (
             "removed index 2 out of range: the source has 3 clauses, not 4"
         )
 
@@ -893,25 +893,25 @@ class TestCertificationFailure:
         # Clause 4 replaced by a copy of clause 3: all true satisfies the set.
         clauses = chain(["a", "b", "c"]).clause_set.clauses
         theorem = self.theorem(2, clauses=clauses[:3] + clauses[2:3])
-        assert certification_failure(theorem) == "source not unsatisfiable"
+        assert certification_failures([theorem])[0] == "source not unsatisfiable"
 
     def test_deletion_unsatisfiable(self):
         # A duplicated clause 1: deleting either copy leaves the other.
         clauses = chain(["a", "b", "c"]).clause_set.clauses
         theorem = self.theorem(1, clauses=clauses + clauses[:1])
-        assert certification_failure(theorem) == "deletion 1 not satisfiable"
-        assert certification_failure(self.theorem(2, clauses=clauses + clauses[:1])) is None
+        assert certification_failures([theorem])[0] == "deletion 1 not satisfiable"
+        assert certification_failures([self.theorem(2, clauses=clauses + clauses[:1])])[0] is None
 
     def test_foreign_symbol(self):
         conclusion = self.theorem(3).conclusion + (pos("ghost"),)
-        assert certification_failure(self.theorem(3, conclusion=conclusion)) == (
+        assert certification_failures([self.theorem(3, conclusion=conclusion)])[0] == (
             "conclusion symbol 'ghost' outside the signature"
         )
 
     def test_flipped_literal(self):
         conclusion = self.theorem(3).conclusion
         flipped = conclusion[:-1] + (conclusion[-1].negate(),)
-        assert certification_failure(self.theorem(3, conclusion=flipped)) == (
+        assert certification_failures([self.theorem(3, conclusion=flipped)])[0] == (
             "conclusion not the negated clause 3"
         )
 
@@ -920,7 +920,7 @@ class TestCertificationFailure:
     def test_none_exactly_when_verified(self, batch):
         for theorem in batch:
             verified = check_theorem(theorem).certified == CERT_VERIFIED
-            assert (certification_failure(theorem) is None) == verified
+            assert (certification_failures([theorem])[0] is None) == verified
 
 
 def set_replay(trace, premises):
