@@ -1,5 +1,5 @@
 # The medical walkthrough: build the triangular chain over four diagnostic
-# predicates, derive all five entailments, and inspect a proof trace.
+# predicates, derive all five entailments, and inspect the proof of one.
 #
 # The chain encodes "infection -> high WBC -> fever -> antibiotics" plus a
 # final clause forbidding all four at once, so the conjunction contradicts
@@ -14,6 +14,8 @@ from contragen import (
     replay_trace,
     validate_input,
 )
+from contragen.generator import proof_steps, step_clause
+from contragen.verifier import replay_theorems
 
 signature = validate_input(
     [pos(s) for s in ("Infection", "HighWBC", "Fever", "RequiresAntibiotics")]
@@ -30,15 +32,29 @@ for theorem in derive_theorems(ftsc):
     conclusion = " & ".join(str(l) for l in theorem.conclusion)
     print(f"  remove {theorem.removed_index}: |- {conclusion}   [{checked.certified}]")
 
-# The trace for removing clause 4 shows the no-search structure: derive the
-# first three literals as units, assume the fourth, hit the final clause,
-# discharge the assumption.
+# One proof of 3n-1 lemmas serves all five theorems. Removing clause 4 uses
+# four of them, with no search: the first three literals as units, each
+# from its own clause, then ~RequiresAntibiotics from the final clause
+# under those units. Replay checks every step and finds the clauses each
+# rests on; clause 4 is not among those of the theorem's last step.
+proof = ftsc.proof
+clauses = len(ftsc.clause_set.clauses)
 theorem = derive_theorems(ftsc)[3]
-print(f"\ntrace for removal of clause {theorem.removed_index}:")
-for step in theorem.trace.steps:
-    cited = "" if step.premise_index is None else f"  (premise {step.premise_index})"
-    print(f"  {step.kind:16s} {step.literal or ''}{cited}")
 
-replayed = replay_trace(theorem.trace, ftsc.premises_without(4))
-print("replay accepts the trace:", bool(replayed))
-print("literals the trace establishes:", sorted(str(l) for l in replayed.established))
+
+def cites(r):
+    return f"clause {r + 1}" if r < clauses else f"step {r - clauses}"
+
+
+print(f"\nproof of removal of clause {theorem.removed_index} (steps it uses, of {len(proof.steps)}):")
+for s in proof_steps(theorem):
+    step = proof.steps[s]
+    assumed = f", assuming steps {list(range(step.units))}" if step.units else ""
+    print(f"  {s:2d}: {str(step_clause(ftsc, step)):22s} from "
+          f"{', '.join(cites(r) for r in step.hints)}{assumed}")
+
+replayed = replay_trace(proof, ftsc.clause_set)
+rests = replayed.verdicts[proof.targets[3]]
+print("replay accepts every step:", bool(replayed))
+print("the last step rests on clauses:", [r + 1 for r in range(clauses) if rests >> r & 1])
+print("theorems the proof fails:", sorted(replay_theorems(derive_theorems(ftsc))))

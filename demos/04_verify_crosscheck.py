@@ -20,6 +20,10 @@ from contragen import (
 )
 from contragen.core import replace
 
+def verdict(satisfiable):
+    return "satisfiable" if satisfiable else "unsatisfiable"
+
+
 # The search is chosen by size: the truth table up to 13 variables, DPLL
 # beyond. Its verdict agrees with trying every assignment.
 rng = random.Random(11)
@@ -37,8 +41,7 @@ for trial in range(5):
     clause_set = ClauseSet.build(clauses, signature)
     result = is_satisfiable(clause_set)
     exhaustive = any(evaluate_set(clause_set, a) for a in assignments)
-    status = "satisfiable" if exhaustive else "unsatisfiable"
-    print(f"trial {trial}: {result.method}={result.status}  exhaustive={status}  agree={result.satisfiable == exhaustive}")
+    print(f"trial {trial}: {result.method}={verdict(result.satisfiable)}  exhaustive={verdict(exhaustive)}  agree={result.satisfiable == exhaustive}")
 
 # Minimality report for a triangular chain: the set is unsatisfiable and
 # every single-clause deletion restores satisfiability, witness included.
@@ -46,7 +49,7 @@ ftsc = build_ftsc(validate_input([pos("a"), pos("b"), pos("c")]))
 report = check_mus(ftsc.clause_set)
 print("\nunsatisfiable:", report.is_unsatisfiable, " minimal:", report.is_mus)
 for i, deletion in enumerate(report.deletion_results, start=1):
-    print(f"  drop clause {i}: {deletion.status}, witness={deletion.witness}")
+    print(f"  drop clause {i}: {verdict(deletion.satisfiable)}, witness={deletion.witness}")
 
 # Certification re-derives everything from the clause lists, so a flipped
 # conclusion literal is caught even though the clause set is untouched.

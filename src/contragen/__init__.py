@@ -1,8 +1,8 @@
 """contragen: deterministic triangular contradiction theorems, verified and explained.
 
 The package builds minimal unsatisfiable clause chains from literal lists,
-derives every single-clause-removal entailment together with a replayable
-proof trace, certifies the results with an independent satisfiability
+derives every single-clause-removal entailment together with one replayable
+proof per chain, certifies the results with an independent satisfiability
 oracle, and renders them as domain-aligned explanations and ranked
 remediation reports. DIMACS, TPTP, and a JSON report schema cover
 interchange; the ``contragen`` console script drives the whole pipeline.

@@ -167,18 +167,17 @@ def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
 
 def _certified_report(signature: Signature, scenario, *, replay=True, timestamp=None):
     """The report ``generate`` writes for the chain over the signature's
-    order, and its certified theorems. A trace that fails replay is named on
-    stderr with its first invalid step. ``verify`` regenerates the report
-    without replaying, with every trace recorded as replayed."""
+    order, and its certified theorems. A theorem its proof fails to replay
+    is named on stderr with the step at fault. ``verify`` regenerates the
+    report without replaying, with every theorem recorded as replayed."""
     ftsc = build_ftsc(signature)
     theorems = derive_theorems(ftsc)
     states = [CERT_FAILED if f else CERT_VERIFIED for f in certification_failures(theorems)]
     theorems = [Theorem(ftsc, t.removed_index, t.conclusion, s) for t, s in zip(theorems, states)]
     failures = replay_theorems(theorems) if replay else {}
-    for position, result in failures.items():
-        where = "" if result.failed_step is None else f"trace step {result.failed_step}: "
-        print(f"theorem {theorems[position].removed_index}: {where}{result.reason}",
-              file=sys.stderr)
+    for position, (step, reason) in failures.items():
+        where = "" if step is None else f"trace step {step}: "
+        print(f"theorem {theorems[position].removed_index}: {where}{reason}", file=sys.stderr)
     replays = [position not in failures for position in range(len(theorems))]
     report = build_report(
         ftsc, theorems, scenario=scenario, replay_results=replays, timestamp=timestamp
@@ -415,7 +414,7 @@ def _cmd_explain(args) -> int:
         print("certification failed; refusing to explain", file=sys.stderr)
         return EXIT_VERIFICATION
     if not all(t.trace_replayed for t in report.theorems):
-        return EXIT_VERIFICATION  # each failed trace is named on stderr
+        return EXIT_VERIFICATION  # each failed replay is named on stderr
     client = HttpModelClient(endpoint=args.model_endpoint)
     if client.endpoint:
         explanations = [explain_via_model(t, scenario, client) for t in theorems]

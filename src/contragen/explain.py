@@ -35,7 +35,7 @@ from .core import (
     validate_input,
 )
 from .fol import GroundingDomain, PredicateAtom, const, ground_atoms, var
-from .generator import CERT_VERIFIED, Theorem
+from .generator import CERT_VERIFIED, Theorem, proof_steps, step_clause
 
 # The scenario reader and ``urllib`` are imported inside the two functions
 # that use them: most commands need neither.
@@ -64,12 +64,12 @@ API_KEY_ENV = "CONTRAGEN_MODEL_KEY"
 
 #: Version tag for the request text template; bump when the wording changes
 #: so recorded client fixtures stay replayable.
-PROMPT_VERSION = "1"
+PROMPT_VERSION = "2"
 
 _TRACE_SUMMARY_TEMPLATE = (
     "[v{version}] Entailment {index} of {total}: with dependency clause "
     "{index} removed, the remaining clauses stay satisfiable yet refute the "
-    "removed clause. Trace: {steps} steps ({kinds})."
+    "removed clause. Proof: {count} steps ({steps})."
 )
 
 
@@ -483,14 +483,16 @@ def rank(explanations: Sequence[Explanation]) -> RankedReport:
 
 
 def trace_summary(theorem: Theorem) -> str:
-    """Versioned text summary of a theorem's proof trace for model prompts."""
-    steps = theorem.trace.steps
+    """Versioned text summary of a theorem's proof for model prompts: the
+    clauses of the proof steps it uses, in order."""
+    ftsc = theorem.source
+    used = proof_steps(theorem)
     return _TRACE_SUMMARY_TEMPLATE.format(
         version=PROMPT_VERSION,
         index=theorem.removed_index,
-        total=theorem.source.n + 1,
-        steps=len(steps),
-        kinds=", ".join(s.kind for s in steps),
+        total=ftsc.n + 1,
+        count=len(used),
+        steps="; ".join(str(step_clause(ftsc, ftsc.proof.steps[s])) for s in used),
     )
 
 

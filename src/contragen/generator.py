@@ -1,4 +1,4 @@
-"""Triangular contradiction construction, theorem derivation, proof traces.
+"""Triangular contradiction construction, theorem derivation, the proof.
 
 Over distinct non-complementary literals x1..xn the generator emits the
 clause chain
@@ -12,27 +12,29 @@ clauses force every xt true by unit propagation and the final clause
 rejects exactly that model, so the conjunction is unsatisfiable, and
 removing any single clause leaves a satisfiable remainder. For each
 clause C the remainder entails ~C, and because the dependency chain is
-fixed by construction the witnessing proof trace can be written down
-directly, with no search:
+fixed by construction one proof serves all n+1 theorems and can be
+written down directly, with no search. Its 3n-1 steps are lemmas, each
+a reverse-unit-propagation step (Goldberg & Novikov 2003) citing at most
+two clauses or earlier lemmas, as LRAT hints do:
 
-  * removing Ci with i <= n: derive x1..x(i-1) as units, assume xi,
-    propagate x(i+1)..xn, hit the empty clause on C(n+1), discharge the
-    assumption as ~xi;
-  * removing C(n+1): the units x1..xn are the whole conclusion.
+  * units: xt from Ct, assuming x1..x(t-1), for t = 1..n;
+  * backward lemmas: Ek = ~x1 | ... | ~xk from C(k+1) and E(k+1),
+    assuming nothing, for k = n-1 down to 1 (En is C(n+1));
+  * theorem lemmas: ~xi from Ei, assuming x1..x(i-1), for i = 1..n.
+
+Theorem i <= n is its theorem lemma under the units it assumes, and
+theorem n+1 is the unit xn under x1..x(n-1); neither rests on clause i,
+as the verifier's ``replay_theorems`` checks.
 
 The verifier's ``check_mus`` derives each deletion's model from the
 clauses alone; ``Ftsc.mus`` holds that check, made once per construction.
 
-Over its own order the chain's integer encoding depends on n alone, so
-``build_ftsc`` takes the clauses' integers and bitmasks from one closed
-form per n instead of encoding literal by literal.
-It builds the n positive and n negative literals once, and the clauses,
-the conclusions (``Ftsc.literals``) and the traces share them. The traces
-share one tuple of unit steps, one of propagation steps and one
-empty-clause step (``Ftsc.trace_steps``); only a trace's assumption and
-discharge are built per theorem. The verifier's ``replay_theorems``
-checks each shared step once, with ``replay_trace``'s step checker, and
-then only each trace's assumption and discharge.
+Over its own order the chain's integer encoding and its proof depend on
+n alone, so ``build_ftsc`` takes the clauses' integers and bitmasks, and
+``Ftsc.proof`` its steps' masks, from one closed form per n instead of
+encoding literal by literal. It builds the n positive and n negative
+literals once, and the clauses and the conclusions (``Ftsc.literals``)
+share them; a step's literals are built only to print it.
 
 Everything here is deterministic. ``enumerate_ftscs`` streams one
 construction per permutation of the literals, in lexicographic order,
@@ -59,13 +61,6 @@ from .core import (
 if TYPE_CHECKING:
     from .verifier import MusReport
 
-# Trace step kinds.
-STEP_UNIT = "unit-derivation"
-STEP_ASSUME = "assumption"
-STEP_PROPAGATE = "propagation"
-STEP_EMPTY = "empty-clause"
-STEP_DISCHARGE = "discharge"
-
 # Certification states of a theorem.
 CERT_UNCHECKED = "unchecked"
 CERT_VERIFIED = "verified"
@@ -80,23 +75,21 @@ class EnumerationCapExceededError(ValueError):
 
 
 class TraceStep(Record):
-    """One replayable inference step.
-
-    ``premise_index`` is the 0-based position of the cited clause in the
-    premise clause list (the source set minus the removed clause); it is
-    None for assumption and discharge steps, which cite no clause.
-    ``literal`` is the literal derived, assumed, or concluded; it is None
-    for the empty-clause step.
+    """One lemma: the clause with literal masks ``positive`` and ``negative``
+    (bit j: symbol j, as ``ClauseSet.masks``) follows by unit propagation
+    from the literals of the proof's first ``units`` steps and the cited
+    ``hints``, in order. Over m source clauses, hint r < m cites clause r
+    (0-based) and hint r >= m cites step r - m, which must come earlier.
     """
 
-    __slots__ = _fields = ("kind", "literal", "premise_index")
+    __slots__ = _fields = ("positive", "negative", "hints", "units")
 
 
 class ProofTrace(Record):
-    __slots__ = _fields = ("steps",)
+    """A construction's one proof: its lemma ``steps``, and per theorem
+    (1-based removed index i) the step ``targets[i - 1]`` that concludes it."""
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    __slots__ = _fields = ("steps", "targets")
 
 
 class Ftsc(Record):
@@ -115,33 +108,22 @@ class Ftsc(Record):
     def signature(self) -> Signature:
         return self.clause_set.signature
 
-    def premises_without(self, removed_index: int) -> ClauseSet:
-        """The remainder set after removing the 1-based ``removed_index``."""
-        if not 1 <= removed_index <= self.n + 1:
-            raise IndexError(f"removed index out of range: {removed_index}")
-        return self.clause_set.without(removed_index - 1)
-
     @cached_property
     def literals(self) -> tuple[tuple[Literal, ...], tuple[Literal, ...]]:
-        """(x1..xn, ~x1..~xn) over ``permutation``: every conclusion and
-        trace step of this construction shares these values. ``build_ftsc``
-        stores the very literals of its clauses here."""
+        """(x1..xn, ~x1..~xn) over ``permutation``: every conclusion of this
+        construction shares these values. ``build_ftsc`` stores the very
+        literals of its clauses here."""
         return (
             tuple(Literal(s, False) for s in self.permutation),
             tuple(Literal(s, True) for s in self.permutation),
         )
 
     @cached_property
-    def trace_steps(self) -> tuple[tuple[TraceStep, ...], tuple[TraceStep, ...], TraceStep]:
-        """The steps the traces share: each xt's unit step citing clause t at
-        position t-1, each xt's propagation step (t >= 2) citing it at t-2,
-        and the empty-clause step citing C(n+1) at n-1."""
-        positives = self.literals[0]
-        units = tuple(TraceStep(STEP_UNIT, x, t) for t, x in enumerate(positives))
-        propagations = tuple(
-            TraceStep(STEP_PROPAGATE, x, t) for t, x in enumerate(positives[1:])
-        )
-        return units, propagations, TraceStep(STEP_EMPTY, None, self.n - 1)
+    def proof(self) -> ProofTrace:
+        """The chain's proof over its own order, the one closed form for n.
+        The verifier checks it against ``clause_set``, so a construction
+        whose clauses are not that chain fails where they differ."""
+        return _chain_proof(self.n)
 
     @cached_property
     def mus(self) -> MusReport:
@@ -159,17 +141,12 @@ class Theorem(Record):
 
     ``conclusion`` lists the negations of the removed clause's literals,
     in the clause's canonical order. ``certified`` stays "unchecked" until
-    the verifier confirms or refutes the entailment. ``trace`` is written
-    down from the construction on first read and kept with this value.
+    the verifier confirms or refutes the entailment. Its proof is the
+    source's ``proof`` from step ``source.proof.targets[removed_index - 1]``.
     """
 
-    _fields = ("source", "removed_index", "conclusion", "certified")
-    __slots__ = _fields + ("__dict__",)  # the cached trace
+    __slots__ = _fields = ("source", "removed_index", "conclusion", "certified")
     _defaults = {"certified": CERT_UNCHECKED}
-
-    @cached_property
-    def trace(self) -> ProofTrace:
-        return build_proof_trace(self.source, self.removed_index)
 
 
 @lru_cache(maxsize=8)
@@ -182,6 +159,21 @@ def _chain_code(n: int):
     ints = tuple(negatives[:t] + (t + 1,) for t in range(n)) + (negatives,)
     masks = tuple((1 << t, (1 << t) - 1) for t in range(n)) + ((0, (1 << n) - 1),)
     return ints, masks
+
+
+@lru_cache(maxsize=8)
+def _chain_proof(n: int) -> ProofTrace:
+    """The chain's 3n-1 steps over its own order of n symbols, as the module
+    docstring lays them out: units x1..xn at steps 0..n-1, then E(n-1)..E1,
+    then the theorem lemmas ~x1..~xn. Hint ``lemma(k)`` cites Ek."""
+
+    def lemma(k: int) -> int:  # C(n+1) for k = n, else step 2n-1-k, after the n+1 clauses
+        return n if k == n else 3 * n - k
+
+    units = [TraceStep(1 << t, 0, (t,), t) for t in range(n)]
+    backward = [TraceStep(0, (1 << k) - 1, (k, lemma(k + 1)), 0) for k in range(n - 1, 0, -1)]
+    theorems = [TraceStep(0, 1 << i, (lemma(i + 1),), i) for i in range(n)]
+    return ProofTrace(tuple(units + backward + theorems), (*range(2 * n - 1, 3 * n - 1), n - 1))
 
 
 def build_ftsc(signature: Signature) -> Ftsc:
@@ -226,33 +218,30 @@ def conclusion_for(ftsc: Ftsc, removed_index: int) -> tuple[Literal, ...]:
     return positives[: removed_index - 1] + (negatives[removed_index - 1],)
 
 
-def build_proof_trace(ftsc: Ftsc, removed_index: int) -> ProofTrace:
-    """Write down the search-free trace witnessing one entailment.
-
-    Premise indices refer to positions in ``ftsc.premises_without(removed_index)``,
-    so the trace replays against exactly the clause list the theorem keeps.
-    Every step but the assumption and its discharge is one of the
-    construction's shared ``trace_steps``.
-    """
-    n = ftsc.n
-    if not 1 <= removed_index <= n + 1:
-        raise IndexError(f"removed index out of range: {removed_index}")
-    units, propagations, empty = ftsc.trace_steps
-    if removed_index > n:
-        return ProofTrace(units)
+def step_clause(ftsc: Ftsc, step: TraceStep) -> Clause:
+    """The clause a step of ``ftsc.proof`` concludes, over the construction's
+    own literals in canonical order; built only to print the step."""
     positives, negatives = ftsc.literals
-    i = removed_index
-    return ProofTrace(
-        units[: i - 1]
-        + (TraceStep(STEP_ASSUME, positives[i - 1], None),)
-        + propagations[i - 1 :]
-        + (empty, TraceStep(STEP_DISCHARGE, negatives[i - 1], None))
-    )
+    return Clause(tuple(
+        literal
+        for j in range(ftsc.n)
+        for literal, mask in ((positives[j], step.positive), (negatives[j], step.negative))
+        if mask >> j & 1
+    ))
+
+
+def proof_steps(theorem: Theorem) -> list[int]:
+    """The steps of the chain's proof that the theorem rests on, in order:
+    the units it assumes, E(n-1)..Ei and its theorem lemma, or for theorem
+    n+1 the n units."""
+    n, i = theorem.source.n, theorem.removed_index
+    if i > n:
+        return list(range(n))
+    return [*range(i - 1), *range(n, 2 * n - i), 2 * n - 2 + i]
 
 
 def derive_theorems(ftsc: Ftsc) -> list[Theorem]:
-    """All n+1 canonical entailments of one construction, uncertified.
-    Each trace is built only when it is read."""
+    """All n+1 canonical entailments of one construction, uncertified."""
     return [Theorem(ftsc, i, conclusion_for(ftsc, i)) for i in range(1, ftsc.n + 2)]
 
 
@@ -347,6 +336,8 @@ def total_literals(n: int) -> int:
 
 
 def trace_length(n: int, removed_index: int) -> int:
-    """Closed form for the step count of ``build_proof_trace``: n+2 when a
-    clause 1..n is removed, and the n units when clause n+1 is."""
+    """A report's ``trace_steps``, the v1 count: the steps of the theorem's
+    natural-deduction trace, n+2 when a clause 1..n is removed (units,
+    assumption, propagations, empty clause, discharge) and the n units when
+    clause n+1 is. Schema v1 keeps it so reports stay byte-identical."""
     return n if removed_index == n + 1 else n + 2

@@ -50,28 +50,26 @@ compared by masks: its (positive, negative) bitmask pair over the signature
 must be the removed clause's pair swapped. From _PREFIX_MIN_VARS symbols
 on, the kernel and certification start a clause or conclusion that repeats
 the previous one's all-but-last literals (one tuple comparison) from the
-result saved for them. Trace replay runs on the premises' clause bitmasks,
-with the known literals held as two masks, true and false. One function,
-``_step``, decides whether a step is valid: ``replay_trace`` is a loop over
-it, and ``replay_theorems`` runs each construction's shared steps through
-it once, then only each trace's assumption and discharge.
+result saved for them.
+
+Proof replay runs on the source's clause bitmasks: ``replay_trace``
+checks every step of a construction's proof by one rule, reverse unit
+propagation over the step's hints, and gives each valid step the mask of
+the source clauses it rests on; ``replay_theorems`` calls it once per
+construction, then accepts each theorem by a few mask operations on its
+target step.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .core import ClauseSet, Literal, Record, _setattr
+from .core import ClauseSet, Record, _setattr
 from .generator import (
     CERT_FAILED,
     CERT_VERIFIED,
-    STEP_ASSUME,
-    STEP_DISCHARGE,
-    STEP_EMPTY,
-    STEP_PROPAGATE,
-    STEP_UNIT,
     ProofTrace,
     Theorem,
 )
@@ -91,10 +89,6 @@ METHOD_CERTIFICATE = "certificate"
 
 class SatResult(Record):
     __slots__ = _fields = ("satisfiable", "witness", "method")
-
-    @property
-    def status(self) -> str:
-        return "satisfiable" if self.satisfiable else "unsatisfiable"
 
 
 class MusReport(Record):
@@ -158,30 +152,23 @@ class MusReport(Record):
 
 
 class ReplayResult(Record):
-    """Outcome of replaying a proof trace; truthy iff every step was valid.
+    """Outcome of replaying a proof; truthy iff every step was valid.
 
-    ``established`` collects the literals the trace legitimately proved
-    (units plus discharged conclusions). On failure, ``failed_step`` is the
-    0-based index of the first invalid step and ``reason`` says why.
+    On failure, ``failed_step`` is the 0-based index of the first invalid
+    step and ``reason`` says why. ``verdicts`` holds, per step, the mask of
+    the source clauses it rests on (bit r: clause r) when it is valid, and
+    its reason when not. ``units`` is three tuples, indexed by k up to the
+    first step that is not a valid one-literal step: the first k steps'
+    literals as true and false masks, and the clauses those rest on.
     """
 
-    # ``units``: the established literals as (true, false) masks; bit j names symbols[j].
-    _fields = ("ok", "failed_step", "reason", "units", "symbols")
-    __slots__ = _fields + ("__dict__",)  # the cached established literals
+    __slots__ = _fields = ("ok", "failed_step", "reason", "verdicts", "units")
 
     def __repr__(self) -> str:
-        return self._repr(self._fields[:3])  # the masks and symbols stay out
+        return self._repr(self._fields[:3])  # the masks stay out
 
     def __bool__(self) -> bool:
         return self.ok
-
-    @cached_property
-    def established(self) -> frozenset[Literal]:
-        return frozenset(
-            Literal(self.symbols[j], negated)
-            for negated, mask in zip((False, True), self.units)
-            for j, bit in enumerate(reversed(format(mask, "b"))) if bit == "1"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -479,182 +466,109 @@ def certification_failures(theorems: Sequence[Theorem]) -> list[Optional[str]]:
     return failures
 
 
-def replay_trace(trace: ProofTrace, premises: ClauseSet) -> ReplayResult:
-    """Re-run a proof trace step by step against the given premise clauses.
+def replay_trace(proof: ProofTrace, clause_set: ClauseSet) -> ReplayResult:
+    """Check every step of ``proof`` against the source clauses by one rule.
 
-    Local validity per step kind: a unit derivation cites a premise clause
-    whose other literals are all falsified by earlier units; an assumption
-    opens a scope (one at a time, units are not allowed inside it); a
-    propagation is a unit derivation that may additionally use the
-    assumption and earlier propagations; the empty-clause step cites a
-    premise falsified outright; a discharge requires a reached
-    contradiction and concludes the assumption's negation. Assumptions and
-    discharges cite no clause, and the empty-clause step carries no literal.
-    A valid trace must be nonempty and must leave no assumption open.
-
-    Each step is checked by ``_step``, the one definition of a valid step,
-    which ``replay_theorems`` shares; this function is the loop over it.
+    A step assumes the literals of the proof's first ``units`` steps, which
+    are established only while each of those is a valid one-literal step.
+    It sets its own literals false; each hint in turn must then be unit,
+    and its open literal is set true, or falsified, a conflict, which must
+    come at the last hint. The step is invalid when it assumes units not
+    established, or a hint is satisfied, has two open literals, or cites no
+    clause or an earlier valid step, or when no conflict comes. A valid
+    step rests on the clauses its assumed units and its hints rest on.
     """
-    clauses, index = premises.masks(), premises.signature.index
-    extra: dict[str, int] = {}
-    state, failed = _START, None
-    reason = None if trace.steps else "empty trace"
-    for failed, step in enumerate(trace.steps):
-        after = _step(state, step, clauses, index, extra)
-        if after.__class__ is str:
-            reason = after
-            break
-        state = after
-    if reason is None and state[2]:
-        reason = "assumption left undischarged"
-    ok = reason is None
-    symbols = premises.signature.symbols + tuple(extra)
-    return ReplayResult(ok, None if ok else failed, reason, state[:2], symbols)
+    clauses = clause_set.masks()
+    m = len(clauses)
+    # Per clause, then per step checked: its literal masks and the mask of
+    # the clauses it rests on, or in ``rests`` the reason it is invalid.
+    positives = [p for p, _ in clauses]
+    negatives = [q for _, q in clauses]
+    rests = [1 << r for r in range(m)]
+    # Per established prefix of k steps: its literals, true and false, and
+    # the clauses they rest on.
+    units: tuple[list[int], list[int], list[int]] = ([0], [0], [0])
+    for s, step in enumerate(proof.steps):
+        positive, negative = step.positive, step.negative
+        verdict = _verdict(step, positives, negatives, rests, units, m + len(proof.steps))
+        positives.append(positive)
+        negatives.append(negative)
+        rests.append(verdict)
+        if (verdict.__class__ is int and len(units[0]) == s + 1
+                and positive.bit_count() + negative.bit_count() == 1):
+            for known, mask in zip(units, (positive, negative, verdict)):
+                known.append(known[s] | mask)
+    verdicts = tuple(rests[m:])
+    failed = next((s for s, v in enumerate(verdicts) if v.__class__ is str), None)
+    reason = None if failed is None else verdicts[failed]
+    return ReplayResult(failed is None, failed, reason, verdicts, tuple(map(tuple, units)))
 
 
-# A replay state: (units true, units false, assumption, known true, known
-# false, contradicted), from nothing known. The masks hold bit j for symbol
-# j; the assumption is its literal's bit, negative when negated, and 0
-# outside a scope. Outside a scope the known literals are exactly the units.
-_START = (0, 0, 0, 0, 0, False)
+def _verdict(step, positives, negatives, rests, units, bound):
+    """The clauses ``step`` rests on as a mask, or the reason it is invalid.
+    The lists hold the clauses and the steps before it, as ``replay_trace``
+    keeps them; hints from their length up to ``bound`` cite later steps."""
+    k = step.units
+    if not 0 <= k < len(units[0]):
+        return f"assumes {k} units, not established"
+    true = units[0][k] | step.negative
+    false = units[1][k] | step.positive
+    rested = units[2][k]
+    last = len(step.hints) - 1
+    for h, r in enumerate(step.hints):
+        if not 0 <= r < len(rests):
+            return f"hint {r} cites a later step" if 0 <= r < bound else f"hint {r} cites nothing"
+        if rests[r].__class__ is str:
+            return f"hint {r} cites an invalid step"
+        positive, negative = positives[r], negatives[r]
+        if positive & true or negative & false:
+            return f"hint {r} is satisfied"
+        rested |= rests[r]
+        open_ = (positive | negative) & ~(true | false)
+        if not open_:
+            return rested if h == last else f"hint {r} conflicts before the last hint"
+        if open_ & (open_ - 1) or positive & negative & open_:
+            return f"hint {r} has two open literals"
+        if positive & open_:
+            true |= open_
+        else:
+            false |= open_
+    return "no conflict"
 
 
-def _step(state, step, clauses, index, extra):
-    """The state after ``step``, or the reason it is invalid.
+def replay_theorems(theorems: Sequence[Theorem]) -> dict[int, tuple[Optional[int], str]]:
+    """Replay each theorem's proof; the failures, by position in
+    ``theorems``, as (step, reason), with step None when no step is at
+    fault.
 
-    ``clauses`` are the premises' (positive, negative) masks, and ``index``
-    the signature's; the step cites a clause by position. A cited clause
-    with the derived literal taken out is unit exactly when its positive
-    mask lies inside the known-false one and its negative mask inside the
-    known-true one. A literal over a symbol outside ``index`` gets a fresh
-    high bit from ``extra``, one table per replayed sequence, so it can
-    never match a premise literal.
+    ``replay_trace`` checks each distinct source's ``proof`` once against
+    its clauses. Theorem i is then accepted when its target step is a
+    valid one-literal step, its assumed units plus its literal are clause
+    i's masks swapped (the negated removed clause), and the clauses it
+    rests on leave clause i out: so the remainder entails every literal of
+    the conclusion.
     """
-    units_true, units_false, assumed, true, false, contradicted = state
-    kind, literal, p = step.kind, step.literal, step.premise_index
-    cited: Optional[tuple[int, int]] = None
-    if p is not None:
-        if not 0 <= p < len(clauses):
-            return f"premise index out of range: {p}"
-        if kind == STEP_ASSUME or kind == STEP_DISCHARGE:
-            return f"{kind} step cites a premise"
-        cited = clauses[p]
-    bit, negated = 0, False  # bit 0: no literal
-    if literal is not None:
-        j = index.get(literal.symbol)
-        if j is None:
-            j = extra.setdefault(literal.symbol, len(index) + len(extra))
-        bit, negated = 1 << j, literal.negated
-
-    if kind == STEP_UNIT or kind == STEP_PROPAGATE:
-        unit = kind == STEP_UNIT
-        if unit and assumed:
-            return "unit derivation inside an assumption scope"
-        if not unit and not assumed:
-            return "propagation outside an assumption scope"
-        if not bit or cited is None:
-            return f"{'unit derivation' if unit else 'propagation'} needs a literal and a premise"
-        positive, negative = cited
-        if not (negative if negated else positive) & bit:
-            return "derived literal does not occur in the cited clause"
-        if negated:
-            negative ^= bit
-        else:
-            positive ^= bit
-        if positive & ~false or negative & ~true:
-            return "cited clause is not unit under established literals"
-        if negated:
-            false |= bit
-        else:
-            true |= bit
-        if unit:
-            return (true, false, 0, true, false, False)
-        return (units_true, units_false, assumed, true, false, contradicted)
-    if kind == STEP_ASSUME:
-        if assumed:
-            return "nested assumption"
-        if not bit:
-            return "assumption needs a literal"
-        if negated:
-            return (units_true, units_false, -bit, true, false | bit, False)
-        return (units_true, units_false, bit, true | bit, false, False)
-    if kind == STEP_EMPTY:
-        if not assumed:
-            return "empty-clause step outside an assumption scope"
-        if cited is None:
-            return "empty-clause step needs a premise"
-        if bit:
-            return "empty-clause step carries a literal"
-        if cited[0] & ~false or cited[1] & ~true:
-            return "cited clause is not fully falsified"
-        return (units_true, units_false, assumed, true, false, True)
-    if kind == STEP_DISCHARGE:
-        if not assumed or not contradicted:
-            return "discharge without a refuted assumption"
-        if (-bit if negated else bit) != -assumed:
-            return "discharged literal must negate the assumption"
-        if negated:
-            units_false |= bit
-        else:
-            units_true |= bit
-        return (units_true, units_false, 0, units_true, units_false, False)
-    return f"unknown step kind: {kind!r}"
-
-
-def replay_theorems(theorems: Sequence[Theorem]) -> dict[int, ReplayResult]:
-    """Replay each theorem's trace against its remainder, with
-    ``replay_trace``'s verdicts; the failed results, by position in
-    ``theorems``. The construction is the first theorem's source.
-
-    Its traces are slices of the shared steps (``Ftsc.trace_steps``), so
-    ``_step`` runs those once, on the source's clause masks: the units from
-    the empty state, and the propagations then the empty-clause step (the
-    chain) from x1 assumed. A run stops at its first step that fails or
-    does not cite its own position t, which every remainder that uses the
-    step maps to one clause. Trace n+1 is accepted when it is the units and
-    they all replay. Trace i <= n is accepted when it is ``units[:i-1]``,
-    an assumption, ``chain[i-1:]`` and a discharge; the chain's n steps all
-    replay; and ``_step`` takes the assumption from the units' state there
-    to the chain's known literals at i-1, and the discharge from where the
-    chain ends. A step's result depends only on the state, the step and
-    the cited clause, so these are ``replay_trace``'s verdicts. Every other
-    trace is replayed by ``replay_trace``, which also says why it fails.
-    """
-    ftsc = theorems[0].source
-    masks, index, n = ftsc.clause_set.masks(), ftsc.signature.index, ftsc.n
-    units, propagations, empty = ftsc.trace_steps
-    chain = propagations + (empty,)
-    runs = []
-    for steps, state, clauses in (
-        (units, _START, masks[:-1]),
-        (chain, (0, 0, 1, 1, 0, False), masks[1:]),  # from x1 assumed
-    ):
-        states, extra = [state], {}
-        for t, step in enumerate(steps):
-            state = _step(state, step, clauses, index, extra) if step.premise_index == t else ""
-            if state.__class__ is str:
-                break
-            states.append(state)
-        runs.append(states)
-    unit_states, chain_states = runs
-    complete = len(chain_states) > len(chain) == n  # n steps, each replays
-    end = chain_states[-1][3:]  # the known literals where the chain ends
-    failures: dict[int, ReplayResult] = {}
+    replays: dict[int, tuple[ProofTrace, tuple, ReplayResult]] = {}
+    failures: dict[int, tuple[Optional[int], str]] = {}
     for position, theorem in enumerate(theorems):
-        i, steps = theorem.removed_index, theorem.trace.steps
-        own, accepted = theorem.source is ftsc, False
-        if own and i == n + 1:
-            accepted = 0 < len(steps) < len(unit_states) and steps == units
-        elif (own and complete and 0 < i <= len(unit_states)
-                and steps[: i - 1] == units[: i - 1] and steps[i:-1] == chain[i - 1 :]):
-            # The assumption and the discharge cite no clause, so they are
-            # checked against none; they share the trace's fresh-bit table.
-            extra: dict[str, int] = {}
-            state = _step(unit_states[i - 1], steps[i - 1], (), index, extra)
-            if state.__class__ is not str and state[3:] == chain_states[i - 1][3:]:
-                accepted = _step(state[:3] + end, steps[-1], (), index, extra).__class__ is not str
-        if not accepted:
-            result = replay_trace(theorem.trace, theorem.source.premises_without(i))
-            if not result:
-                failures[position] = result
+        source, i = theorem.source, theorem.removed_index
+        if id(source) not in replays:
+            proof, masks = source.proof, source.clause_set.masks()
+            replays[id(source)] = proof, masks, replay_trace(proof, source.clause_set)
+        proof, masks, result = replays[id(source)]
+        if not 1 <= i <= min(len(proof.targets), len(masks)):
+            failures[position] = None, f"removed index {i} has no target"
+        elif not 0 <= (target := proof.targets[i - 1]) < len(proof.steps):
+            failures[position] = None, f"target {target} is no step"
+        elif (verdict := result.verdicts[target]).__class__ is str:
+            failures[position] = target, verdict
+        else:
+            step = proof.steps[target]
+            true, false = result.units[0][step.units], result.units[1][step.units]
+            if step.positive.bit_count() + step.negative.bit_count() != 1:
+                failures[position] = target, "target has more than one literal"
+            elif (false | step.negative, true | step.positive) != masks[i - 1]:
+                failures[position] = target, f"target does not conclude the negated clause {i}"
+            elif verdict >> (i - 1) & 1:
+                failures[position] = target, f"target rests on clause {i}"
     return failures

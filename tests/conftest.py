@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from contragen import Clause, ClauseSet, Signature
-from contragen.core import Literal
+from contragen.core import Literal, replace
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -59,3 +59,10 @@ def random_clause_set(rng: random.Random, max_vars: int = 12) -> ClauseSet:
             Clause(tuple(Literal(s, rng.random() < 0.5) for s in symbols))
         )
     return ClauseSet.build(clauses, signature)
+
+
+def tamper_step(proof, s, **changes):
+    """``proof`` with the given fields of step ``s`` changed."""
+    steps = list(proof.steps)
+    steps[s] = replace(steps[s], **changes)
+    return replace(proof, steps=tuple(steps))

@@ -20,7 +20,7 @@ from contragen import cli
 from contragen.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, run_cli
 from contragen.report import Report
 
-from conftest import ESCAPED_SYMBOLS, SCENARIO_DIR, TWO_PATIENTS_SCENARIO
+from conftest import ESCAPED_SYMBOLS, SCENARIO_DIR, TWO_PATIENTS_SCENARIO, tamper_step
 
 MEDICAL = ["Infection", "HighWBC", "Fever", "RequiresAntibiotics"]
 
@@ -79,25 +79,14 @@ class TestGenerate:
 
     def test_failed_replay_named_on_stderr(self, capsys, monkeypatch):
         import contragen.generator as generator
-        from contragen.core import replace
 
-        genuine = generator.build_proof_trace
-
-        def tampered(ftsc, removed_index):
-            trace = genuine(ftsc, removed_index)
-            if removed_index != 3:
-                return trace
-            # Premise 2 of the remainder is clause 4, which has no HighWBC.
-            steps = list(trace.steps)
-            steps[1] = replace(steps[1], premise_index=2)
-            return generator.ProofTrace(tuple(steps))
-
-        monkeypatch.setattr(generator, "build_proof_trace", tampered)
+        # Step 9, ~Fever, is the theorem lemma of removal 3 alone. Made to cite
+        # the removed clause 3 (hint 2) in place of E3, its hint is satisfied.
+        proof = tamper_step(generator._chain_proof(4), 9, hints=(2,))
+        monkeypatch.setattr(generator, "_chain_proof", lambda n: proof)
         code, out, err = run(capsys, "generate", *MEDICAL)
         assert code == EXIT_VERIFICATION
-        assert err == (
-            "theorem 3: trace step 1: derived literal does not occur in the cited clause\n"
-        )
+        assert err == "theorem 3: trace step 9: hint 2 is satisfied\n"
         theorems = json.loads(out)["theorems"]
         assert [t["trace_replayed"] for t in theorems] == [True, True, False, True, True]
         assert all(t["certified"] == "verified" for t in theorems)
@@ -1297,23 +1286,15 @@ class TestExplain:
 
     def test_failed_replay_refused(self, capsys, scenario_dir, monkeypatch):
         import contragen.generator as generator
-        from contragen.core import replace
 
-        genuine = generator.build_proof_trace
-
-        def tampered(ftsc, removed_index):
-            trace = genuine(ftsc, removed_index)
-            if removed_index != 2:
-                return trace
-            *steps, discharge = trace.steps
-            return generator.ProofTrace((*steps, replace(discharge, premise_index=-1)))
-
-        monkeypatch.setattr(generator, "build_proof_trace", tampered)
+        # Step 8, ~x2, is the theorem lemma of removal 2 alone.
+        proof = tamper_step(generator._chain_proof(4), 8, hints=(-1,))
+        monkeypatch.setattr(generator, "_chain_proof", lambda n: proof)
         path = str(scenario_dir / "medical.yaml")
         for table in ([], ["--table"]):
             code, out, err = run(capsys, "explain", path, *table)
             assert (code, out) == (EXIT_VERIFICATION, "")
-            assert err == "theorem 2: trace step 5: premise index out of range: -1\n"
+            assert err == "theorem 2: trace step 8: hint -1 cites nothing\n"
 
     def test_failed_certification_refused(self, capsys, scenario_dir, monkeypatch):
         from contragen.core import replace
@@ -1623,3 +1604,77 @@ class TestUsageErrors:
         assert err == "error: instance 3 needs a scenario file; literal input has one instance\n"
         code, _, err = run(capsys, *command, "a", "b", "--instance", "0")
         assert (code, err) == (EXIT_OK, "")
+
+
+def _exit_and_stderr(argv):
+    """``run_cli``'s exit code and stderr, stdout dropped, with no model
+    endpoint set, so ``explain`` never opens a connection."""
+    err = io.StringIO()
+    saved = os.environ.pop("CONTRAGEN_MODEL_ENDPOINT", None)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    finally:
+        if saved is not None:
+            os.environ["CONTRAGEN_MODEL_ENDPOINT"] = saved
+    return code, err.getvalue()
+
+
+_DIMACS_TOKEN = st.integers(min_value=-4, max_value=4).map(str) | st.sampled_from(
+    ["p", "cnf", "c", "var", "a", "~a", "-0", "+1", "1.5", "%", "99999999999"]
+)
+_DIMACS_LINES = st.lists(st.lists(_DIMACS_TOKEN, max_size=5).map(" ".join), max_size=8)
+_FIXTURES = sorted(SCENARIO_DIR.glob("*.yaml"))
+_LINE = st.text(alphabet=" :-[]{},#'\"&*|>~abcxyz12\t", max_size=16)
+
+
+@st.composite
+def _fixture_edits(draw):
+    """A fixture's lines after one edit: a line dropped, doubled, swapped
+    with the next, cut short, or replaced or preceded by a short line."""
+    lines = draw(st.sampled_from(_FIXTURES)).read_text(encoding="utf-8").splitlines()
+    k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    edit = draw(st.sampled_from(("drop", "double", "swap", "cut", "replace", "insert")))
+    if edit == "drop":
+        del lines[k]
+    elif edit == "double":
+        lines.insert(k, lines[k])
+    elif edit == "swap":
+        lines[k : k + 2] = lines[k : k + 2][::-1]
+    elif edit == "cut":
+        lines[k] = lines[k][: draw(st.integers(min_value=0, max_value=len(lines[k])))]
+    else:
+        lines[k : k + (edit == "replace")] = [draw(_LINE)]
+    return "\n".join(lines) + "\n"
+
+
+class TestParsersUnderFuzz:
+    """Bounded malformed input reaches each parser through ``run_cli`` and
+    ends in a documented exit code, never an escaped exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.none() | st.tuples(st.integers(0, 4), st.integers(0, 6)), _DIMACS_LINES)
+    def test_verify_dimacs_like_text(self, header, lines):
+        header = [] if header is None else ["p cnf %d %d" % header]
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "input.cnf"
+            path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+            code, err = _exit_and_stderr(["verify", str(path)])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION)
+        assert "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _fixture_edits(),
+        st.sampled_from([
+            ["explain", "--table"], ["generate"], ["export", "--format", "dimacs"],
+            ["export", "--format", "tptp", "--tptp-mode", "fof"], ["enumerate", "--n-cap", "3"],
+        ]),
+    )
+    def test_edited_fixture(self, text, command):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "scenario.yaml"
+            path.write_text(text, encoding="utf-8")
+            code, err = _exit_and_stderr([command[0], str(path), *command[1:]])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION)
+        assert "Traceback" not in err

@@ -1,5 +1,6 @@
-"""Construction shape, enumeration closure, theorem derivation, proof traces."""
+"""Construction shape, enumeration closure, theorem derivation, the proof."""
 
+import functools
 import itertools
 import math
 import random
@@ -23,22 +24,20 @@ from contragen import (
 )
 from contragen.generator import (
     CERT_UNCHECKED,
-    STEP_ASSUME,
-    STEP_DISCHARGE,
-    STEP_EMPTY,
-    STEP_PROPAGATE,
-    STEP_UNIT,
+    Ftsc,
     ProofTrace,
     TraceStep,
-    build_proof_trace,
     conclusion_for,
     permutation_by_rank,
+    proof_steps,
     recover_permutation,
+    step_clause,
     total_literals,
     trace_length,
 )
+from contragen.verifier import replay_theorems
 
-from contragen.core import EmptyInputError, Literal, fields, replace
+from contragen.core import EmptyInputError, Literal, fields
 
 from oracles import brute_force_entails, brute_force_satisfiable, plain_clauses
 
@@ -287,7 +286,7 @@ class TestDeriveTheorems:
         theorems = derive_theorems(ftsc)
         assert [t.removed_index for t in theorems] == [1, 2, 3, 4, 5]
         assert all(t.certified == CERT_UNCHECKED for t in theorems)
-        assert all(t.trace is not None for t in theorems)
+        assert all(t.source.proof.targets[t.removed_index - 1] is not None for t in theorems)
 
     def test_degenerate_two_theorems(self):
         theorems = derive_theorems(build_ftsc(signature_of(["x1"])))
@@ -311,29 +310,31 @@ class TestDeriveTheorems:
         ]
 
     def test_traces_built_on_first_read_only(self, monkeypatch):
+        # The proof is a pure function of n, built once per n and shared by
+        # every construction of that size; a theorem holds no proof of its own.
         from contragen import generator
 
         calls = []
-        real = generator.build_proof_trace
+        real = generator._chain_proof.__wrapped__
 
-        def counting(ftsc, removed_index):
-            calls.append(removed_index)
-            return real(ftsc, removed_index)
+        def counting(n):
+            calls.append(n)
+            return real(n)
 
-        monkeypatch.setattr(generator, "build_proof_trace", counting)
+        monkeypatch.setattr(generator, "_chain_proof", functools.lru_cache(maxsize=8)(counting))
         theorems = derive_theorems(build_ftsc(signature_of(MEDICAL)))
         assert calls == []
         assert list(fields(theorems[0])) == [
             "source", "removed_index", "conclusion", "certified"
         ]
-        first = theorems[1].trace
-        assert theorems[1].trace is first
-        assert calls == [2]
-        assert first == real(theorems[1].source, 2)
-        # A copy made by ``replace`` (as certification makes) builds its own once.
-        copy = replace(theorems[1], certified="verified")
-        assert copy.trace == first and copy.trace is copy.trace
-        assert calls == [2, 2]
+        assert not hasattr(theorems[0], "__dict__")
+        first = theorems[1].source.proof
+        assert theorems[1].source.proof is first
+        assert calls == [4]
+        assert first == real(4)
+        # Another construction of the same size shares the one proof.
+        other = build_ftsc(permutation_by_rank(signature_of(MEDICAL), 5))
+        assert other.proof is first and calls == [4]
 
     def test_conclusion_negates_removed_clause(self):
         ftsc = build_ftsc(signature_of(MEDICAL))
@@ -358,126 +359,150 @@ def set_recover_permutation(clause_set):
     return None if None in order else tuple(order)
 
 
-def reference_trace(ftsc, removed_index):
-    """``build_proof_trace`` written one step at a time, each literal and
-    step built afresh."""
+def reference_proof(n):
+    """The chain's proof written from its description, one step at a time:
+    each step as (its clause's literal set, cited clauses or steps, units),
+    with symbol t standing for xt, clause t for Ct and ("E", k) for Ek."""
+    steps = [({(t, False)}, [t], t - 1) for t in range(1, n + 1)]
+    for k in range(n - 1, 0, -1):
+        steps.append(({(j, True) for j in range(1, k + 1)}, [k + 1, ("E", k + 1)], 0))
+    steps += [({(i, True)}, [("E", i)], i - 1) for i in range(1, n + 1)]
+    return steps, [2 * n - 1 + i - 1 for i in range(1, n + 1)] + [n - 1]
+
+
+def as_reference(ftsc, step):
+    """A proof step of ``ftsc`` in ``reference_proof``'s terms."""
     n, syms = ftsc.n, ftsc.permutation
+    literals = {(syms.index(l.symbol) + 1, l.negated) for l in step_clause(ftsc, step)}
 
-    def premise_pos(t):
-        return t - 1 if t < removed_index else t - 2
+    def cited(r):
+        if r <= n:  # clause r+1; C(n+1) is En
+            return r + 1 if r < n else ("E", n)
+        return ("E", 2 * n - 1 - (r - n - 1))  # Ek is step 2n-1-k
 
-    steps = []
-    for t in range(1, (removed_index - 1 if removed_index <= n else n) + 1):
-        steps.append(TraceStep(STEP_UNIT, Literal(syms[t - 1]), premise_pos(t)))
-    if removed_index <= n:
-        assumed = Literal(syms[removed_index - 1])
-        steps.append(TraceStep(STEP_ASSUME, assumed, None))
-        for t in range(removed_index + 1, n + 1):
-            steps.append(TraceStep(STEP_PROPAGATE, Literal(syms[t - 1]), premise_pos(t)))
-        steps.append(TraceStep(STEP_EMPTY, None, premise_pos(n + 1)))
-        steps.append(TraceStep(STEP_DISCHARGE, assumed.negate(), None))
-    return ProofTrace(tuple(steps))
+    return literals, [cited(r) for r in step.hints], step.units
+
+
+def steps_used(proof, target, clauses):
+    """The steps ``target`` rests on, itself included, in order: the units
+    each assumes and the steps each cites, followed back from it."""
+    todo, used = [target], set()
+    while todo:
+        s = todo.pop()
+        if s not in used:
+            used.add(s)
+            todo += range(proof.steps[s].units)
+            todo += (r - clauses for r in proof.steps[s].hints if r >= clauses)
+    return sorted(used)
 
 
 class TestProofTraces:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_shared_steps_match_reference(self, n):
+        # One proof of 3n-1 steps over the construction's own order, whatever
+        # the permutation; its n+1 targets follow the description.
         signature = signature_of([f"x{i}" for i in range(1, n + 1)])
         ftsc = build_ftsc(permutation_by_rank(signature, math.factorial(n) // 3))
+        steps, targets = reference_proof(n)
+        assert len(ftsc.proof.steps) == 3 * n - 1
+        assert [as_reference(ftsc, step) for step in ftsc.proof.steps] == steps
+        assert list(ftsc.proof.targets) == targets
         for theorem in derive_theorems(ftsc):
             i = theorem.removed_index
-            assert build_proof_trace(ftsc, i) == reference_trace(ftsc, i)
-            assert theorem.trace == reference_trace(ftsc, i)
             removed = ftsc.clause_set.clauses[i - 1].literals
             assert theorem.conclusion == tuple(l.negate() for l in removed)
+            assert proof_steps(theorem) == steps_used(ftsc.proof, targets[i - 1], n + 1)
 
     def test_shuffled_replay_gives_the_same_results(self):
-        # Every trace of one construction against every premise list, so
-        # some replays pass and some fail, in order and then shuffled.
-        ftsc = build_ftsc(signature_of([f"x{i}" for i in range(1, 7)]))
-        pairs = [(i, j) for i in range(1, 8) for j in range(1, 8)]
+        # The proof of n=3 against the clauses of every construction of size
+        # 3, so that some replays pass and some fail, in order then shuffled:
+        # a replay keeps no state between calls.
+        signature = signature_of(["x1", "x2", "x3"])
+        sources = [build_ftsc(permutation_by_rank(signature, r)) for r in range(6)]
+        crossed = [
+            Ftsc(ClauseSet.build(other.clause_set.clauses, own.signature), own.permutation, 3)
+            for own in sources for other in sources
+        ]
 
-        def replay(i, j):
-            result = replay_trace(build_proof_trace(ftsc, i), ftsc.premises_without(j))
-            return result.ok, result.failed_step, result.reason, result.established
+        def replay(k):
+            return sorted(replay_theorems(derive_theorems(crossed[k])).items())
 
-        expected = {pair: replay(*pair) for pair in pairs}
-        assert sum(ok for ok, *_ in expected.values()) == 7
-        shuffled = pairs * 2
+        expected = [replay(k) for k in range(len(crossed))]
+        assert sum(not failed for failed in expected) == 6
+        shuffled = list(range(len(crossed))) * 2
         random.Random(13).shuffle(shuffled)
-        for pair in shuffled:
-            assert replay(*pair) == expected[pair]
+        for k in shuffled:
+            assert replay(k) == expected[k]
 
     def test_medical_i4_structure(self):
+        # Removing clause 4: the units x1..x3 from clauses 1..3, then ~x4 from
+        # C5 under them.
         ftsc = build_ftsc(signature_of(MEDICAL))
-        trace = build_proof_trace(ftsc, 4)
-        kinds = [s.kind for s in trace.steps]
-        assert kinds == [
-            STEP_UNIT,
-            STEP_UNIT,
-            STEP_UNIT,
-            STEP_ASSUME,
-            STEP_EMPTY,
-            STEP_DISCHARGE,
+        theorem = derive_theorems(ftsc)[3]
+        used = proof_steps(theorem)
+        assert used == [0, 1, 2, 10]
+        steps = [ftsc.proof.steps[s] for s in used]
+        assert [str(step_clause(ftsc, s)) for s in steps] == [
+            "Infection", "HighWBC", "Fever", "~RequiresAntibiotics"
         ]
-        assert trace.steps[0].literal == pos("Infection")
-        assert trace.steps[3].literal == pos("RequiresAntibiotics")
-        assert trace.steps[5].literal == neg("RequiresAntibiotics")
+        assert [(s.hints, s.units) for s in steps] == [((0,), 0), ((1,), 1), ((2,), 2), ((4,), 3)]
 
     def test_medical_i5_units_only(self):
         ftsc = build_ftsc(signature_of(MEDICAL))
-        trace = build_proof_trace(ftsc, 5)
-        assert [s.kind for s in trace.steps] == [STEP_UNIT] * 4
-        assert [s.literal for s in trace.steps] == [pos(s) for s in MEDICAL]
+        theorem = derive_theorems(ftsc)[4]
+        assert ftsc.proof.targets[4] == 3
+        assert proof_steps(theorem) == [0, 1, 2, 3]
+        assert [step_clause(ftsc, ftsc.proof.steps[s]).literals for s in range(4)] == [
+            (pos(s),) for s in MEDICAL
+        ]
 
     def test_middle_removal_has_propagation(self):
+        # Removing clause 2 propagates backwards: E3 from C4 and C5, E2 from C3
+        # and E3, then ~x2 from E2 under the unit x1.
         ftsc = build_ftsc(signature_of(MEDICAL))
-        trace = build_proof_trace(ftsc, 2)
-        kinds = [s.kind for s in trace.steps]
-        assert kinds == [
-            STEP_UNIT,
-            STEP_ASSUME,
-            STEP_PROPAGATE,
-            STEP_PROPAGATE,
-            STEP_EMPTY,
-            STEP_DISCHARGE,
+        theorem = derive_theorems(ftsc)[1]
+        used = proof_steps(theorem)
+        assert used == [0, 4, 5, 8]
+        steps = [ftsc.proof.steps[s] for s in used]
+        assert [str(step_clause(ftsc, s)) for s in steps] == [
+            "Infection",
+            "~Infection | ~HighWBC | ~Fever",
+            "~Infection | ~HighWBC",
+            "~HighWBC",
         ]
+        assert [s.hints for s in steps] == [(0,), (3, 4), (2, 9), (10,)]
 
     def test_degenerate_removal(self):
         ftsc = build_ftsc(signature_of(["x1"]))
-        trace = build_proof_trace(ftsc, 1)
-        assert [s.kind for s in trace.steps] == [
-            STEP_ASSUME,
-            STEP_EMPTY,
-            STEP_DISCHARGE,
-        ]
-        assert trace.steps[-1].literal == neg("x1")
+        assert ftsc.proof == ProofTrace(
+            (TraceStep(1, 0, (0,), 0), TraceStep(0, 1, (1,), 0)), (1, 0)
+        )
+        assert proof_steps(derive_theorems(ftsc)[0]) == [1]
 
     def test_index_out_of_range(self):
         ftsc = build_ftsc(signature_of(["x1"]))
-        with pytest.raises(IndexError):
-            build_proof_trace(ftsc, 3)
         with pytest.raises(IndexError, match="clause index out of range: 3"):
             conclusion_for(ftsc, 3)
-        with pytest.raises(IndexError, match="removed index out of range: 0"):
-            ftsc.premises_without(0)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_trace_length_closed_form(self, n):
+        # ``trace_steps`` keeps the v1 count, n+2 or n for theorem n+1; each
+        # theorem uses n steps of the proof.
         ftsc = build_ftsc(signature_of([f"x{i}" for i in range(1, n + 1)]))
-        for i in range(1, n + 2):
-            assert len(build_proof_trace(ftsc, i)) == trace_length(n, i)
+        for theorem in derive_theorems(ftsc):
+            i = theorem.removed_index
+            assert trace_length(n, i) == (n if i == n + 1 else n + 2)
+            assert len(proof_steps(theorem)) == n
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_traces_replay_and_match_oracle(self, n):
         ftsc = build_ftsc(signature_of([f"x{i}" for i in range(1, n + 1)]))
-        for theorem in derive_theorems(ftsc):
-            premises = ftsc.premises_without(theorem.removed_index)
-            result = replay_trace(theorem.trace, premises)
-            assert result, (theorem.removed_index, result.reason)
-            established = result.established
-            assert set(theorem.conclusion) <= established
+        theorems = derive_theorems(ftsc)
+        assert replay_trace(ftsc.proof, ftsc.clause_set)
+        assert replay_theorems(theorems) == {}
+        for theorem in theorems:
             # independent cross-check: each conjunct really is entailed
+            premises = ftsc.clause_set.without(theorem.removed_index - 1)
             plain = plain_clauses(premises)
             for lit in theorem.conclusion:
                 assert brute_force_entails(

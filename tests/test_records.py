@@ -37,7 +37,7 @@ from contragen.verifier import MusReport, ReplayResult, SatResult
 
 
 def _step():
-    return TraceStep("unit-derivation", pos("a"), 0)
+    return TraceStep(1, 0, (0,), 0)
 
 
 def _explanation():
@@ -63,12 +63,12 @@ SAMPLES = {
     "Clause": lambda: Clause((pos("a"), neg("b"))),
     "ClauseSet": lambda: ClauseSet.build([[pos("a")], [neg("a"), pos("b")]], Signature(("a", "b"))),
     "TraceStep": _step,
-    "ProofTrace": lambda: ProofTrace((_step(),)),
+    "ProofTrace": lambda: ProofTrace((_step(),), (0,)),
     "Ftsc": lambda: build_ftsc(Signature(("a",))),
     "Theorem": lambda: Theorem(build_ftsc(Signature(("a",))), 1, (neg("a"),)),
     "SatResult": lambda: SatResult(False, None, "dpll"),
     "MusReport": lambda: MusReport(True, (SatResult(False, None, "dpll"),), True, "certificate"),
-    "ReplayResult": lambda: ReplayResult(True, None, None, (1, 0), ("a",)),
+    "ReplayResult": lambda: ReplayResult(True, None, None, (1,), ((0, 1), (0, 0), (0, 1))),
     "TheoremRecord": _record,
     "Report": lambda: Report(
         1, ("a",), (("a", 0),), (("a",), ("~a",)), (_record(),), timestamp="t", version="0.1.0"
@@ -107,14 +107,13 @@ EXPECTED = {
         "negated=False)))), signature=Signature(symbols=('a', 'b')))",
     ),
     "TraceStep": (
-        ("kind", "literal", "premise_index"),
-        "TraceStep(kind='unit-derivation', literal=Literal(symbol='a', negated=False), "
-        "premise_index=0)",
+        ("positive", "negative", "hints", "units"),
+        "TraceStep(positive=1, negative=0, hints=(0,), units=0)",
     ),
     "ProofTrace": (
-        ("steps",),
-        "ProofTrace(steps=(TraceStep(kind='unit-derivation', "
-        "literal=Literal(symbol='a', negated=False), premise_index=0),))",
+        ("steps", "targets"),
+        "ProofTrace(steps=(TraceStep(positive=1, negative=0, hints=(0,), units=0),), "
+        "targets=(0,))",
     ),
     "Ftsc": (
         ("clause_set", "permutation", "n"),
@@ -141,7 +140,7 @@ EXPECTED = {
         "method='dpll'),), is_mus=True, method='certificate')",
     ),
     "ReplayResult": (
-        ("ok", "failed_step", "reason", "units", "symbols"),
+        ("ok", "failed_step", "reason", "verdicts", "units"),
         "ReplayResult(ok=True, failed_step=None, reason=None)",
     ),
     "TheoremRecord": (
@@ -306,28 +305,28 @@ def test_replace_runs_the_checks_again():
 
 
 def test_replace_copies_no_cached_value():
-    theorem = SAMPLES["Theorem"]()
-    assert theorem.trace is theorem.trace and "trace" in theorem.__dict__
-    copy = replace(theorem, certified="verified")
-    assert "trace" not in copy.__dict__ and copy.certified == "verified"
-    assert copy.trace == theorem.trace
+    ftsc = SAMPLES["Ftsc"]()
+    assert ftsc.proof is ftsc.proof and "proof" in ftsc.__dict__
+    copy = replace(ftsc, permutation=("a",))
+    assert "proof" not in copy.__dict__ and copy == ftsc
+    assert copy.proof == ftsc.proof
 
 
 def test_derived_state_stays_out():
     # A clause set's encodings are derived, not fields: forged ones leave
-    # equality, hash and repr alone. Only three types keep a ``__dict__``,
-    # for their cached properties.
+    # equality, hash and repr alone. Only ``Ftsc`` keeps a ``__dict__``, for
+    # its cached properties.
     clause_set = SAMPLES["ClauseSet"]()
     forged = ClauseSet._trusted(clause_set.clauses, clause_set.signature, (), ())
     assert forged == clause_set and hash(forged) == hash(clause_set)
     assert repr(forged) == repr(clause_set)
     with_dict = {n for n in NAMES if hasattr(SAMPLES[n](), "__dict__")}
-    assert with_dict == {"Ftsc", "ReplayResult", "Theorem"}
+    assert with_dict == {"Ftsc"}
 
 
 def test_replay_masks_compare_but_do_not_print():
-    one = ReplayResult(True, None, None, (1, 0), ("a",))
-    other = ReplayResult(True, None, None, (0, 1), ("a",))
+    one = ReplayResult(True, None, None, (1,), ((0, 1), (0, 0), (0, 1)))
+    other = ReplayResult(True, None, None, (3,), ((0, 1), (0, 0), (0, 3)))
     assert one != other and repr(one) == repr(other)
 
 
@@ -364,8 +363,8 @@ def test_a_bad_call_names_the_record():
     assert str(info.value) == "Literal.__init__() missing 1 required positional argument: 'symbol'"
     with pytest.raises(TypeError, match=r"^Report\.__init__\(\) missing 4 required"):
         Report(1)
-    with pytest.raises(TypeError, match=r"^TraceStep\.__init__\(\) takes 4 positional"):
-        TraceStep("unit-derivation", None, 0, 1)
+    with pytest.raises(TypeError, match=r"^TraceStep\.__init__\(\) takes 5 positional"):
+        TraceStep(1, 0, (0,), 0, 1)
 
 
 def test_written_init_takes_trailing_defaults():

@@ -1,6 +1,7 @@
 """Satisfiability oracles, minimality reports, certification, trace replay."""
 
 import json
+import math
 import pickle
 import random
 import sys
@@ -28,21 +29,16 @@ from contragen.core import Literal, replace
 from contragen.generator import (
     CERT_FAILED,
     CERT_VERIFIED,
-    STEP_ASSUME,
-    STEP_DISCHARGE,
-    STEP_EMPTY,
-    STEP_PROPAGATE,
-    STEP_UNIT,
     Ftsc,
     ProofTrace,
     Theorem,
     TraceStep,
-    build_proof_trace,
+    permutation_by_rank,
     conclusion_for,
 )
 from contragen.verifier import MusReport, SatResult, certification_failures, replay_theorems
 
-from conftest import random_clause_set
+from conftest import random_clause_set, tamper_step
 from oracles import (
     brute_force_entails,
     brute_force_is_mus,
@@ -130,7 +126,7 @@ class TestIsSatisfiable:
 
     def test_status_field(self):
         result = is_satisfiable(ClauseSet((), Signature(("a",))))
-        assert result.status == "satisfiable"
+        assert result.satisfiable
 
 
 @st.composite
@@ -923,526 +919,591 @@ class TestCertificationFailure:
             assert (certification_failures([theorem])[0] is None) == verified
 
 
-def set_replay(trace, premises):
-    """Reference replay over sets of (symbol, negated) literals: the rules
-    of ``replay_trace`` written plainly. (ok, failed step, reason, units)."""
-    clauses = [frozenset((l.symbol, l.negated) for l in c) for c in premises.clauses]
-    units, known, scoped = set(), set(), set()
-    assumption, contradicted = None, False
+def literal_set(positive, negative):
+    """A step's masks as a set of (symbol index, negated) literals."""
+    return {
+        (j, negated)
+        for negated, mask in ((False, positive), (True, negative))
+        for j in range(mask.bit_length()) if mask >> j & 1
+    }
 
-    def fail(idx, reason):
-        return False, idx, reason, {Literal(s, n) for s, n in units}
 
-    def unit_under(clause, lit, facts):
-        return all((s, not n) in facts for s, n in clause if (s, n) != lit)
+def set_replay(proof, clause_set):
+    """Reference replay over sets of (symbol index, negated) literals and
+    sets of clause indices: the rule of ``replay_trace`` written plainly.
+    (failed step, reason, per step the clauses it rests on or its reason,
+    per established prefix its literals)."""
+    index = clause_set.signature.index
+    cited = [({(index[l.symbol], l.negated) for l in c}, {r})
+             for r, c in enumerate(clause_set.clauses)]
+    bound = len(cited) + len(proof.steps)
+    prefixes = [(set(), set())]  # (literals, clauses they rest on)
+    verdicts = []
 
-    if not trace.steps:
-        return fail(None, "empty trace")
-    for idx, step in enumerate(trace.steps):
-        cited = None
-        if step.premise_index is not None:
-            if not 0 <= step.premise_index < len(clauses):
-                return fail(idx, f"premise index out of range: {step.premise_index}")
-            if step.kind in (STEP_ASSUME, STEP_DISCHARGE):
-                return fail(idx, f"{step.kind} step cites a premise")
-            cited = clauses[step.premise_index]
-        lit = None if step.literal is None else (step.literal.symbol, step.literal.negated)
-        if step.kind in (STEP_UNIT, STEP_PROPAGATE):
-            unit = step.kind == STEP_UNIT
-            if unit and assumption is not None:
-                return fail(idx, "unit derivation inside an assumption scope")
-            if not unit and assumption is None:
-                return fail(idx, "propagation outside an assumption scope")
-            if lit is None or cited is None:
-                what = "unit derivation" if unit else "propagation"
-                return fail(idx, f"{what} needs a literal and a premise")
-            if lit not in cited:
-                return fail(idx, "derived literal does not occur in the cited clause")
-            if not unit_under(cited, lit, units if unit else known):
-                return fail(idx, "cited clause is not unit under established literals")
-            if unit:
-                units.add(lit)
-            elif lit not in known:
-                scoped.add(lit)
-            known.add(lit)
-        elif step.kind == STEP_ASSUME:
-            if assumption is not None:
-                return fail(idx, "nested assumption")
-            if lit is None:
-                return fail(idx, "assumption needs a literal")
-            if lit not in known:
-                scoped.add(lit)
-            known.add(lit)
-            assumption, contradicted = lit, False
-        elif step.kind == STEP_EMPTY:
-            if assumption is None:
-                return fail(idx, "empty-clause step outside an assumption scope")
-            if cited is None:
-                return fail(idx, "empty-clause step needs a premise")
-            if lit is not None:
-                return fail(idx, "empty-clause step carries a literal")
-            if not unit_under(cited, None, known):
-                return fail(idx, "cited clause is not fully falsified")
-            contradicted = True
-        elif step.kind == STEP_DISCHARGE:
-            if assumption is None or not contradicted:
-                return fail(idx, "discharge without a refuted assumption")
-            if lit != (assumption[0], not assumption[1]):
-                return fail(idx, "discharged literal must negate the assumption")
-            known -= scoped
-            scoped.clear()
-            units.add(lit)
-            known.add(lit)
-            assumption, contradicted = None, False
-        else:
-            return fail(idx, f"unknown step kind: {step.kind!r}")
-    if assumption is not None:
-        return fail(len(trace.steps) - 1, "assumption left undischarged")
-    return True, None, None, {Literal(s, n) for s, n in units}
+    def verdict(step):
+        if not 0 <= step.units < len(prefixes):
+            return f"assumes {step.units} units, not established"
+        literals, rests = prefixes[step.units]
+        rests = set(rests)
+        own = literal_set(step.positive, step.negative)
+        true = {j for j, negated in literals if not negated} | {j for j, negated in own if negated}
+        false = {j for j, negated in literals if negated} | {j for j, negated in own if not negated}
+        for h, r in enumerate(step.hints):
+            if not 0 <= r < len(cited):
+                return f"hint {r} cites a later step" if 0 <= r < bound else f"hint {r} cites nothing"
+            if isinstance(cited[r], str):
+                return f"hint {r} cites an invalid step"
+            clause, on = cited[r]
+            if any(j in (false if negated else true) for j, negated in clause):
+                return f"hint {r} is satisfied"
+            rests |= on
+            open_literals = [(j, negated) for j, negated in clause if j not in true | false]
+            if not open_literals:
+                return rests if h == len(step.hints) - 1 else f"hint {r} conflicts before the last hint"
+            if len(open_literals) > 1:
+                return f"hint {r} has two open literals"
+            (j, negated), = open_literals
+            (false if negated else true).add(j)
+        return "no conflict"
+
+    for s, step in enumerate(proof.steps):
+        v = verdict(step)
+        verdicts.append(v)
+        own = literal_set(step.positive, step.negative)
+        cited.append(v if isinstance(v, str) else (own, v))
+        if not isinstance(v, str) and len(prefixes) == s + 1 and len(own) == 1:
+            prefixes.append((prefixes[s][0] | own, prefixes[s][1] | v))
+    failed = next((s for s, v in enumerate(verdicts) if isinstance(v, str)), None)
+    return failed, None if failed is None else verdicts[failed], verdicts, prefixes
+
+
+def set_theorem_failures(theorems):
+    """Reference ``replay_theorems``: theorem i is accepted when its target
+    is a valid one-literal step whose prefix and literal are the negation
+    of clause i, resting on clauses without clause i."""
+    failures = {}
+    for position, theorem in enumerate(theorems):
+        source, i = theorem.source, theorem.removed_index
+        proof, index = source.proof, source.signature.index
+        clauses = source.clause_set.clauses
+        _, _, verdicts, prefixes = set_replay(proof, source.clause_set)
+        if not 1 <= i <= min(len(proof.targets), len(clauses)):
+            failures[position] = None, f"removed index {i} has no target"
+            continue
+        target = proof.targets[i - 1]
+        if not 0 <= target < len(proof.steps):
+            failures[position] = None, f"target {target} is no step"
+            continue
+        step = proof.steps[target]
+        own = literal_set(step.positive, step.negative)
+        negated = {(index[l.symbol], not l.negated) for l in clauses[i - 1]}
+        if isinstance(verdicts[target], str):
+            failures[position] = target, verdicts[target]
+        elif len(own) != 1:
+            failures[position] = target, "target has more than one literal"
+        elif prefixes[step.units][0] | own != negated:
+            failures[position] = target, f"target does not conclude the negated clause {i}"
+        elif i - 1 in verdicts[target]:
+            failures[position] = target, f"target rests on clause {i}"
+    return failures
+
+
+def assert_agrees_with_set_replay(proof, clause_set):
+    result = replay_trace(proof, clause_set)
+    failed, reason, verdicts, prefixes = set_replay(proof, clause_set)
+    assert (result.ok, result.failed_step, result.reason) == (failed is None, failed, reason)
+    assert [v if isinstance(v, str) else sum(1 << r for r in v) for v in verdicts] == list(
+        result.verdicts
+    )
+    assert [literal_set(true, false) for true, false in zip(*result.units[:2])] == [
+        literals for literals, _ in prefixes
+    ]
+
+
+def with_proof(ftsc, proof):
+    """``ftsc`` with ``proof`` as its proof."""
+    ftsc.__dict__["proof"] = proof
+    return ftsc
+
+
+def single_edits(proof, clauses):
+    """``proof`` after each single-field edit: a hint dropped or retargeted
+    to each clause or step, or to -1 or past the end; a bit of either mask
+    flipped, one bit past the signature included; ``units`` set to each
+    other prefix length; a target moved to each other step or past the end."""
+    steps = proof.steps
+    n = len(proof.targets) - 1
+    bound = clauses + len(steps)
+    for s, step in enumerate(steps):
+        for h in range(len(step.hints)):
+            hints = step.hints[:h] + step.hints[h + 1 :]
+            yield tamper_step(proof, s, hints=hints)
+            for r in range(-1, bound + 1):
+                if r != step.hints[h]:
+                    hints = step.hints[:h] + (r,) + step.hints[h + 1 :]
+                    yield tamper_step(proof, s, hints=hints)
+        for j in range(n + 1):
+            yield tamper_step(proof, s, positive=step.positive ^ 1 << j)
+            yield tamper_step(proof, s, negative=step.negative ^ 1 << j)
+        for units in range(len(steps) + 1):
+            if units != step.units:
+                yield tamper_step(proof, s, units=units)
+    for i, target in enumerate(proof.targets):
+        for moved in range(len(steps) + 1):
+            if moved != target:
+                targets = proof.targets[:i] + (moved,) + proof.targets[i + 1 :]
+                yield replace(proof, targets=targets)
+
+
+def resting_on(proof, s, clauses):
+    """The steps resting on step ``s``, itself included: those assuming it
+    as a unit or citing one that rests on it."""
+    resting = {s}
+    for t, step in enumerate(proof.steps):
+        if step.units > s or any(r - clauses in resting for r in step.hints):
+            resting.add(t)
+    return resting
 
 
 @st.composite
-def replay_cases(draw):
-    """Premises and a trace over up to 4 symbols: either a generated trace
-    with one step edited or dropped, or up to 10 arbitrary steps over
-    arbitrary premises. Literals may fall outside the signature."""
-    n = draw(st.integers(min_value=1, max_value=4))
+def proofs_and_clauses(draw):
+    """Up to 8 arbitrary steps over up to 5 arbitrary clauses, or a chain's
+    proof with one field edited, over n <= 4 symbols; masks may reach one
+    bit past the signature."""
+    n = draw(st.integers(min_value=1, max_value=4), label="n")
     symbols = tuple(f"v{i}" for i in range(1, n + 1))
-    literal = st.builds(Literal, st.sampled_from(symbols + ("ghost",)), st.booleans())
-    if draw(st.booleans()):
-        ftsc = build_ftsc(Signature(symbols))
-        i = draw(st.integers(min_value=1, max_value=n + 1))
-        premises = ftsc.premises_without(i)
-        steps = list(build_proof_trace(ftsc, i).steps)
-        k = draw(st.integers(min_value=0, max_value=len(steps) - 1))
-        edit = draw(st.sampled_from(("literal", "premise_index", "drop")))
-        if edit == "literal":
-            steps[k] = replace(steps[k], literal=draw(st.none() | literal))
-        elif edit == "premise_index":
-            steps[k] = replace(steps[k], premise_index=draw(st.integers(0, n)))
-        else:
-            del steps[k]
-    else:
-        premise = st.lists(
-            st.builds(Literal, st.sampled_from(symbols), st.booleans()), max_size=3
-        )
-        premises = ClauseSet.build(draw(st.lists(premise, max_size=5)), Signature(symbols))
-        kinds = st.sampled_from((STEP_UNIT, STEP_ASSUME, STEP_PROPAGATE, STEP_EMPTY,
-                                 STEP_DISCHARGE))
-        index = st.none() | st.integers(min_value=-1, max_value=len(premises) + 1)
-        steps = draw(st.lists(st.builds(TraceStep, kinds, st.none() | literal, index),
-                              max_size=10))
-    return ProofTrace(tuple(steps)), premises
+    if draw(st.booleans(), label="chain"):
+        ftsc = chain(list(symbols))
+        proof = draw(st.sampled_from(list(single_edits(ftsc.proof, n + 1))))
+        return proof, ftsc.clause_set
+    literal = st.builds(Literal, st.sampled_from(symbols), st.booleans())
+    clauses = draw(st.lists(st.lists(literal, max_size=3), max_size=5))
+    count = draw(st.integers(min_value=0, max_value=8))
+    mask = st.integers(min_value=0, max_value=(1 << n + 1) - 1)
+    hint = st.integers(min_value=-1, max_value=len(clauses) + count)
+    step = st.builds(TraceStep, mask, mask, st.lists(hint, max_size=3).map(tuple),
+                     st.integers(min_value=0, max_value=count))
+    steps = draw(st.lists(step, min_size=count, max_size=count))
+    return ProofTrace(tuple(steps), ()), ClauseSet.build(clauses, Signature(symbols))
 
 
 class TestReplayTrace:
     def test_valid_medical_trace(self):
         ftsc = chain(MEDICAL)
-        trace = build_proof_trace(ftsc, 4)
-        result = replay_trace(trace, ftsc.premises_without(4))
+        result = replay_trace(ftsc.proof, ftsc.clause_set)
         assert result
         assert result.failed_step is None
+        assert all(v.__class__ is int for v in result.verdicts)
 
     def test_corrupted_premise_index(self):
+        # Step 1, HighWBC from clause 2, made to cite clause 3: ~HighWBC is true there.
         ftsc = chain(MEDICAL)
-        trace = build_proof_trace(ftsc, 4)
-        steps = list(trace.steps)
-        steps[1] = replace(steps[1], premise_index=3)
-        result = replay_trace(ProofTrace(tuple(steps)), ftsc.premises_without(4))
+        proof = tamper_step(ftsc.proof, 1, hints=(2,))
+        result = replay_trace(proof, ftsc.clause_set)
         assert not result
-        assert result.failed_step == 1
-        assert result.reason == "derived literal does not occur in the cited clause"
-        assert result.established == {pos("Infection")}
+        assert (result.failed_step, result.reason) == (1, "hint 2 is satisfied")
+        assert result.units[0] == (0, 1)  # only Infection is established
 
     def test_empty_trace_rejected(self):
-        ftsc = chain(["a", "b"])
-        result = replay_trace(ProofTrace(()), ftsc.premises_without(1))
-        assert not result
-        assert result.reason == "empty trace"
+        # An empty proof has no invalid step, but it proves no theorem.
+        ftsc = with_proof(chain(["a", "b"]), ProofTrace((), ()))
+        assert replay_trace(ftsc.proof, ftsc.clause_set)
+        failures = replay_theorems(derive_theorems(ftsc))
+        assert failures == {k: (None, f"removed index {k + 1} has no target") for k in range(3)}
 
     def test_wrong_discharge_literal(self):
+        # Removal 2's lemma ~HighWBC made HighWBC: E2 is then satisfied.
         ftsc = chain(MEDICAL)
-        trace = build_proof_trace(ftsc, 2)
-        steps = list(trace.steps)
-        steps[-1] = replace(steps[-1], literal=pos("HighWBC"))
-        result = replay_trace(ProofTrace(tuple(steps)), ftsc.premises_without(2))
-        assert not result
-        assert result.failed_step == len(steps) - 1
-        assert result.reason == "discharged literal must negate the assumption"
-        assert result.established == {pos("Infection")}
+        ftsc = with_proof(ftsc, tamper_step(ftsc.proof, 8, positive=2, negative=0))
+        result = replay_trace(ftsc.proof, ftsc.clause_set)
+        assert (result.failed_step, result.reason) == (8, "hint 10 is satisfied")
+        assert replay_theorems(derive_theorems(ftsc)) == {1: (8, "hint 10 is satisfied")}
 
     def test_undischarged_assumption_rejected(self):
+        # The last lemma dropped: removal 4's target is no step.
         ftsc = chain(MEDICAL)
-        trace = build_proof_trace(ftsc, 2)
-        truncated = ProofTrace(trace.steps[:-1])
-        result = replay_trace(truncated, ftsc.premises_without(2))
-        assert not result
-        assert result.failed_step == len(truncated) - 1
-        assert result.reason == "assumption left undischarged"
+        ftsc = with_proof(ftsc, replace(ftsc.proof, steps=ftsc.proof.steps[:-1]))
+        assert replay_trace(ftsc.proof, ftsc.clause_set)
+        assert replay_theorems(derive_theorems(ftsc)) == {3: (None, "target 10 is no step")}
 
     def test_unit_step_without_support_rejected(self):
         ftsc = chain(MEDICAL)
-        premises = ftsc.premises_without(5)
-        bogus = ProofTrace(
-            (TraceStep(STEP_UNIT, pos("Fever"), 2),)  # clause 3 is not unit yet
-        )
-        result = replay_trace(bogus, premises)
+        # Fever from clause 3 assuming nothing: Infection and HighWBC are open.
+        result = replay_trace(ProofTrace((TraceStep(4, 0, (2,), 0),), ()), ftsc.clause_set)
         assert not result
-        assert result.failed_step == 0
-        assert result.reason == "cited clause is not unit under established literals"
-        assert result.established == frozenset()
+        assert (result.failed_step, result.reason) == (0, "hint 2 has two open literals")
+        assert result.units == ((0,), (0,), (0,))
 
     def test_discharge_closes_the_scope(self):
+        # The units a step may assume end at the first step that is not a
+        # valid one-literal step, here the lemma E3 of three literals.
         ftsc = chain(["a", "b", "c", "d"])
-        trace = ProofTrace(
-            (
-                TraceStep(STEP_UNIT, pos("a"), 0),
-                TraceStep(STEP_ASSUME, pos("b"), None),
-                TraceStep(STEP_PROPAGATE, pos("c"), 1),
-                TraceStep(STEP_PROPAGATE, pos("d"), 2),
-                TraceStep(STEP_EMPTY, None, 3),
-                TraceStep(STEP_DISCHARGE, neg("b"), None),
-                TraceStep(STEP_ASSUME, pos("a"), None),
-                # b and c belonged to the closed scope
-                TraceStep(STEP_PROPAGATE, pos("d"), 2),
-            )
+        steps = (
+            TraceStep(1, 0, (0,), 0),  # a from C1
+            TraceStep(0, 7, (3, 4), 0),  # E3 = ~a | ~b | ~c from C4 and C5
+            TraceStep(2, 0, (1,), 2),  # b from C2 under a and E3
+            TraceStep(2, 0, (1,), 1),  # b from C2 under a
         )
-        result = replay_trace(trace, ftsc.premises_without(2))
-        assert not result
-        assert result.failed_step == 7
-        assert result.reason == "cited clause is not unit under established literals"
-        assert result.established == {pos("a"), neg("b")}
+        result = replay_trace(ProofTrace(steps, ()), ftsc.clause_set)
+        assert (result.failed_step, result.reason) == (2, "assumes 2 units, not established")
+        assert result.verdicts == (0b1, 0b11000, result.reason, 0b11)
 
     def test_foreign_assumption_is_not_refuted(self):
+        # Setting a literal outside the signature false helps no hint.
         ftsc = chain(MEDICAL)
-        trace = ProofTrace(
-            (
-                TraceStep(STEP_UNIT, pos("Infection"), 0),
-                TraceStep(STEP_ASSUME, pos("Ghost"), None),
-                TraceStep(STEP_EMPTY, None, 0),
-            )
-        )
-        result = replay_trace(trace, ftsc.premises_without(5))
-        assert not result
-        assert result.failed_step == 2
-        assert result.reason == "cited clause is not fully falsified"
+        steps = (TraceStep(1, 0, (0,), 0), TraceStep(1 << 4, 0, (4,), 1))
+        result = replay_trace(ProofTrace(steps, ()), ftsc.clause_set)
+        assert (result.failed_step, result.reason) == (1, "hint 4 has two open literals")
 
     def test_valid_trace_establishes_conclusion(self):
         ftsc = chain(MEDICAL)
-        result = replay_trace(build_proof_trace(ftsc, 4), ftsc.premises_without(4))
-        assert result.established == {
+        result = replay_trace(ftsc.proof, ftsc.clause_set)
+        target = ftsc.proof.steps[ftsc.proof.targets[3]]
+        true = result.units[0][target.units] | target.positive
+        false = result.units[1][target.units] | target.negative
+        symbols = ftsc.signature.symbols
+        assert {Literal(symbols[j], negated) for j, negated in literal_set(true, false)} == {
             pos("Infection"), pos("HighWBC"), pos("Fever"), neg("RequiresAntibiotics")
         }
 
-    # Premises of chain a, b, c without clause 3: [a], [b | ~a], [~a | ~b | ~c].
+    # Clauses of chain a, b, c: C1 = a, C2 = ~a | b, C3 = ~a | ~b | c,
+    # C4 = ~a | ~b | ~c, cited as hints 0..3. The ids name the faults of the
+    # natural-deduction checker this table replaced, one case each; the
+    # case is the nearest fault of a lemma. The reason is the last step's.
     @pytest.mark.parametrize(
         "steps, failed_step, reason",
         [
-            ([(STEP_UNIT, pos("a"), 5)], 0, "premise index out of range: 5"),
-            ([(STEP_ASSUME, pos("a"), None), (STEP_UNIT, pos("a"), 0)], 1,
-             "unit derivation inside an assumption scope"),
-            ([(STEP_UNIT, None, 0)], 0, "unit derivation needs a literal and a premise"),
-            ([(STEP_ASSUME, pos("a"), None), (STEP_ASSUME, pos("b"), None)], 1,
-             "nested assumption"),
-            ([(STEP_ASSUME, None, None)], 0, "assumption needs a literal"),
-            ([(STEP_PROPAGATE, pos("a"), 0)], 0, "propagation outside an assumption scope"),
-            ([(STEP_ASSUME, pos("a"), None), (STEP_PROPAGATE, pos("b"), None)], 1,
-             "propagation needs a literal and a premise"),
-            ([(STEP_ASSUME, pos("a"), None), (STEP_PROPAGATE, pos("c"), 1)], 1,
-             "derived literal does not occur in the cited clause"),
-            ([(STEP_EMPTY, None, 2)], 0, "empty-clause step outside an assumption scope"),
-            ([(STEP_ASSUME, pos("a"), None), (STEP_EMPTY, None, None)], 1,
-             "empty-clause step needs a premise"),
-            ([(STEP_DISCHARGE, neg("a"), None)], 0, "discharge without a refuted assumption"),
-            ([("leap", pos("a"), None)], 0, "unknown step kind: 'leap'"),
-            # Literals outside the signature occur in no premise.
-            ([(STEP_UNIT, pos("ghost"), 0)], 0,
-             "derived literal does not occur in the cited clause"),
-            ([(STEP_ASSUME, neg("ghost"), None), (STEP_PROPAGATE, pos("ghost"), 1)], 1,
-             "derived literal does not occur in the cited clause"),
-            # An assumption or a discharge cites no clause; an empty clause derives nothing.
-            ([(STEP_ASSUME, neg("a"), 0)], 0, "assumption step cites a premise"),
-            ([(STEP_ASSUME, neg("a"), None), (STEP_EMPTY, pos("a"), 0)], 1,
-             "empty-clause step carries a literal"),
-            ([(STEP_ASSUME, neg("a"), None), (STEP_EMPTY, None, 0),
-              (STEP_DISCHARGE, pos("a"), 0)], 2, "discharge step cites a premise"),
+            pytest.param([(1, 0, (5,), 0)], 0, "hint 5 cites nothing",
+                         id="steps0-0-premise index out of range: 5"),
+            pytest.param([(1, 0, (0,), 0), (2, 0, (1,), 2)], 1, "assumes 2 units, not established",
+                         id="steps1-1-unit derivation inside an assumption scope"),
+            pytest.param([(1, 0, (), 0)], 0, "no conflict",
+                         id="steps2-0-unit derivation needs a literal and a premise"),
+            pytest.param([(1, 0, (0,), 0), (2, 0, (1, 0), 1)], 1,
+                         "hint 1 conflicts before the last hint", id="steps3-1-nested assumption"),
+            pytest.param([(0, 0, (1,), 0)], 0, "hint 1 has two open literals",
+                         id="steps4-0-assumption needs a literal"),
+            pytest.param([(2, 0, (1,), 0)], 0, "no conflict",
+                         id="steps5-0-propagation outside an assumption scope"),
+            pytest.param([(1, 0, (0,), 0), (2, 0, (), 1)], 1, "no conflict",
+                         id="steps6-1-propagation needs a literal and a premise"),
+            pytest.param([(1, 0, (0,), 0), (2, 0, (0,), 1)], 1, "hint 0 is satisfied",
+                         id="steps7-1-derived literal does not occur in the cited clause"),
+            pytest.param([(0, 0, (3,), 0)], 0, "hint 3 has two open literals",
+                         id="steps8-0-empty-clause step outside an assumption scope"),
+            pytest.param([(1, 0, (0,), 0), (0, 0, (), 1)], 1, "no conflict",
+                         id="steps9-1-empty-clause step needs a premise"),
+            pytest.param([(0, 1, (4,), 0)], 0, "hint 4 cites a later step",
+                         id="steps10-0-discharge without a refuted assumption"),
+            pytest.param([(1, 0, (0,), -1)], 0, "assumes -1 units, not established",
+                         id="steps11-0-unknown step kind: 'leap'"),
+            # A literal outside the signature (bit 3) occurs in no clause.
+            pytest.param([(8, 0, (0,), 0)], 0, "no conflict",
+                         id="steps12-0-derived literal does not occur in the cited clause"),
+            pytest.param([(1, 0, (0,), 0), (8, 0, (1,), 1)], 1, "no conflict",
+                         id="steps13-1-derived literal does not occur in the cited clause"),
+            pytest.param([(0, 0, (), 0), (1, 0, (4,), 0)], 0, "hint 4 cites an invalid step",
+                         id="steps14-0-assumption step cites a premise"),
+            # A valid step of two literals establishes no unit.
+            pytest.param([(3, 0, (0,), 0), (2, 0, (1,), 1)], 1, "assumes 1 units, not established",
+                         id="steps15-1-empty-clause step carries a literal"),
+            pytest.param([(1, 0, (0,), 0), (2, 0, (1,), 1), (4, 0, (6,), 2)], 2,
+                         "hint 6 cites a later step", id="steps16-2-discharge step cites a premise"),
         ],
     )
     def test_malformed_step_rejected(self, steps, failed_step, reason):
-        trace = ProofTrace(tuple(TraceStep(*step) for step in steps))
-        result = replay_trace(trace, chain(["a", "b", "c"]).premises_without(3))
+        proof = ProofTrace(tuple(TraceStep(*step) for step in steps), ())
+        result = replay_trace(proof, chain(["a", "b", "c"]).clause_set)
         assert not result
-        assert (result.failed_step, result.reason) == (failed_step, reason)
+        assert (result.failed_step, result.verdicts[-1]) == (failed_step, reason)
+        assert_agrees_with_set_replay(proof, chain(["a", "b", "c"]).clause_set)
 
     # Each literal a step derives is used by a later step: a negative one
-    # derived by a unit or a propagation, a positive one by a discharge.
+    # derived as a unit or by propagation, a positive one refuted.
     @pytest.mark.parametrize(
-        "clauses, steps, established",
+        "clauses, steps, verdicts",
         [
             ([[neg("a")], [pos("a"), pos("b")]],
-             [(STEP_UNIT, neg("a"), 0), (STEP_UNIT, pos("b"), 1)],
-             {neg("a"), pos("b")}),
+             [(0, 1, (0,), 0), (2, 0, (1,), 1)], (0b1, 0b11)),
             ([[neg("a"), neg("b")], [pos("b"), pos("c")], [neg("c")]],
-             [(STEP_ASSUME, pos("a"), None), (STEP_PROPAGATE, neg("b"), 0),
-              (STEP_PROPAGATE, pos("c"), 1), (STEP_EMPTY, None, 2),
-              (STEP_DISCHARGE, neg("a"), None)],
-             {neg("a")}),
+             [(0, 1, (0, 1, 2), 0)], (0b111,)),
             ([[pos("a"), pos("b")], [neg("b")], [neg("a"), pos("c")]],
-             [(STEP_ASSUME, neg("a"), None), (STEP_PROPAGATE, pos("b"), 0),
-              (STEP_EMPTY, None, 1), (STEP_DISCHARGE, pos("a"), None),
-              (STEP_UNIT, pos("c"), 2)],
-             {pos("a"), pos("c")}),
+             [(1, 0, (0, 1), 0), (4, 0, (2,), 1)], (0b11, 0b111)),
         ],
         ids=["unit-negative", "propagated-negative", "discharged-positive"],
     )
-    def test_derived_literals_serve_later_steps(self, clauses, steps, established):
+    def test_derived_literals_serve_later_steps(self, clauses, steps, verdicts):
         premises = ClauseSet.build(clauses, Signature(("a", "b", "c")))
-        result = replay_trace(ProofTrace(tuple(TraceStep(*step) for step in steps)), premises)
-        assert result and result.established == established
+        result = replay_trace(ProofTrace(tuple(TraceStep(*s) for s in steps), ()), premises)
+        assert result and result.verdicts == verdicts
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_generated_traces_replay(self, n):
         ftsc = chain([f"x{i}" for i in range(1, n + 1)])
-        for i in range(1, n + 2):
-            trace = build_proof_trace(ftsc, i)
-            assert replay_trace(trace, ftsc.premises_without(i))
-
+        result = replay_trace(ftsc.proof, ftsc.clause_set)
+        assert result and len(result.verdicts) == 3 * n - 1
+        assert replay_theorems(derive_theorems(ftsc)) == {}
 
     def test_foreign_literal_established_by_name(self):
-        # Contradictory premises refute any assumption, a foreign one too; its
-        # discharged negation sits on a fresh bit and must come back by name.
+        # Contradictory clauses refute any literal, a foreign one too; it is
+        # established on its own bit, past the signature's.
         premises = ClauseSet.build([[pos("a")], [neg("a")]], Signature(("a",)))
-        trace = ProofTrace(
-            (
-                TraceStep(STEP_UNIT, pos("a"), 0),
-                TraceStep(STEP_ASSUME, pos("ghost"), None),
-                TraceStep(STEP_EMPTY, None, 1),
-                TraceStep(STEP_DISCHARGE, neg("ghost"), None),
-            )
-        )
-        result = replay_trace(trace, premises)
+        result = replay_trace(ProofTrace((TraceStep(2, 0, (0, 1), 0),), ()), premises)
         assert result
-        assert result.established == {pos("a"), neg("ghost")}
+        assert result.units == ((0, 2), (0, 0), (0, 0b11))
 
-    @given(replay_cases())
-    @settings(max_examples=400)
+    @given(proofs_and_clauses())
+    @settings(max_examples=400, deadline=None)
     def test_agrees_with_set_replay(self, case):
-        trace, premises = case
-        result = replay_trace(trace, premises)
-        expected = set_replay(trace, premises)
-        assert (result.ok, result.failed_step, result.reason) == expected[:3]
-        assert result.established == expected[3]
-
-
-def assert_agrees_with_replay_trace(ftsc, theorems):
-    """``replay_theorems`` fails exactly the traces ``replay_trace`` fails,
-    with its results."""
-    failed = replay_theorems(theorems)
-    for position, theorem in enumerate(theorems):
-        expected = replay_trace(theorem.trace, ftsc.premises_without(theorem.removed_index))
-        assert failed.get(position) == (None if expected else expected), theorem.removed_index
-
-
-TAMPERS = ("delete", "swap", "insert", "flip", "kind", "premise_index")
-
-
-def tamper_once(data, steps, n, pool):
-    """``steps`` with one step deleted, swapped, inserted from ``pool``, or
-    given a flipped literal, another kind or another premise index."""
-    steps = list(steps)
-    tamper = data.draw(st.sampled_from(TAMPERS if steps else ("insert",)))
-    k = data.draw(st.integers(min_value=0, max_value=max(len(steps) - 1, 0)))
-    if tamper == "delete":
-        del steps[k]
-    elif tamper == "swap":
-        other = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
-        steps[k], steps[other] = steps[other], steps[k]
-    elif tamper == "insert":
-        steps.insert(k, data.draw(st.sampled_from(pool)))
-    elif tamper == "flip":
-        literal = steps[k].literal
-        steps[k] = replace(steps[k], literal=pos("x1") if literal is None else literal.negate())
-    elif tamper == "kind":
-        kind = st.sampled_from((STEP_UNIT, STEP_ASSUME, STEP_PROPAGATE, STEP_EMPTY,
-                                STEP_DISCHARGE))
-        steps[k] = replace(steps[k], kind=data.draw(kind))
-    else:  # none, before the first clause, past the last, or another clause
-        index = st.sampled_from((None, -1, n)) | st.integers(min_value=0, max_value=n - 1)
-        steps[k] = replace(steps[k], premise_index=data.draw(index))
-    return tuple(steps)
-
-
-def single_edits(steps, premises):
-    """``steps`` after each single edit: a step deleted, duplicated, swapped
-    with the next one, given its literal's negation, a literal over a symbol
-    outside the signature, each other kind, or a premise index of None, -1,
-    each position among ``premises`` clauses, or one past the end."""
-    kinds = (STEP_UNIT, STEP_ASSUME, STEP_PROPAGATE, STEP_EMPTY, STEP_DISCHARGE)
-    for k, step in enumerate(steps):
-        yield steps[:k] + steps[k + 1 :]
-        yield steps[: k + 1] + steps[k:]
-        if k + 1 < len(steps):
-            yield steps[:k] + (steps[k + 1], step) + steps[k + 2 :]
-        edits = [replace(step, kind=kind) for kind in kinds if kind != step.kind]
-        if step.literal is not None:
-            edits.append(replace(step, literal=step.literal.negate()))
-            edits.append(replace(step, literal=Literal("ghost", step.literal.negated)))
-        edits += [replace(step, premise_index=p) for p in (None, -1, *range(premises + 1))
-                  if p != step.premise_index]
-        for edited in edits:
-            yield steps[:k] + (edited,) + steps[k + 1 :]
+        assert_agrees_with_set_replay(*case)
 
 
 class TestReplayTheorems:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_replay_trace_after_tampers(self, data):
+        # Up to three single-field edits of the proof of n <= 10.
         n = data.draw(st.integers(min_value=1, max_value=10), label="n")
         ftsc = chain([f"x{k}" for k in range(1, n + 1)])
-        pool = [step for t in derive_theorems(ftsc) for step in t.trace.steps]
-        if data.draw(st.booleans(), label="tamper a shared step"):
-            # The shared steps are generator data too, and are not trusted.
-            units, propagations, empty = ftsc.trace_steps
-            if propagations and data.draw(st.booleans()):
-                propagations = tamper_once(data, propagations, n, pool)
-            else:
-                units = tamper_once(data, units, n, pool)
-            ftsc.__dict__["trace_steps"] = units, propagations, empty
-        theorems = derive_theorems(ftsc)
+        proof = ftsc.proof
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            theorem = data.draw(st.sampled_from(theorems))
-            theorem.__dict__["trace"] = ProofTrace(tamper_once(data, theorem.trace.steps, n, pool))
-        assert_agrees_with_replay_trace(ftsc, theorems)
+            k = data.draw(st.integers(min_value=0, max_value=3 * n - 2))
+            step = proof.steps[k]
+            field = data.draw(st.sampled_from(("positive", "negative", "hints", "units", "targets")))
+            if field in ("positive", "negative"):
+                bit = data.draw(st.integers(min_value=0, max_value=n))
+                proof = tamper_step(proof, k, **{field: getattr(step, field) ^ 1 << bit})
+            elif field == "hints":
+                hint = st.integers(min_value=-1, max_value=4 * n + 1)
+                proof = tamper_step(proof, k, hints=tuple(data.draw(st.lists(hint, max_size=3))))
+            elif field == "units":
+                proof = tamper_step(proof, k, units=data.draw(st.integers(-1, 3 * n)))
+            else:
+                i = data.draw(st.integers(min_value=0, max_value=n))
+                moved = data.draw(st.integers(min_value=-1, max_value=3 * n))
+                proof = replace(proof, targets=proof.targets[:i] + (moved,) + proof.targets[i + 1 :])
+        theorems = derive_theorems(with_proof(ftsc, proof))
+        assert replay_theorems(theorems) == set_theorem_failures(theorems)
 
     def test_shared_unit_that_is_not_unit(self):
-        # ~x1 occurs in clause 2, x2 | ~x1, but x2 is not known false.
+        # Unit step 1 made ~x1 from clause 2, x2 | ~x1: x2 is open, so no
+        # conflict comes; only theorem 3, whose target it is, fails.
         ftsc = chain(["x1", "x2"])
-        units, propagations, empty = ftsc.trace_steps
-        ftsc.__dict__["trace_steps"] = (
-            (units[0], TraceStep(STEP_UNIT, neg("x1"), 1)), propagations, empty
-        )
+        ftsc = with_proof(ftsc, tamper_step(ftsc.proof, 1, positive=0, negative=1))
         theorems = derive_theorems(ftsc)
-        assert_agrees_with_replay_trace(ftsc, theorems)
-        assert replay_theorems(theorems)[2].reason == (
-            "cited clause is not unit under established literals"
-        )
+        assert replay_theorems(theorems) == {2: (1, "no conflict")}
+        assert set_theorem_failures(theorems) == {2: (1, "no conflict")}
 
     @pytest.mark.parametrize("premise_index", [0, 3, 4, -1])
-    @pytest.mark.parametrize("step", [1, -1], ids=["assumption", "discharge"])
+    @pytest.mark.parametrize("step", [0, 8], ids=["assumption", "discharge"])
     def test_premise_index_on_assumption_or_discharge(self, step, premise_index):
-        # An assumption or a discharge cites no clause: an index out of range
-        # is named as such, and one in range is refused too.
+        # The hint of the unit Infection, which removals 2..5 assume, or of
+        # removal 2's lemma ~HighWBC, cites another clause or none.
         ftsc = chain(MEDICAL)
+        ftsc = with_proof(ftsc, tamper_step(ftsc.proof, step, hints=(premise_index,)))
         theorems = derive_theorems(ftsc)
-        steps = list(theorems[1].trace.steps)
-        steps[step] = replace(steps[step], premise_index=premise_index)
-        theorems[1].__dict__["trace"] = ProofTrace(tuple(steps))
-        assert_agrees_with_replay_trace(ftsc, theorems)
-        reason = (f"{steps[step].kind} step cites a premise" if premise_index in (0, 3)
-                  else f"premise index out of range: {premise_index}")
-        assert replay_theorems(theorems)[1].reason == reason
+        failures = replay_theorems(theorems)
+        assert failures == set_theorem_failures(theorems)
+        reason = {
+            (0, 0): None,  # the genuine hint
+            (0, 3): "hint 3 is satisfied",
+            (0, 4): "hint 4 is satisfied",
+            (8, 0): "hint 0 is satisfied",
+            (8, 3): "hint 3 has two open literals",
+            (8, 4): "hint 4 has two open literals",
+        }.get((step, premise_index), "hint -1 cites nothing")
+        if reason is None:
+            assert failures == {}
+        elif step == 0:
+            assert replay_trace(ftsc.proof, ftsc.clause_set).reason == reason
+            assert sorted(failures) == [1, 2, 3, 4]
+        else:
+            assert failures == {1: (8, reason)}
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_literal_on_the_empty_clause_step(self, i):
+        # Theorem i's lemma weakened by the literal a: only theorem i fails.
         ftsc = chain(["a", "b", "c"])
+        target = ftsc.proof.targets[i - 1]
+        ftsc = with_proof(ftsc, tamper_step(ftsc.proof, target, positive=1))
         theorems = derive_theorems(ftsc)
-        steps = list(theorems[i - 1].trace.steps)
-        k = next(k for k, s in enumerate(steps) if s.kind == STEP_EMPTY)
-        steps[k] = replace(steps[k], literal=pos("a"))
-        theorems[i - 1].__dict__["trace"] = ProofTrace(tuple(steps))
-        assert_agrees_with_replay_trace(ftsc, theorems)
-        result = replay_theorems(theorems)[i - 1]
-        assert (result.failed_step, result.reason) == (k, "empty-clause step carries a literal")
+        failures = replay_theorems(theorems)
+        assert failures == set_theorem_failures(theorems)
+        assert list(failures) == [i - 1] and failures[i - 1][0] == target
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_agrees_with_replay_trace_after_every_single_edit(self, n):
-        # Every single edit of every trace, and of each of the shared steps the
-        # traces are built from, is judged as replay_trace judges it; so is
-        # each trace with its assumption and discharge on another literal.
-        symbols = [f"x{k}" for k in range(1, n + 1)]
-        ftsc = chain(symbols)
-        literals = [Literal(s, negated) for s in [*symbols, "ghost"] for negated in (False, True)]
-        for i in range(1, n + 2):
-            steps = build_proof_trace(ftsc, i).steps
-            edits = list(single_edits(steps, n))
-            if i <= n:  # the assumption and its discharge moved to another literal
-                edits += [
-                    steps[: i - 1] + (replace(steps[i - 1], literal=literal),) + steps[i:-1]
-                    + (replace(steps[-1], literal=literal.negate()),)
-                    for literal in literals if literal != steps[i - 1].literal
-                ]
-            for edited in edits:
-                theorems = derive_theorems(ftsc)
-                theorems[i - 1].__dict__["trace"] = ProofTrace(edited)
-                assert_agrees_with_replay_trace(ftsc, theorems)
-        units, propagations, empty = ftsc.trace_steps
-        shared = [(edited, propagations, empty) for edited in single_edits(units, n)]
-        shared += [(units, edited, empty) for edited in single_edits(propagations, n)]
-        shared += [(units, propagations, e[0]) for e in single_edits((empty,), n) if len(e) == 1]
-        for trace_steps in shared:
-            edited = chain(symbols)
-            edited.__dict__["trace_steps"] = trace_steps
-            assert_agrees_with_replay_trace(edited, derive_theorems(edited))
+        # Every single-field edit of the proof is judged as the reference
+        # judges it, step by step and theorem by theorem.
+        ftsc = chain([f"x{k}" for k in range(1, n + 1)])
+        for proof in single_edits(ftsc.proof, n + 1):
+            assert_agrees_with_set_replay(proof, ftsc.clause_set)
+            theorems = derive_theorems(with_proof(chain([f"x{k}" for k in range(1, n + 1)]), proof))
+            assert replay_theorems(theorems) == set_theorem_failures(theorems)
 
     def test_shared_step_citing_another_position(self):
-        # Position 0 is clause 2 in remainder 1 but clause 1 in remainder 2, so
-        # a shared propagation citing it at position 1 serves trace 1 only.
-        genuine = chain(["a", "b", "c"])
-        clauses = [*genuine.clause_set.clauses[:3], [neg("a"), neg("b")]]
-        ftsc = Ftsc(ClauseSet.build(clauses, genuine.signature), genuine.permutation, 3)
-        units, propagations, empty = ftsc.trace_steps
-        ftsc.__dict__["trace_steps"] = units, (propagations[0], propagations[0]), empty
+        # E1 made to cite E3 (clause 4) in place of E2: c stays open, so E1
+        # fails, and with it theorem 1's lemma, which cites E1.
+        ftsc = chain(["a", "b", "c"])
+        ftsc = with_proof(ftsc, tamper_step(ftsc.proof, 4, hints=(1, 3)))
         theorems = derive_theorems(ftsc)
-        assert_agrees_with_replay_trace(ftsc, theorems)
-        result = replay_theorems(theorems)[1]
-        assert (result.failed_step, result.reason) == (
-            2, "derived literal does not occur in the cited clause"
-        )
+        assert replay_theorems(theorems) == {0: (5, "hint 8 cites an invalid step")}
+        assert set_theorem_failures(theorems) == replay_theorems(theorems)
 
     def test_shared_steps_after_the_run_stops(self):
-        # The chain's run stops at the step of an unknown kind, after an
-        # empty-clause step; what follows it is replayed, not trusted.
+        # The unit x1 given a second literal is still valid, but the units end
+        # there: what assumes x1 fails, and theorem 1, which does not, holds.
         ftsc = chain(["a", "b"])
-        units, propagations, empty = ftsc.trace_steps
-        leap = TraceStep("leap", None, None)
-        ftsc.__dict__["trace_steps"] = units, (*propagations, empty, leap), empty
+        ftsc = with_proof(ftsc, tamper_step(ftsc.proof, 0, positive=0b11))
         theorems = derive_theorems(ftsc)
-        assert_agrees_with_replay_trace(ftsc, theorems)
-        result = replay_theorems(theorems)[0]
-        assert (result.failed_step, result.reason) == (3, "unknown step kind: 'leap'")
+        assert replay_theorems(theorems) == {
+            1: (4, "assumes 1 units, not established"),
+            2: (1, "assumes 1 units, not established"),
+        }
 
     def test_each_theorem_replays_against_its_own_source(self):
-        # A second construction with the first one's steps but another last
-        # clause is not judged by the first one's runs.
+        # A second construction whose last clause is ~a | ~b | c: the chain's
+        # proof fails there at every step resting on that clause, and its
+        # target for removing that clause concludes c, not ~c.
         genuine = chain(["a", "b", "c"])
         clauses = [*genuine.clause_set.clauses[:3], [neg("a"), neg("b"), pos("c")]]
         other = Ftsc(ClauseSet.build(clauses, genuine.signature), genuine.permutation, 3)
         theorems = derive_theorems(genuine) + derive_theorems(other)
         failed = replay_theorems(theorems)
-        for position, theorem in enumerate(theorems):
-            expected = replay_trace(
-                theorem.trace, theorem.source.premises_without(theorem.removed_index)
-            )
-            assert failed.get(position) == (None if expected else expected)
-        assert sorted(failed) == [4, 5, 6]
+        assert failed == set_theorem_failures(theorems)
+        assert sorted(failed) == [4, 5, 6, 7]
+        assert failed[7] == (2, "target does not conclude the negated clause 4")
 
     @pytest.mark.parametrize("n", [1, 7, 64, 256])
     def test_generate_replays_a_genuine_construction_from_the_shared_runs(
         self, n, monkeypatch, capsys
     ):
-        from contragen import verifier
+        # ``generate`` replays the one proof once, through the module's name.
         from contragen.cli import run_cli
 
-        def refuse(trace, premises):
-            raise AssertionError("a genuine trace fell back to replay_trace")
+        calls = []
+        real = verifier.replay_trace
 
-        monkeypatch.setattr(verifier, "replay_trace", refuse)
+        def counting(proof, clause_set):
+            calls.append(len(proof.steps))
+            return real(proof, clause_set)
+
+        monkeypatch.setattr(verifier, "replay_trace", counting)
         assert run_cli(["generate", *(f"s{k}" for k in range(n))]) == 0
         out, err = capsys.readouterr()
         theorems = json.loads(out)["theorems"]
         assert len(theorems) == n + 1
         assert all(t["trace_replayed"] is True for t in theorems)
         assert err == ""
+        assert calls == [3 * n - 1]
+
+    @pytest.mark.parametrize("n", [*range(1, 11), 64])
+    def test_each_mutant_fails_the_theorems_resting_on_it(self, n):
+        # A hint dropped, citing a later step, no step, or (in theorem i's
+        # lemma) the removed clause i; a literal flipped; ``units`` raised;
+        # a target moved. Each fails exactly the theorems whose target rests
+        # on the mutated step, but for two kinds of edit that leave a valid
+        # proof: E(k) assuming a unit also rests on clause 1, which fails
+        # theorem 1 alone, and theorem 1 moved to E1 = ~x1 is still proved.
+        ftsc = chain([f"x{k}" for k in range(1, n + 1)])
+        genuine, m = ftsc.proof, n + 1
+        # At n = 64 every tenth step, and the first and last of each kind.
+        every = range(3 * n - 1) if n <= 10 else sorted(
+            {*range(0, 3 * n - 1, 10), 0, n - 1, n, 2 * n - 2, 2 * n - 1, 3 * n - 2}
+        )
+        for s in every:
+            step = genuine.steps[s]
+            edits = [tamper_step(genuine, s, hints=step.hints[:h] + step.hints[h + 1 :])
+                     for h in range(len(step.hints))]
+            edits += [tamper_step(genuine, s, hints=(r,) + step.hints[1:])
+                      for r in (m + s, m + 3 * n, -1)]
+            if s >= 2 * n - 1:  # theorem i's lemma citing clause i
+                edits.append(tamper_step(genuine, s, hints=(s - 2 * n + 1,)))
+            for j in {0, n // 2, n - 1, n}:
+                edits.append(tamper_step(genuine, s, positive=step.positive ^ 1 << j))
+                edits.append(tamper_step(genuine, s, negative=step.negative ^ 1 << j))
+            edits.append(tamper_step(genuine, s, units=step.units + 1))
+            resting = resting_on(genuine, s, m)
+            dependents = {k for k, t in enumerate(genuine.targets) if t in resting}
+            for proof in edits:
+                failures = replay_theorems(derive_theorems(with_proof(chain(ftsc.permutation), proof)))
+                if proof.steps[s].units > step.units and n <= s < 2 * n - 1:
+                    assert set(failures) == {0}, s
+                else:
+                    assert set(failures) == dependents, (s, proof.steps[s])
+        for i, target in enumerate(genuine.targets):
+            for moved in {0, n - 1, n, 2 * n - 2, 2 * n - 1, 3 * n - 2} - {target}:
+                proof = replace(genuine, targets=genuine.targets[:i] + (moved,) + genuine.targets[i + 1 :])
+                failures = replay_theorems(derive_theorems(with_proof(chain(ftsc.permutation), proof)))
+                equivalent = i == 0 and moved == 2 * n - 2 and n > 1  # E1 = ~x1
+                assert set(failures) == (set() if equivalent else {i}), (i, moved)
+
+
+def entailed_failures(theorems):
+    """Per theorem, whether its remainder entails each literal of its
+    negated clause, by ``brute_force_entails``."""
+    entailed = []
+    for theorem in theorems:
+        source, i = theorem.source, theorem.removed_index
+        remainder = plain_clauses(source.clause_set.without(i - 1))
+        symbols = source.signature.symbols
+        entailed.append(all(
+            brute_force_entails(remainder, symbols, (l.symbol, not l.negated))
+            for l in source.clause_set.clauses[i - 1]
+        ))
+    return entailed
+
+
+class TestReplaySoundAndComplete:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_theorems_are_entailed(self, data):
+        # A chain of n <= 6 in any permutation, its proof given one field edit
+        # and, half the time, one of its clauses a literal flipped or dropped,
+        # so that some theorems no longer hold.
+        n = data.draw(st.integers(min_value=1, max_value=6), label="n")
+        signature = signature_of([f"x{k}" for k in range(1, n + 1)])
+        rank = data.draw(st.integers(min_value=0, max_value=math.factorial(n) - 1))
+        ftsc = build_ftsc(permutation_by_rank(signature, rank))
+        proof = data.draw(st.sampled_from(list(single_edits(ftsc.proof, n + 1))))
+        if data.draw(st.booleans(), label="edit a clause"):
+            clauses = [list(c.literals) for c in ftsc.clause_set.clauses]
+            c = data.draw(st.integers(min_value=0, max_value=n))
+            k = data.draw(st.integers(min_value=0, max_value=len(clauses[c]) - 1))
+            if data.draw(st.booleans(), label="drop"):
+                del clauses[c][k]
+            else:
+                clauses[c][k] = clauses[c][k].negate()
+            ftsc = Ftsc(ClauseSet.build(clauses, ftsc.signature), ftsc.permutation, n)
+        theorems = derive_theorems(with_proof(ftsc, proof))
+        failures = replay_theorems(theorems)
+        for position, entailed in enumerate(entailed_failures(theorems)):
+            assert position in failures or entailed, position
+
+    @given(proofs_and_clauses())
+    @settings(max_examples=400, deadline=None)
+    def test_valid_steps_are_entailed_by_what_they_rest_on(self, case):
+        # Each step replay accepts, its clause, follows from the source
+        # clauses its mask names; a bit past the signature is a fresh symbol.
+        proof, clause_set = case
+        symbols = clause_set.signature.symbols + ("ghost",)
+        plain = plain_clauses(clause_set)
+        for step, verdict in zip(proof.steps, replay_trace(proof, clause_set).verdicts):
+            if verdict.__class__ is str:
+                continue
+            rests = [c for r, c in enumerate(plain) if verdict >> r & 1]
+            refuted = [[(symbols[j], not negated)]
+                       for j, negated in literal_set(step.positive, step.negative)]
+            assert not brute_force_satisfiable(rests + refuted, symbols)[0], step
+
+    @pytest.mark.parametrize("n", [*range(1, 11), 64])
+    def test_genuine_proof_accepted(self, n):
+        signature = signature_of([f"x{k}" for k in range(1, n + 1)])
+        for rank in {0, math.factorial(n) // 2, math.factorial(n) - 1}:
+            ftsc = build_ftsc(permutation_by_rank(signature, rank))
+            assert replay_theorems(derive_theorems(ftsc)) == {}
+            if n <= 6:
+                assert all(entailed_failures(derive_theorems(ftsc)))
 
 
 class TestWitnessValidity:
