@@ -33,6 +33,7 @@ from .core import (
     UnboundSymbolError,
     ValidationError,
     parse_literal,
+    read_input,
     replace,
     validate_input,
 )
@@ -378,11 +379,8 @@ def _print_verdict(report, theorems, differences, failed=frozenset()) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    path = Path(args.input)
-    if not path.is_file():
-        raise ValidationError(f"no such file: {args.input}")
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() != ".json":
+    text = read_input(args.input)
+    if Path(args.input).suffix.lower() != ".json":
         ok = _print_mus(check_mus(parse_dimacs(text)))
     else:
         # A report is a few levels deep, so only input nested about as deep

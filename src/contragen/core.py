@@ -15,11 +15,13 @@ is given a plain ``__init__`` unless it checks its input or derives state.
 
 Ground first-order atoms are handled as opaque propositional symbols of
 the shape ``Name(c1,c2)``; ``split_symbol`` is the one reader of that
-shape, so a symbol's arity and its export agree everywhere.
+shape, so a symbol's arity and its export agree everywhere. Input passes
+two gates: ``validate_input`` rules on symbols, ``read_input`` opens files.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 #: Truth assignment: maps symbol names to booleans. Partial during search,
@@ -277,12 +279,14 @@ class Signature(Record):
 
 
 def validate_input(literals: Sequence[Literal]) -> Signature:
-    """Check the two admission constraints and build the signature.
+    """Check the admission rules and build the signature, in input order.
 
-    The constraints: no symbol occurs in both polarities (non-complementarity)
-    and no symbol occurs twice (uniqueness). The signature preserves input
-    order. Raises EmptyInputError, ComplementaryPairError or
-    DuplicateSymbolError as appropriate.
+    The rules: the list is nonempty; each symbol is nonempty, holds no
+    whitespace and no ``?`` (an unsubstituted variable's sigil, so admitted
+    symbols are ground) and does not start with a negation sign; no symbol
+    occurs in both polarities (non-complementarity) or twice (uniqueness).
+    Raises EmptyInputError, ComplementaryPairError, DuplicateSymbolError or,
+    for a symbol, ValidationError.
     """
     if not literals:
         raise EmptyInputError("at least one input literal is required")
@@ -292,6 +296,8 @@ def validate_input(literals: Sequence[Literal]) -> Signature:
             raise ValidationError("literal symbols must be nonempty")
         if any(ch.isspace() for ch in lit.symbol):
             raise ValidationError(f"literal symbols must not contain whitespace: {lit.symbol!r}")
+        if "?" in lit.symbol:
+            raise ValidationError(f"literal symbols must not contain '?': {lit.symbol!r}")
         if lit.symbol[0] in _NEGATION_PREFIXES:
             raise ValidationError(
                 f"literal symbols must not start with a negation sign: {lit.symbol!r}"
@@ -302,6 +308,15 @@ def validate_input(literals: Sequence[Literal]) -> Signature:
             raise DuplicateSymbolError(lit.symbol)
         seen[lit.symbol] = lit.negated
     return Signature(tuple(lit.symbol for lit in literals))
+
+
+def read_input(path: Union[str, Path]) -> str:
+    """The UTF-8 text of the regular file at ``path``. Any other path (missing,
+    a directory, a device, a pipe) raises ValidationError before it is
+    opened, so no read blocks or runs without end."""
+    if not Path(path).is_file():
+        raise ValidationError(f"no such file: {path}")
+    return Path(path).read_text(encoding="utf-8")
 
 
 class Clause(Record):

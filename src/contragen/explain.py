@@ -30,6 +30,7 @@ from .core import (
     Record,
     SchemaViolationError,
     Signature,
+    read_input,
     replace,
     require,
     validate_input,
@@ -268,9 +269,8 @@ def load_scenario_text(text: str, source_name: str = "<scenario>") -> Scenario:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    """Load and validate a scenario from a YAML file."""
-    path = Path(path)
-    return load_scenario_text(path.read_text(encoding="utf-8"), str(path))
+    """Load and validate a scenario from a YAML file, read by ``read_input``."""
+    return load_scenario_text(read_input(path), str(Path(path)))
 
 
 def role_for_index(removed_index: int, n: int) -> str:

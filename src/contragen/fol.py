@@ -7,10 +7,10 @@ uniform per instance (one constant per variable across the whole atom
 list), and there is no unification and no function symbols.
 
 A variable that is still unsubstituted renders with a ``?`` sigil
-(``Name(?p)``); ground symbols never contain ``?``, which is how the
-export layer tells the two apart. So that every symbol reads back as the
-atom it renders, a term or predicate name is nonempty and holds none of
-``(``, ``)``, ``,``, ``?`` or whitespace.
+(``Name(?p)``); ground symbols never contain ``?``, and admission
+(``core.validate_input``) refuses a symbol that does. So that every
+symbol reads back as the atom it renders, a term or predicate name is
+nonempty and holds none of ``(``, ``)``, ``,``, ``?`` or whitespace.
 """
 
 from __future__ import annotations

@@ -47,25 +47,12 @@ class HeaderMismatchError(ValueError):
     """Missing or malformed header, or header counts disagree with the body."""
 
 
-class NonGroundClauseError(ValueError):
-    """The set contains symbols with unsubstituted variables."""
-
-
 class MissingScenarioMetadataError(ValueError):
     """fof emission needs the scenario's variable declarations."""
 
 
-def _check_ground(clause_set: ClauseSet) -> None:
-    for symbol in clause_set.signature.symbols:
-        if "?" in symbol:
-            raise NonGroundClauseError(
-                f"symbol {symbol!r} contains an unsubstituted variable"
-            )
-
-
 def emit_dimacs(clause_set: ClauseSet) -> str:
-    """Render a propositional or ground clause set as DIMACS CNF text."""
-    _check_ground(clause_set)
+    """Render a clause set as DIMACS CNF text."""
     sig = clause_set.signature
     lines = []
     for i, symbol in enumerate(sig.symbols, start=1):
@@ -241,7 +228,7 @@ def emit_tptp(
 ) -> str:
     """Render a construction and its theorems as TPTP text.
 
-    ``mode`` is "cnf" (ground clauses; requires a ground set) or "fof"
+    ``mode`` is "cnf" (the ground clauses) or "fof"
     (universally quantified scenario-level formulas; requires ``scenario``).
     In fof mode ``scenario.atoms_for`` raises ArityMismatchError, naming the
     scenario, when its atoms do not match the construction's signature in
@@ -255,7 +242,6 @@ def emit_tptp(
     # symbol -> (TPTP atom, variables it quantifies over)
     atoms: dict[str, tuple[str, tuple[str, ...]]] = {}
     if mode == "cnf":
-        _check_ground(ftsc.clause_set)
         for symbol in ftsc.signature.symbols:
             head, args = split_symbol(symbol)
             atoms[symbol] = (_tptp_atom(head, [(a, False) for a in args]), ())

@@ -56,6 +56,12 @@ class TestGenerate:
         assert code == EXIT_OK
         assert json.loads(out)["metadata"]["permutation"] == ["a", "c", "b"]
 
+    def test_negative_permutation_refused(self, capsys):
+        # Not read from the end: rank -1 of three symbols would build rank 5.
+        assert run(capsys, "generate", "a", "b", "c", "--permutation", "-1") == (
+            EXIT_VALIDATION, "", "error: permutation rank out of range: -1 (n!=6)\n"
+        )
+
     def test_validation_failure(self, capsys):
         code, _, err = run(capsys, "generate", "a", "~a")
         assert code == EXIT_VALIDATION
@@ -420,6 +426,13 @@ class TestVerify:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/report.json")
         assert code == EXIT_VALIDATION
+
+    def test_dimacs_name_with_variable_sigil(self, capsys, tmp_path):
+        # The rule that refuses ``generate 'a?' b``, with the comment's line.
+        names = ["c var 1 a", "c var 2 a?"]
+        assert self.verify_dimacs(capsys, tmp_path, [[1], [-1, 2], [-2]], names) == (
+            EXIT_VALIDATION, "", "error: line 2: literal symbols must not contain '?': 'a?'\n"
+        )
 
     def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path):
         target = tmp_path / "nested.json"
@@ -1554,6 +1567,62 @@ def test_cli_import_adds_no_dataclasses():
     assert loaded(", contragen.cli") - loaded("") == set()
 
 
+def test_module_entry_point():
+    # CLI children (perfbench's among them) start as ``python -m contragen.cli``.
+    import contragen
+
+    child = subprocess.run(
+        [sys.executable, "-m", "contragen.cli", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(contragen.__file__).parents[1])},
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (
+        EXIT_OK, f"contragen {contragen.__version__}\n", ""
+    )
+
+
+class TestInputFiles:
+    """Every input path passes one gate: what is not a regular file is
+    refused before it is opened."""
+
+    @pytest.mark.parametrize("command", ["explain", "verify"])
+    @pytest.mark.parametrize("name", ["missing.yaml", ""], ids=["missing", "directory"])
+    def test_refused_alike(self, capsys, tmp_path, command, name):
+        path = str(tmp_path / name)
+        assert run(capsys, command, path) == (
+            EXIT_VALIDATION, "", f"error: no such file: {path}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["explain", "verify"])
+    @pytest.mark.parametrize("special", ["/dev/zero", "fifo"])
+    def test_device_or_pipe_refused_in_a_child(self, tmp_path, command, special):
+        # In a child with 1 GB of address space and a time limit: opened,
+        # /dev/zero reads without end and a pipe with no writer blocks.
+        import resource
+
+        import contragen
+
+        if special == "fifo":
+            special = str(tmp_path / "fifo")
+            os.mkfifo(special)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        child = subprocess.run(
+            [sys.executable, "-m", "contragen.cli", command, special],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(contragen.__file__).parents[1])},
+            preexec_fn=limit,
+            timeout=10,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            EXIT_VALIDATION, "", f"error: no such file: {special}\n"
+        )
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -1584,8 +1653,13 @@ class TestUsageErrors:
             (["generate", "a b"], "error: literal symbols must not contain whitespace: 'a b'"),
             (["enumerate", "a", "--n-cap", "x"],
              "usage error: argument --n-cap: invalid int value: 'x'"),
+            (["generate", "a?", "b"], "error: literal symbols must not contain '?': 'a?'"),
+            (["export", "a?", "b", "--format", "dimacs"],
+             "error: literal symbols must not contain '?': 'a?'"),
+            (["export", "a?", "b", "--format", "tptp"],
+             "error: literal symbols must not contain '?': 'a?'"),
         ],
-        ids=["symbol-with-space", "cap-not-int"],
+        ids=["symbol-with-space", "cap-not-int", "sigil-generate", "sigil-dimacs", "sigil-tptp"],
     )
     def test_refused_in_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (EXIT_VALIDATION, "", message + "\n")
@@ -1678,3 +1752,39 @@ class TestParsersUnderFuzz:
             code, err = _exit_and_stderr([command[0], str(path), *command[1:]])
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION)
         assert "Traceback" not in err
+
+
+_SYMBOLS = st.lists(
+    st.text(alphabet="ab1_-?(),é~", min_size=1, max_size=3), min_size=1, max_size=4, unique=True
+)
+
+
+class TestAdmissionIsTheOneGate:
+    """Whatever ``generate`` admits, ``export`` writes and ``verify`` reads
+    back; whatever it refuses, ``export`` refuses with the same message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SYMBOLS)
+    @example(["a?", "b"])
+    def test_generate_export_verify_agree(self, symbols):
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            # A lone symbol names a scenario file if one exists by that name.
+            os.chdir(work)
+            try:
+                generated = _exit_and_stderr(["generate", *symbols])
+                exported = _exit_and_stderr(
+                    ["export", "--format", "dimacs", "--output", "out.cnf", *symbols]
+                )
+                out = io.StringIO()
+                if exported[0] == EXIT_OK:
+                    with contextlib.redirect_stdout(out):
+                        verified = run_cli(["verify", "out.cnf"])
+            finally:
+                os.chdir(home)
+        assert generated[0] in (EXIT_OK, EXIT_VALIDATION)
+        assert (generated[0] == EXIT_OK) == (exported[0] == EXIT_OK)
+        if generated[0] == EXIT_OK:
+            assert (verified, out.getvalue().splitlines()[-1]) == (EXIT_OK, "verification passed")
+        else:
+            assert exported == generated

@@ -1,5 +1,7 @@
 """Clause algebra: literals, validation, canonicalization, evaluation."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,8 +26,10 @@ from contragen.core import (
     ValidationError,
     fields,
     parse_literal,
+    read_input,
     require,
 )
+from contragen.fol import PredicateAtom, atom_literal, var
 
 symbols = st.sampled_from([f"x{i}" for i in range(1, 7)])
 literals = st.builds(Literal, symbols, st.booleans())
@@ -125,12 +129,21 @@ class TestValidateInput:
         [
             ("", "literal symbols must be nonempty"),
             ("a b", "literal symbols must not contain whitespace: 'a b'"),
+            ("a?", "literal symbols must not contain '?': 'a?'"),
         ],
     )
     def test_malformed_symbol(self, symbol, message):
         with pytest.raises(ValidationError) as excinfo:
             validate_input([Literal(symbol)])
         assert str(excinfo.value) == message
+
+    def test_non_ground_rejected(self):
+        # An unsubstituted atom renders with the variable sigil: admission,
+        # and no export, refuses it.
+        lit = atom_literal(PredicateAtom("Holds", (var("p"),)))
+        assert lit.symbol == "Holds(?p)"
+        with pytest.raises(ValidationError, match=re.escape("contain '?': 'Holds(?p)'")):
+            validate_input([lit])
 
     def test_order_preserved(self):
         signature = validate_input([pos("z"), pos("a"), pos("m")])
@@ -145,6 +158,27 @@ class TestValidateInput:
         with pytest.raises(TypeError):
             Signature(("a", "P(x,y)"), (5, 0))
         assert Signature(("Q(z)", "a", "P(x,y)")).arities == (1, 0, 2)
+
+
+class TestReadInput:
+    def test_reads_utf8(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes("café\n".encode("utf-8"))
+        assert read_input(path) == read_input(str(path)) == "café\n"
+
+    def test_refuses_what_is_not_a_regular_file(self, tmp_path):
+        # A pipe, which would block if opened, is tried in a child process
+        # by the CLI tests.
+        for path in (tmp_path / "missing", tmp_path, "/dev/null"):
+            with pytest.raises(ValidationError) as excinfo:
+                read_input(path)
+            assert str(excinfo.value) == f"no such file: {path}"
+
+    def test_refuses_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("café".encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            read_input(path)
 
 
 class TestClause:

@@ -438,8 +438,14 @@ class TestExplainViaModel:
             ({"narrative": "x", "remediation": 5, "score": 0.5},
              "response field 'remediation' must be a string"),
             ({"narrative": "x", "score": "0.5"}, "response field 'score' must be a number"),
+            ({"score": 0.5}, "response field 'narrative' must be a nonempty string"),
+            ({"narrative": " ", "score": 0.5},
+             "response field 'narrative' must be a nonempty string"),
+            ({"narrative": 7, "score": 0.5},
+             "response field 'narrative' must be a nonempty string"),
         ],
-        ids=["remediation-int", "score-str"],
+        ids=["remediation-int", "score-str", "narrative-missing", "narrative-blank",
+             "narrative-int"],
     )
     def test_mistyped_response_field_degrades(self, scenario_dir, response, message):
         scenario = load_scenario(scenario_dir / "medical.yaml")

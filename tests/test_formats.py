@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from contragen import (
     Clause,
     ClauseSet,
-    PredicateAtom,
     Report,
     Signature,
     build_ftsc,
@@ -26,17 +25,14 @@ from contragen import (
     pos,
     rank,
     validate_input,
-    var,
     verbalize,
 )
 from contragen.core import Literal, replace
 from contragen.explain import ArityMismatchError
-from contragen.fol import atom_literal
 from contragen.formats import (
     DimacsParseError,
     HeaderMismatchError,
     MissingScenarioMetadataError,
-    NonGroundClauseError,
 )
 from contragen.report import _indented, current_timestamp
 
@@ -67,13 +63,6 @@ class TestEmitDimacs:
         text = emit_dimacs(chain(MEDICAL).clause_set)
         assert "c var 1 Infection" in text
         assert "c var 4 RequiresAntibiotics" in text
-
-    def test_non_ground_rejected(self):
-        lit = atom_literal(PredicateAtom("Holds", (var("p"),)))
-        signature = Signature((lit.symbol,))
-        clause_set = ClauseSet.build([Clause((lit,))], signature)
-        with pytest.raises(NonGroundClauseError):
-            emit_dimacs(clause_set)
 
     def test_deterministic(self):
         assert emit_dimacs(chain(MEDICAL).clause_set) == emit_dimacs(
@@ -159,9 +148,11 @@ class TestParseDimacs:
              "name 'a' already given on line 1"),
             ("c var 2 v1\np cnf 2 1\n1 0\n", 1,
              "name 'v1' is the default name of unnamed variable 1"),
+            ("c var 1 a?\np cnf 1 2\n1 0\n-1 0\n", 1,
+             "literal symbols must not contain '?': 'a?'"),
         ],
         ids=["index-above-count", "index-zero", "repeated-index", "repeated-name",
-             "default-name-taken"],
+             "default-name-taken", "variable-sigil"],
     )
     def test_bad_var_comment(self, text, line, message):
         with pytest.raises(DimacsParseError) as excinfo:
@@ -254,8 +245,10 @@ class TestEmitTptp:
             emit_tptp(ftsc, mode="fof", scenario=scenario)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            emit_tptp(chain(MEDICAL), mode="tff")
+        # Refused by name, not by fof's want of a scenario.
+        for mode in ("tff", "xyz"):
+            with pytest.raises(ValueError, match=f"^unknown TPTP mode: '{mode}'$"):
+                emit_tptp(chain(MEDICAL), mode=mode)
 
     def test_checker_rejects_garbage(self):
         with pytest.raises(TptpSyntaxError):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +279,11 @@ class TestPermutationRank:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             permutation_by_rank(signature_of(["a", "b"]), 2)
+
+    def test_negative_rank_refused(self):
+        # Without the range check, rank -1 of three symbols builds rank 5.
+        with pytest.raises(IndexError, match=re.escape("out of range: -1 (n!=6)")):
+            permutation_by_rank(signature_of(["a", "b", "c"]), -1)
 
 
 class TestDeriveTheorems:
