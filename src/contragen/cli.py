@@ -8,9 +8,10 @@ Subcommands:
   explain    produce the ranked narrative report for a scenario
   export     emit DIMACS, TPTP, or JSON for a construction
 
-``verify`` compares a report's text with the regenerated report's first
-and reads the schema only when the two differ; what it regenerates stays
-bounded by the size of the report.
+``verify`` decodes a report's metadata alone, from where ``generate``
+writes it, and compares the report's text with the report regenerated
+from it; it decodes the whole text and reads the schema only when the two
+differ. What it regenerates stays bounded by the size of the report.
 
 Exit codes: 0 success, 1 validation or usage failure, 2 verification
 failure. Without an external model endpoint every invocation is fully
@@ -60,7 +61,7 @@ from .generator import (
     recover_permutation,
     total_literals,
 )
-from .report import Report, build_report
+from .report import METADATA_PREFIX, Report, build_report
 from .verifier import MusReport, certification_failures, check_mus, replay_theorems
 
 EXIT_OK = 0
@@ -139,9 +140,13 @@ def _build_parser() -> _Parser:
 
 def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
     # ``explain`` takes a scenario path; the others take literals or one path.
+    # A lone input that names anything on disk, or ends as a scenario file
+    # does, is that path, so ``read_input`` refuses a mistyped or odd one.
     scenario_path = getattr(args, "scenario", None)
     inputs = getattr(args, "inputs", [])
-    if len(inputs) == 1 and Path(inputs[0]).is_file():
+    if len(inputs) == 1 and (
+        Path(inputs[0]).exists() or inputs[0].lower().endswith((".yaml", ".yml"))
+    ):
         scenario_path = inputs[0]
     scenario = None
     if scenario_path is not None:
@@ -158,7 +163,12 @@ def _signature_from_args(args) -> tuple[Signature, Optional[Scenario]]:
             raise ValidationError(
                 f"instance {args.instance} needs a scenario file; literal input has one instance"
             )
-        signature = validate_input([parse_literal(t) for t in inputs])
+        literals = [parse_literal(t) for t in inputs]
+        signature = validate_input(literals)
+        # The chain is built over the symbols, so a sign would be lost.
+        for text, literal in zip(inputs, literals):
+            if literal.negated:
+                raise ValidationError(f"input literals must not be negated: {text!r}")
     else:
         raise ValidationError("no input literals and no scenario file given")
     if getattr(args, "permutation", 0):
@@ -275,16 +285,15 @@ def _show(value) -> str:
     return "(absent)" if value is _ABSENT else json.dumps(value)
 
 
-def _regenerated(data, size: int):
-    """(admission, regenerated). The admission is the signature over
-    ``metadata.permutation``, the ValidationError refusing it, or None when
-    it is not a list. The regenerated value is the report ``generate`` would
-    write for the recorded metadata, and its theorems; None when the
-    permutation is not admitted, ``metadata.scenario`` not a string or null,
-    ``metadata.timestamp`` not a string, or the chain longer in literals
-    than ``size``, the length of the recorded text. So the work stays
-    bounded by the size of the report."""
-    meta = data.get("metadata") if isinstance(data, dict) else None
+def _regenerated(meta, size: int):
+    """(admission, regenerated) for a report's ``metadata`` value. The
+    admission is the signature over ``metadata.permutation``, the
+    ValidationError refusing it, or None when it is not a list. The
+    regenerated value is the report ``generate`` would write for the
+    recorded metadata, and its theorems; None when the permutation is not
+    admitted, ``metadata.scenario`` not a string or null, ``metadata.timestamp``
+    not a string, or the chain longer in literals than ``size``, the length
+    of the recorded text. So the work stays bounded by the size of the report."""
     permutation = meta.get("permutation") if isinstance(meta, dict) else None
     if not isinstance(permutation, list):
         return None, None
@@ -302,22 +311,46 @@ def _regenerated(data, size: int):
     return signature, _certified_report(signature, scenario, replay=False, timestamp=timestamp)
 
 
-def _verify_report(text: str) -> bool:
-    """Regenerate the report from its permutation; one line per differing group.
+_DECODER = json.JSONDecoder()
 
-    A text equal to the regenerated report's, as ``generate`` writes it,
-    passes with no more reading. Any other is read by the schema and
-    compared with the same regenerated report, group by group. Either way
-    a recorded scenario name, which a v1 report cannot be regenerated from,
-    is named as not audited."""
-    data = json.loads(text)
-    signature, regenerated = _regenerated(data, len(text))
+
+def _leading_metadata(text: str):
+    """The value at the place ``generate`` writes the metadata object, decoded
+    alone; None when the text does not begin as ``generate`` writes it."""
+    if text.startswith(METADATA_PREFIX):
+        try:
+            return _DECODER.raw_decode(text, len(METADATA_PREFIX))[0]
+        except (ValueError, RecursionError):  # the whole decode meets it again
+            pass
+    return None
+
+
+def _verify_report(text: str) -> bool:
+    """Regenerate the report from its metadata; one line per differing group.
+
+    The metadata is first decoded alone, from where ``generate`` writes it.
+    A text equal to the report regenerated from it passes with no more
+    reading. Any other text is decoded whole, read by the schema and compared
+    group by group with the report regenerated from its metadata; the first
+    regeneration serves when that metadata records the same inputs. Either
+    way a recorded scenario name, which a v1 report cannot be regenerated
+    from, is named as not audited."""
+    first = _leading_metadata(text)
+    signature, regenerated = _regenerated(first, len(text))
     if regenerated is not None and regenerated[0].to_json() == text:
-        ok, unaudited = _print_verdict(*regenerated, {}), False
+        ok, unaudited, meta = _print_verdict(*regenerated, {}), False, first
     else:
+        data = json.loads(text)
+        meta = data.get("metadata") if isinstance(data, dict) else None
+        # A chain is built only from strings and null, which != tells apart
+        # as strictly as their texts do.
+        if not (regenerated and isinstance(meta, dict)) or any(
+            meta.get(k) != first.get(k) for k in ("permutation", "scenario", "timestamp")
+        ):
+            signature, regenerated = _regenerated(meta, len(text))
         ok, unaudited = _compare_report(data, signature, regenerated)
     # The schema holds by now, so the name is a string or null.
-    if data["metadata"].get("scenario") is not None:
+    if meta.get("scenario") is not None:
         print("metadata.scenario: not audited; a v1 report does not record its scenario")
     if unaudited:
         print("explanations, ranking: not audited; a v1 report does not record its scenario")

@@ -294,7 +294,7 @@ def validate_input(literals: Sequence[Literal]) -> Signature:
     for lit in literals:
         if not lit.symbol:
             raise ValidationError("literal symbols must be nonempty")
-        if any(ch.isspace() for ch in lit.symbol):
+        if lit.symbol.split() != [lit.symbol]:  # splits where ``str.isspace`` holds
             raise ValidationError(f"literal symbols must not contain whitespace: {lit.symbol!r}")
         if "?" in lit.symbol:
             raise ValidationError(f"literal symbols must not contain '?': {lit.symbol!r}")

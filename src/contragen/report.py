@@ -223,6 +223,8 @@ class Report(Record):
 # serves only ``indent=None``); this writer gives the same text faster.
 _string = json.encoder.encode_basestring_ascii
 _CONSTANTS = {True: "true", False: "false", None: "null"}
+# What ``to_json`` writes before the metadata object of a report of this schema.
+METADATA_PREFIX = f'{{\n  {_string("schema_version")}: {SCHEMA_VERSION},\n  {_string("metadata")}: '
 _INT = {int: int.__repr__}
 
 

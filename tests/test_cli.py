@@ -316,6 +316,8 @@ class TestVerify:
     @settings(max_examples=50, deadline=None)
     @given(ESCAPED_SYMBOLS)
     def test_generated_report_of_escaped_symbols(self, symbols):
+        # A lone input that names something on disk, such as "/", is a scenario path.
+        assume(len(symbols) > 1 or not Path(symbols[0]).exists())
         with tempfile.TemporaryDirectory() as work:
             target = str(Path(work) / "report.json")
             with contextlib.redirect_stdout(io.StringIO()):
@@ -911,10 +913,13 @@ class TestVerify:
             assert _verify_text(layout) == (EXIT_OK, out, "")
 
     def test_only_a_text_that_differs_is_read_by_the_schema(self, monkeypatch):
-        # Either way the chain is built once.
+        # Either way the chain is built once; only a text that differs is decoded whole.
         text = _genuine_report(2)
-        reads, builds = [], []
-        from_dict, build_ftsc = Report.from_dict.__func__, cli.build_ftsc
+        data = json.loads(text)
+        data["theorems"][1]["certified"] = "failed"
+        compact, edited = json.dumps(json.loads(text)), json.dumps(data, indent=2) + "\n"
+        reads, builds, decodes = [], [], []
+        from_dict, build_ftsc, loads = Report.from_dict.__func__, cli.build_ftsc, json.loads
 
         def counting_from_dict(cls, data):
             reads.append(data)
@@ -924,16 +929,58 @@ class TestVerify:
             builds.append(signature)
             return build_ftsc(signature)
 
+        def counting_loads(text, **kwargs):
+            decodes.append(text)
+            return loads(text, **kwargs)
+
         monkeypatch.setattr(Report, "from_dict", classmethod(counting_from_dict))
         monkeypatch.setattr(cli, "build_ftsc", counting_build)
+        monkeypatch.setattr(json, "loads", counting_loads)
         assert _verify_text(text)[0] == EXIT_OK
-        assert (len(reads), len(builds)) == (0, 1)
-        assert _verify_text(json.dumps(json.loads(text)))[0] == EXIT_OK
-        assert (len(reads), len(builds)) == (1, 2)
-        data = json.loads(text)
-        data["theorems"][1]["certified"] = "failed"
-        assert _verify_text(json.dumps(data, indent=2) + "\n")[0] == EXIT_VERIFICATION
-        assert (len(reads), len(builds)) == (2, 3)
+        assert (len(decodes), len(reads), len(builds)) == (0, 0, 1)
+        assert _verify_text(compact)[0] == EXIT_OK
+        assert (len(decodes), len(reads), len(builds)) == (1, 1, 2)
+        assert _verify_text(edited)[0] == EXIT_VERIFICATION
+        assert (len(decodes), len(reads), len(builds)) == (2, 2, 3)
+
+    @pytest.mark.parametrize(
+        "edit, code, last",
+        [
+            # json.loads keeps the last of two keys: here one records other inputs.
+            (lambda text, data: text[:-2] + ',\n  "metadata": ' + json.dumps(
+                dict(data["metadata"], permutation=["b", "a", "c"]), indent=2) + "\n}\n",
+             EXIT_VERIFICATION, "verification FAILED"),
+            # ... and here the same inputs, with n of another type.
+            (lambda text, data: text[:-2] + ',\n  "metadata": ' + json.dumps(
+                dict(data["metadata"], n=3.0), indent=2) + "\n}\n",
+             EXIT_VALIDATION, "error: report metadata: field 'n' must be int, got float"),
+            (lambda text, data: text[:text.index('"signature"')],
+             EXIT_VALIDATION, "error: Expecting property name enclosed in double quotes"),
+            (lambda text, data: "\ufeff" + text,
+             EXIT_VALIDATION, "error: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            (lambda text, data: " " + text, EXIT_OK, "verification passed"),
+            (lambda text, data: text[:text.index('"metadata": ') + 12] + '{"deep": '
+             + "[" * 100_000 + "]" * 100_000 + "}" + text[text.index(',\n  "signature"'):],
+             EXIT_VALIDATION, "JSON nested too deeply to read"),
+            (lambda text, data: json.dumps(dict(data, metadata=dict(
+                data["metadata"], permutation=[f"q{i}" for i in range(5000)])), indent=2) + "\n",
+             EXIT_VERIFICATION, "verification FAILED"),
+        ],
+        ids=["second-metadata", "second-metadata-same-inputs", "cut-after-metadata", "bom",
+             "leading-space", "nested-metadata", "permutation-longer-than-text"],
+    )
+    def test_metadata_read_first_reads_as_the_whole_document_does(
+        self, capsys, tmp_path, monkeypatch, edit, code, last
+    ):
+        # A verify that decodes the whole document first is the reference.
+        text = _genuine_report(1)
+        target = tmp_path / "report.json"
+        target.write_text(edit(text, json.loads(text)), encoding="utf-8")
+        got = run(capsys, "verify", str(target))
+        assert got[0] == code
+        assert last in (got[1] or got[2]).splitlines()[-1]
+        monkeypatch.setattr(cli, "_leading_metadata", lambda text: None)
+        assert run(capsys, "verify", str(target)) == got
 
     @settings(max_examples=100, deadline=None)
     @given(_report_edits())
@@ -1594,6 +1641,18 @@ class TestInputFiles:
             EXIT_VALIDATION, "", f"error: no such file: {path}\n"
         )
 
+    @pytest.mark.parametrize(
+        "command", [["generate"], ["enumerate"], ["export", "--format", "dimacs"]],
+        ids=["generate", "enumerate", "export"],
+    )
+    @pytest.mark.parametrize("name", ["typo.yaml", "typo.YML", ""], ids=["yaml", "YML", "directory"])
+    def test_lone_path_input_is_a_scenario_path(self, capsys, tmp_path, command, name):
+        # A mistyped scenario path is refused, not built as a one-symbol chain.
+        path = str(tmp_path / name)
+        assert run(capsys, *command, path) == (
+            EXIT_VALIDATION, "", f"error: no such file: {path}\n"
+        )
+
     @pytest.mark.parametrize("command", ["explain", "verify"])
     @pytest.mark.parametrize("special", ["/dev/zero", "fifo"])
     def test_device_or_pipe_refused_in_a_child(self, tmp_path, command, special):
@@ -1663,6 +1722,19 @@ class TestUsageErrors:
     )
     def test_refused_in_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (EXIT_VALIDATION, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "command", [["generate"], ["enumerate"], ["export", "--format", "dimacs"]],
+        ids=["generate", "enumerate", "export"],
+    )
+    @pytest.mark.parametrize("literal", ["~a", "!a", "¬a"])
+    def test_negated_input_refused(self, capsys, command, literal):
+        # The chain is built over symbols, so the sign would be dropped.
+        assert run(capsys, *command, "b", literal) == (
+            EXIT_VALIDATION, "", f"error: input literals must not be negated: {literal!r}\n"
+        )
+        # A doubled sign cancels, as ``parse_literal`` reads it.
+        assert run(capsys, *command, "b", "~~a")[0] == EXIT_OK
 
     def test_missing_format(self, capsys):
         code, _, err = run(capsys, "export", "a")

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from contragen import (
     Clause,
@@ -144,6 +144,17 @@ class TestValidateInput:
         assert lit.symbol == "Holds(?p)"
         with pytest.raises(ValidationError, match=re.escape("contain '?': 'Holds(?p)'")):
             validate_input([lit])
+
+    @given(st.text(st.characters(codec="utf-8") | st.sampled_from(
+        "\u00a0\u0085\u1680\u2028\u001c\u001d\u001e\u001f\u200b"), min_size=1))
+    def test_whitespace_is_what_isspace_says(self, symbol):
+        refused = any(ch.isspace() for ch in symbol)
+        assume(refused or ("?" not in symbol and symbol[0] not in "~!¬"))
+        if refused:
+            with pytest.raises(ValidationError, match="must not contain whitespace"):
+                validate_input([Literal(symbol)])
+        else:
+            assert validate_input([Literal(symbol)]).symbols == (symbol,)
 
     def test_order_preserved(self):
         signature = validate_input([pos("z"), pos("a"), pos("m")])
